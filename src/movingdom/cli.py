@@ -202,9 +202,12 @@ def _cell(v):
 
 
 def write_table(path, name, header, rows):
-    lines = [f"schema,{name},{SCHEMA_VERSION}", ",".join(header)]
-    lines.extend(",".join(_cell(c) for c in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write a schema-tagged CSV; rows may be any iterable and are streamed."""
+    with open(path, "w") as fh:
+        fh.write(f"schema,{name},{SCHEMA_VERSION}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_cell(c) for c in row) + "\n")
 
 
 def read_table(path):
@@ -368,8 +371,8 @@ def cmd_solve(rc, out, jobs=1, seed=None):
         for i in range(rc.dim):
             env[f"y{i + 1}"] = centers[:, i]
         xs = [np.broadcast_to(f(env), (g.m,)) for f in fwd]
-        rows = [[t] + [float(x[i]) for x in xs] + [float(snap.values[i])]
-                for i in range(g.m)]
+        rows = ([t] + [float(x[i]) for x in xs] + [float(snap.values[i])]
+                for i in range(g.m))
         write_table(out / f"moving_{idx:03d}.csv", "moving_snapshot",
                     ["t"] + [f"x{i + 1}" for i in range(rc.dim)] + ["u"], rows)
     return EXIT_OK

@@ -16,9 +16,12 @@ into a separate matrix meant to be lagged explicitly by the stepper; the
 implicit part stays symmetric positive semidefinite.
 
 The operator acts as A v = S v / vol + beta v, which is self-adjoint in
-the volume-weighted inner product used by `inner`.  On a radial grid S is
-tridiagonal and is built directly in CSR form; its bands are what the
-stepper's direct solve eliminates.
+the volume-weighted inner product used by `inner`.  On a radial grid or a
+1-D box S is tridiagonal (the radial one is built directly in CSR form);
+its bands are what the stepper's direct solve eliminates.  On a box whose
+axis-k face weights depend on y_k alone, as for a stretch that acts axis by
+axis, S is a Kronecker sum of 1-D Neumann chains; the operator keeps those
+per-axis weights, and their eigenpairs diagonalize the implicit matrix.
 """
 
 from __future__ import annotations
@@ -259,7 +262,10 @@ class SparseOperator:
     elementwise symmetry of the assembled operator within 1e-13 relative.
     `a` holds the cell-center coefficients a(t) the operator was assembled
     from (None on derived operators such as `shifted`), so diagnostics at
-    the same time need not evaluate them again.
+    the same time need not evaluate them again.  `axis_weights` is set when
+    flux is the Kronecker sum over axes of the 1-D chain fluxes with these
+    face weights (box grids with no cross block whose axis-k weights are
+    bitwise the same on every line along axis k); it is None otherwise.
     """
     grid: object
     flux: sp.csr_matrix
@@ -269,6 +275,7 @@ class SparseOperator:
     symmetric: bool = False
     symmetry_residual: float = 0.0
     a: object = field(default=None, repr=False)
+    axis_weights: tuple = field(default=None, repr=False)
 
     @property
     def n(self):
@@ -290,9 +297,12 @@ class SparseOperator:
 
     def shifted(self, dt):
         """Operator I + dt * (implicit part), in the same flux form."""
+        weights = self.axis_weights
+        if weights is not None:
+            weights = tuple(w * dt for w in weights)
         return SparseOperator(self.grid, self.flux * dt, self.volumes,
                               1.0 + dt * self.beta, None, self.symmetric,
-                              self.symmetry_residual)
+                              self.symmetry_residual, axis_weights=weights)
 
     @cached_property
     def spd_matrix(self):
@@ -302,10 +312,32 @@ class SparseOperator:
     @cached_property
     def bands(self):
         """(diagonal, off-diagonal) of flux + beta*diag(vol), for a tridiagonal flux."""
-        if self.grid.kind != "radial":
-            raise GridError("only radial operators are tridiagonal")
+        if self.grid.axes != 1:
+            raise GridError("only single-axis operators are tridiagonal")
         return (self.flux.diagonal() + self.beta * self.volumes,
                 self.flux.diagonal(1))
+
+    @cached_property
+    def diagonalization(self):
+        """(per-axis eigenvectors, eigenvalues of flux + beta*diag(vol)).
+
+        Needs axis_weights.  Each 1-D chain flux factors as Q diag(lam) Q^T
+        by one eigh; the eigenvalues of the Kronecker sum are beta*vol plus
+        the per-axis sums, returned as an array shaped like the grid.
+        """
+        if self.axis_weights is None:
+            raise GridError("operator is not a Kronecker sum of 1-D fluxes")
+        total = self.beta * float(self.volumes[0])
+        vecs = []
+        for ax, w in enumerate(self.axis_weights):
+            T = -np.diag(w, 1) - np.diag(w, -1)
+            T[np.diag_indices(len(w) + 1)] = np.append(w, 0.0) + np.append(0.0, w)
+            lam, Q = np.linalg.eigh(T)
+            shape = [1] * len(self.axis_weights)
+            shape[ax] = -1
+            total = total + lam.reshape(shape)
+            vecs.append(Q)
+        return tuple(vecs), total
 
 
 def _face_flux_coo(lo, hi, w):
@@ -375,6 +407,7 @@ def assemble_A(p, grid, t) -> SparseOperator:
         return SparseOperator(grid, S, V, float(p.beta), None, rel <= 1e-13, rel, a)
     else:
         rows, cols, vals = [], [], []
+        lines = []
         cell_vol = float(np.prod(grid.spacing))
         for ax in range(grid.dim):
             lo, hi = _axis_faces(grid.counts, ax)
@@ -385,6 +418,7 @@ def assemble_A(p, grid, t) -> SparseOperator:
             rows.append(r)
             cols.append(c)
             vals.append(v)
+            lines.append(_axis_line(w, grid.counts, ax))
         S = sp.csr_matrix((np.concatenate(vals),
                            (np.concatenate(rows), np.concatenate(cols))),
                           shape=(m, m))
@@ -410,11 +444,27 @@ def assemble_A(p, grid, t) -> SparseOperator:
                 cross = term if cross is None else cross + term
         if cross is not None:
             cross = cross.tocsr()
+        weights = None
+        if cross is None and all(line is not None for line in lines):
+            weights = tuple(lines)
 
     resid = float(np.abs(S - S.T).max()) if S.nnz else 0.0
     rel = resid / max(float(np.abs(S).max()), 1e-300) if S.nnz else 0.0
     symmetric = cross is None and rel <= 1e-13
-    return SparseOperator(grid, S, V, float(p.beta), cross, symmetric, rel, a)
+    return SparseOperator(grid, S, V, float(p.beta), cross, symmetric, rel, a,
+                          weights)
+
+
+def _axis_line(w, counts, ax):
+    """The 1-D weights along axis ax if every line of a-faces carries them, else None.
+
+    w holds the interior a-face weights in the order of `_axis_faces`.
+    """
+    shape = list(counts)
+    shape[ax] -= 1
+    w = w.reshape(shape)
+    line = w[tuple(slice(None) if k == ax else slice(0, 1) for k in range(len(shape)))]
+    return line.ravel().copy() if np.array_equal(w, np.broadcast_to(line, shape)) else None
 
 
 # ---------------------------------------------------------------------------

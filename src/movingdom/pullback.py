@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import assemble_A, inner, norm_H1, norm_L2
 from .problem import check_H2, check_H3
-from .solver import _cg, run, run_homogeneous
+from .solver import _solve, run, run_homogeneous
 
 log = logging.getLogger("movingdom.pullback")
 
@@ -120,7 +120,9 @@ def drift_norm(p, grid, times) -> float:
     """Spectral-norm estimate of (A_h(t) - A_h(tau)) A_h(r)^-1.
 
     Power iteration (tol 1e-8) on the normal operator in the vol-weighted
-    inner product; the inverse is applied through conjugate gradients.
+    inner product; the inverse is applied through the stepper's `_solve`,
+    exact where the operator's structure allows and conjugate gradients
+    (tol 1e-12) otherwise.
     The estimate is a Rayleigh quotient, so it never exceeds the true
     norm; operators with clustered top singular values may stop at the
     iteration cap instead of the tolerance, which is logged, and the
@@ -143,7 +145,7 @@ def drift_norm(p, grid, times) -> float:
     x /= math.sqrt(inner(grid, x, x))
     est = 0.0
     for it in range(200):
-        w, _ = _cg(op_r, x, tol=1e-12)
+        w, _ = _solve(op_r, x, tol=1e-12)
         bx = op_t.apply(w) - op_tau.apply(w)
         nbx = math.sqrt(inner(grid, bx, bx))
         if nbx == 0.0:
@@ -152,7 +154,7 @@ def drift_norm(p, grid, times) -> float:
         if it > 0 and abs(est - prev) <= 1e-8 * est:
             return est
         dbx = op_t.apply(bx) - op_tau.apply(bx)
-        y, _ = _cg(op_r, dbx, tol=1e-12)
+        y, _ = _solve(op_r, dbx, tol=1e-12)
         ny = math.sqrt(inner(grid, y, y))
         if ny == 0.0:
             return est

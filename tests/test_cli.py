@@ -1,10 +1,16 @@
 """End-to-end checks of the command line front end and its file formats."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from movingdom.cli import (ConfigError, fixture_path, load_config, main,
-                           read_table, write_table)
+import movingdom
+from movingdom.cli import (SCHEMA_VERSION, ConfigError, fixture_path,
+                           load_config, main, read_table, write_table)
 
 BALL_SHRINK_A11_AT_T1 = 1.8710941655794973  # (exp(-1) + 1)^2
 
@@ -82,6 +88,30 @@ def test_table_round_trip_is_byte_identical(tmp_path):
     assert float(parsed[1][1]) == 1.0 / 3.0
     write_table(b, "demo", header, [(int(i), float(v), s) for i, v, s in parsed])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_streamed_table_matches_the_joined_form(tmp_path):
+    header = ("i", "v", "note")
+    rows = [(0, np.float64(0.1), "free text"), (7, 1.0 / 3.0, "x"),
+            (np.int64(-2), np.float64(-2.5e-300), "")]
+    p = tmp_path / "t.csv"
+    write_table(p, "demo", header, (row for row in rows))
+    lines = [f"schema,demo,{SCHEMA_VERSION}", ",".join(header)]
+    lines.extend(",".join(repr(float(c)) if isinstance(c, float) else str(c)
+                          for c in row) for row in rows)
+    assert p.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_cli_import_leaves_out_scipy_linalg_and_fft():
+    # either module adds megabytes of resident memory to every command
+    code = ("import sys, movingdom.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'linalg'], ['scipy', 'fft'])))")
+    env = dict(os.environ, PYTHONPATH=str(Path(movingdom.__file__).parents[1]))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=env, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 def test_read_table_rejects_untagged_file(tmp_path):
@@ -421,8 +451,6 @@ def test_log_level_env_is_validated(tmp_path, monkeypatch):
 
 
 def test_console_entry_point_runs():
-    import subprocess
-    import sys
     r = subprocess.run([sys.executable, "-m", "movingdom", "check",
                         "--config", str(fixture_path("identity")),
                         "--out", "/tmp/movingdom-entry-test"],

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,10 +10,14 @@ from movingdom import expr as ex
 from movingdom.diffeo import BallDomain, BoxDomain, DiffeoSpec
 from movingdom.grid import (BoxGrid, GridField, RadialGrid, SparseOperator,
                             assemble_A, boundary_residual, mass, norm_L2)
+from movingdom import pullback
+from movingdom.cli import _spec, fixture_path, load_config
+from movingdom.diffeo import build_metric
 from movingdom.problem import assemble
 from movingdom.solver import (SCHEMES, CgError, MmsReport, SolverError,
-                              StepperConfig, cg_solve, mms_convergence, run,
-                              run_homogeneous, step)
+                              StepperConfig, _cg, _kronecker_solve, _solve,
+                              cg_solve, mms_convergence, run, run_homogeneous,
+                              step)
 
 
 def identity_problem(dim, domain=None, beta=1.0, f=None):
@@ -41,6 +46,27 @@ def shear_problem(gamma=0.2):
         inverse=(ex.parse(f"x1 - {gamma} * x2"), ex.parse("x2")),
     )
     return assemble(spec, beta=1.0)
+
+
+def stretch_problem(extents=(1.0, 1.0, 1.0)):
+    """A per-axis stretch: a_kk depends on (t, y_k) only, so the flux is a Kronecker sum."""
+    dim = len(extents)
+    spec = DiffeoSpec(
+        dim=dim, domain=BoxDomain(extents),
+        forward=tuple(ex.parse(f"(y{i} + 0.25 * y{i}^2) / (exp(0 - t^2) + 1)")
+                      for i in range(1, dim + 1)),
+        inverse=tuple(ex.parse(f"2 * (sqrt(1 + x{i} * (exp(0 - t^2) + 1)) - 1)")
+                      for i in range(1, dim + 1)),
+    )
+    return assemble(spec, beta=1.0)
+
+
+def coupled_problem():
+    """Diagonal diffusion on the unit square whose a_11 depends on y2."""
+    metric = build_metric(identity_problem(2).metric.spec)
+    a = [list(row) for row in metric.a]
+    a[0][0] = ex.parse("1 + 0.5 * y2")
+    return assemble(dataclasses.replace(metric, a=a, _fns={}), beta=1.0)
 
 
 def test_config_validation():
@@ -113,6 +139,64 @@ def test_radial_runs_solve_directly():
     for scheme in SCHEMES:
         traj = run(p, g, StepperConfig(dt=0.01, scheme=scheme), 0.0, 0.1, 1.0)
         assert all(m.cg_iters == 0 for m in traj.metrics)
+
+
+def test_kronecker_solve_matches_dense_solve():
+    p = stretch_problem((1.0, 1.3, 0.7))
+    g = BoxGrid((1.0, 1.3, 0.7), (6, 5, 4))
+    rng = np.random.default_rng(29)
+    rhs = rng.normal(size=g.m)
+    for A in (assemble_A(p, g, 0.4), assemble_A(p, g, -0.9).shifted(0.02)):
+        assert A.axis_weights is not None
+        dense = A.flux.toarray() / A.volumes[:, None] + A.beta * np.eye(g.m)
+        exact = np.linalg.solve(dense, rhs)
+        x, iters = _solve(A, rhs, tol=1e-10)
+        assert iters == 0
+        assert np.abs(x - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+def test_non_kronecker_boxes_fall_back_to_cg():
+    cases = [(coupled_problem(), BoxGrid((1.0, 1.0), (8, 8))),
+             (shear_problem(), BoxGrid((1.0, 1.0), (8, 8)))]
+    for p, g in cases:
+        assert assemble_A(p, g, 0.3).axis_weights is None
+        v0 = np.cos(np.pi * g.centers[:, 0]) + g.centers[:, 1]
+        traj = run(p, g, StepperConfig(dt=0.05, scheme="crank-nicolson"),
+                   0.0, 0.2, v0)
+        assert all(m.cg_iters > 0 for m in traj.metrics[1:])
+
+
+def test_kronecker_solve_rejects_indefinite_operator():
+    g = BoxGrid((1.0, 1.0, 1.0), (5, 4, 3))
+    A = assemble_A(stretch_problem(), g, 0.0)
+    bad = dataclasses.replace(A, beta=-10.0)
+    assert bad.axis_weights is not None
+    with pytest.raises(CgError, match="not positive definite"):
+        _kronecker_solve(bad, np.ones(g.m))
+
+
+def test_direct_box_runs_report_zero_iterations():
+    cases = [(identity_problem(1), BoxGrid((1.0,), (16,))),
+             (stretch_problem(), BoxGrid((1.0, 1.0, 1.0), (6, 5, 4)))]
+    for p, g in cases:
+        v0 = np.cos(np.pi * g.centers[:, 0])
+        for scheme in SCHEMES:
+            traj = run(p, g, StepperConfig(dt=0.01, scheme=scheme), 0.0, 0.05, v0)
+            assert all(m.cg_iters == 0 for m in traj.metrics)
+
+
+def test_drift_norm_direct_solves_match_cg(monkeypatch):
+    sin_t = assemble(_spec(load_config(fixture_path("sin_t"))), beta=1.0)
+    cases = [(sin_t, RadialGrid(3, 24), (0.0, -1.0, -4.0)),
+             (stretch_problem(), BoxGrid((1.0, 1.0, 1.0), (6, 5, 4)), (0.0, 0.8, 2.0))]
+    for p, g, times in cases:
+        direct = pullback.drift_norm(p, g, times)
+        with monkeypatch.context() as m:
+            m.setattr(pullback, "_solve",
+                      lambda op, rhs, tol, maxiter=0, x0=None: _cg(op, rhs, tol, maxiter, x0))
+            reference = pullback.drift_norm(p, g, times)
+        assert direct > 0.0
+        assert abs(direct - reference) <= 1e-10 * reference
 
 
 def test_cg_iteration_cap():
