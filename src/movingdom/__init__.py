@@ -15,7 +15,7 @@ from .diffeo import (BallDomain, BoxDomain, DegenerateDiffeoError,
                      build_metric, check_H1, check_H4, ellipticity_probe,
                      hoelder_probe, parse_diffeo, validate_inverse)
 from .grid import (BoxGrid, GridError, GridField, RadialGrid, SparseOperator,
-                   as_field, assemble_A, gradient, inner, norm_H1, norm_L2,
+                   as_field, assemble_A, inner, norm_H1, norm_L2,
                    read_snapshot, write_snapshot)
 from .problem import (GrowthReport, ProblemError, SignReport,
                       TransformedProblem, assemble, check_H2, check_H3)
@@ -36,7 +36,7 @@ __all__ = [
     "check_H4", "ellipticity_probe", "hoelder_probe", "parse_diffeo",
     "validate_inverse",
     "BoxGrid", "GridError", "GridField", "RadialGrid", "SparseOperator",
-    "as_field", "assemble_A", "gradient", "inner", "norm_H1", "norm_L2",
+    "as_field", "assemble_A", "inner", "norm_H1", "norm_L2",
     "read_snapshot", "write_snapshot",
     "GrowthReport", "ProblemError", "SignReport", "TransformedProblem",
     "assemble", "check_H2", "check_H3",

@@ -182,8 +182,8 @@ def _spec(rc):
     return parse_diffeo(rc.dim, _domain(rc), rc.forward, rc.inverse)
 
 
-def _problem(rc):
-    return assemble(_spec(rc), beta=rc.beta, f=rc.f, initial=rc.initial)
+def _problem(rc, metric):
+    return assemble(metric, beta=rc.beta, f=rc.f, initial=rc.initial)
 
 
 def _stepper(rc):
@@ -229,7 +229,7 @@ def _fmt_y(y):
 
 
 def _hypothesis_rows(rc):
-    """Run every declared check; returns (rows, all_hard_checks_pass)."""
+    """Run every declared check; returns (rows, all_hard_checks_pass, metric)."""
     spec = _spec(rc)
     metric = build_metric(spec)
     rows = []
@@ -277,14 +277,16 @@ def _hypothesis_rows(rc):
                      f"k1={h3.k1!r} k2={h3.k2!r}"))
         if h3.witness is not None:
             rows.append(("H3_witness", "info", h3.witness, "|f| grows here"))
-    return rows, ok
+    return rows, ok, metric
 
 
 def _require_checks(rc):
-    rows, ok = _hypothesis_rows(rc)
+    """Raise unless every hard check passes; returns the checked MetricBundle."""
+    rows, ok, metric = _hypothesis_rows(rc)
     if not ok:
         bad = [r[0] for r in rows if r[1] == "fail"]
         raise _HypothesisFailure(f"hypothesis checks failed: {', '.join(bad)}")
+    return metric
 
 
 class _HypothesisFailure(Exception):
@@ -294,16 +296,15 @@ class _HypothesisFailure(Exception):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_check(rc, out, jobs=1, seed=None):
-    rows, ok = _hypothesis_rows(rc)
+def cmd_check(rc, out, seed=None):
+    rows, ok, _ = _hypothesis_rows(rc)
     write_table(out / "hypothesis_report.csv", "hypothesis_report",
                 ("check", "status", "value", "detail"), rows)
     return EXIT_OK if ok else EXIT_HYPOTHESIS
 
 
-def cmd_transform(rc, out, jobs=1, seed=None):
-    _require_checks(rc)
-    metric = build_metric(_spec(rc))
+def cmd_transform(rc, out, seed=None):
+    metric = _require_checks(rc)
     d = rc.dim
     rows = []
     for j in range(d):
@@ -352,18 +353,18 @@ def _write_metrics(out, traj):
                  for m in traj.metrics])
 
 
-def cmd_solve(rc, out, jobs=1, seed=None):
-    _require_checks(rc)
+def cmd_solve(rc, out, seed=None):
+    metric = _require_checks(rc)
     if rc.initial is None:
         raise ConfigError("solve needs `initial` in the [problem] section")
-    p = _problem(rc)
+    p = _problem(rc, metric)
     g = _grid(rc)
     tau = _exp_float(rc, "tau", 0.0)
     T = _exp_float(rc, "t", 1.0)
     traj = run(p, g, _stepper(rc), tau, T)
     _write_metrics(out, traj)
 
-    fwd = [ex.compiled(c) for c in _spec(rc).forward]
+    fwd = [ex.compiled(c) for c in metric.spec.forward]
     centers = g.embed()[:, :rc.dim]
     for idx, (t, snap) in enumerate(zip(traj.times, traj.snapshots)):
         write_snapshot(out / f"fixed_{idx:03d}.snap", snap, t)
@@ -378,11 +379,11 @@ def cmd_solve(rc, out, jobs=1, seed=None):
     return EXIT_OK
 
 
-def cmd_mms(rc, out, jobs=1, seed=None):
-    _require_checks(rc)
+def cmd_mms(rc, out, seed=None):
+    metric = _require_checks(rc)
     if rc.exact is None:
         raise ConfigError("mms needs `exact` in the [problem] section")
-    p = _problem(rc)
+    p = _problem(rc, metric)
     grids = [_grid(rc, n) for n in rc.grid_ladder]
     rep = mms_convergence(p, rc.exact, grids, rc.dts, scheme=rc.scheme,
                           cg_tol=rc.cg_tol)
@@ -394,9 +395,8 @@ def cmd_mms(rc, out, jobs=1, seed=None):
     return EXIT_OK
 
 
-def cmd_pullback(rc, out, jobs=1, seed=None):
-    _require_checks(rc)
-    p = _problem(rc)
+def cmd_pullback(rc, out, seed=None):
+    p = _problem(rc, _require_checks(rc))
     g = _grid(rc)
     cfg = _stepper(rc)
     t_star = _exp_float(rc, "t_star", 0.0)
@@ -417,14 +417,12 @@ def cmd_pullback(rc, out, jobs=1, seed=None):
     seeds = [rng.normal(size=g.m) for _ in range(n_seeds)]
     u0 = p.initial_values(g.embed()) if rc.initial is not None else np.zeros(g.m)
 
-    decay = decay_fit(p, g, cfg, t_star, horizon, seeds, jobs=jobs)
+    decay = decay_fit(p, g, cfg, t_star, horizon, seeds)
     drift_rows = [(t_star, t_star - gap, drift_r,
                    drift_norm(p, g, (t_star, t_star - gap, drift_r)))
                   for gap in gaps_ladder]
-    gaps = pullback_converge(p, g, cfg, t_star, u0, k_max,
-                             max_total_steps=cap, jobs=jobs)
-    radius = absorbing_radius(p, g, cfg, t_star, seeds, radii,
-                              k_max=radius_k, jobs=jobs)
+    gaps = pullback_converge(p, g, cfg, t_star, u0, k_max, max_total_steps=cap)
+    radius = absorbing_radius(p, g, cfg, t_star, seeds, radii, k_max=radius_k)
     coc = cocycle_check(p, g, cfg, t_star - 2.0, t_star - 1.0, t_star, u0)
     factor = factorization_probe(p, g, cfg, t_star - 2.0, t_star, u0)
     report = PullbackReport(decay=decay, drift_table=tuple(drift_rows),
@@ -487,15 +485,17 @@ def main(argv=None) -> int:
         s = sub.add_parser(name)
         s.add_argument("--config", required=True)
         s.add_argument("--out", default=".")
-        s.add_argument("--jobs", type=int, default=1)
+        s.add_argument("--jobs", type=int, default=1)  # ignored; kept for old scripts
         s.add_argument("--seed", type=int, default=None)
     args = ap.parse_args(argv)
     try:
         _setup_logging()
+        if args.jobs != 1:
+            log.warning("--jobs is ignored: runs are sequential")
         rc = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](rc, out, jobs=args.jobs, seed=args.seed)
+        return _COMMANDS[args.command](rc, out, seed=args.seed)
     except _HypothesisFailure as e:
         print(f"movingdom: {e}", file=sys.stderr)
         return EXIT_HYPOTHESIS

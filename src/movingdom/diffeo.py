@@ -334,38 +334,6 @@ def validate_inverse(spec: DiffeoSpec, tgrid=None, pts=None):
     return worst, worst_at
 
 
-def normal_map(m: MetricBundle, t, y):
-    """Unit outward normal of the moving boundary at the point r(t,y).
-
-    y must lie on the boundary of the fixed domain; for a box the face is
-    inferred from which coordinate sits on it.
-    """
-    y = np.asarray(y, dtype=float)
-    d = m.dim
-    if isinstance(m.spec.domain, BallDomain):
-        r = np.linalg.norm(y)
-        if r < 1e-12:
-            raise DegenerateDiffeoError("boundary point at the origin")
-        n = y / r
-    else:
-        n = np.zeros(d)
-        for axis, L in enumerate(m.spec.domain.extents):
-            if abs(y[axis]) <= 1e-9 * L:
-                n[axis] = -1.0
-                break
-            if abs(y[axis] - L) <= 1e-9 * L:
-                n[axis] = 1.0
-                break
-        else:
-            raise DiffeoError(f"{y} is not on a box face")
-    T = m.eval_T(float(t), y[None, :])[0]
-    w = T @ n
-    nw = np.linalg.norm(w)
-    if nw < 1e-12:
-        raise DegenerateDiffeoError(f"T n degenerate at t={t}, y={y}")
-    return w / nw
-
-
 # ---------------------------------------------------------------------------
 # hypothesis probes
 

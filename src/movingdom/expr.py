@@ -22,8 +22,10 @@ derivatives of abs stay inside the language (d abs(w) = sign(w) dw, with
 sign(0) = 0); its own derivative is taken as 0.
 
 Domain guards (division by zero, sqrt/log out of range, 0 raised to a
-negative power, overflow) raise EvalError rather than returning NaN or Inf,
-both in pointwise and in vectorised evaluation.
+negative power, overflow, non-finite bindings) raise EvalError rather than
+returning NaN or Inf, both in pointwise and in vectorised evaluation.
+evaluate() checks each node; compiled() runs the whole vectorised
+evaluation in one floating-point errstate scope and checks the result once.
 """
 
 from __future__ import annotations
@@ -334,12 +336,25 @@ def evaluate(e: Expr, bindings: dict) -> float:
     return r
 
 
+_NP_UNARY = {
+    "neg": np.negative, "sin": np.sin, "cos": np.cos, "exp": np.exp,
+    "tanh": np.tanh, "sqrt": np.sqrt, "abs": np.abs, "log": np.log,
+    "sign": np.sign,
+}
+_NP_BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
+              "div": np.divide}
+
+
 def compiled(e: Expr, names=None):
     """Vectorised evaluator: returns fn(env) computing e over numpy arrays.
 
     env maps variable names to arrays or scalars; arrays must broadcast
-    against each other.  The same domain guards as evaluate() apply, checked
-    over every element.  `names` restricts which variables may appear.
+    against each other.  `names` restricts which variables may appear.
+    Each node is a bare numpy call.  The whole evaluation runs in one
+    errstate scope that raises on division by zero, invalid values and
+    overflow, and the result is checked once for finiteness, so the domain
+    guards of evaluate() hold over every element and non-finite bindings
+    raise too.  Every guard raises EvalError naming the expression.
     """
     allowed = set(VARIABLES if names is None else names)
     for name in free_vars(e):
@@ -352,7 +367,7 @@ def compiled(e: Expr, names=None):
             return lambda env: c
         if isinstance(node, Var):
             name = node.name
-            def leaf(env, name=name):
+            def leaf(env):
                 try:
                     return env[name]
                 except KeyError:
@@ -360,70 +375,29 @@ def compiled(e: Expr, names=None):
             return leaf
         if isinstance(node, Unary):
             argf = rec(node.arg)
-            op = node.op
-            def un(env, argf=argf, op=op):
-                x = np.asarray(argf(env), dtype=float)
-                if op == "neg":
-                    return -x
-                if op == "sqrt":
-                    if np.any(x < 0):
-                        raise EvalError("sqrt of negative value")
-                    return np.sqrt(x)
-                if op == "log":
-                    if np.any(x <= 0):
-                        raise EvalError("log of non-positive value")
-                    return np.log(x)
-                if op == "sign":
-                    return np.sign(x)
-                with np.errstate(over="raise"):
-                    try:
-                        return getattr(np, op if op != "abs" else "abs")(x)
-                    except FloatingPointError:
-                        raise EvalError(f"overflow in {op}") from None
-            return un
+            op = _NP_UNARY[node.op]
+            return lambda env: op(argf(env))
         lf = rec(node.left)
-        op = node.op
-        if op == "pow":
+        if node.op == "pow":
+            # a numpy float base: Python's float pow would return complex or
+            # raise OverflowError, and numpy keeps its square/sqrt fast paths
             expo = node.right.value
-            def pw(env, lf=lf, expo=expo):
-                x = np.asarray(lf(env), dtype=float)
-                if not float(expo).is_integer():
-                    if np.any(x < 0):
-                        raise EvalError("negative base under fractional exponent")
-                    if expo < 0 and np.any(x == 0):
-                        raise EvalError("zero base under negative exponent")
-                elif expo < 0 and np.any(x == 0):
-                    raise EvalError("zero base under negative exponent")
-                with np.errstate(over="ignore"):
-                    r = x ** expo
-                if not np.all(np.isfinite(r)):
-                    raise EvalError("non-finite result in pow")
-                return r
-            return pw
+            return lambda env: np.asarray(lf(env), dtype=float) ** expo
         rf = rec(node.right)
-        def bi(env, lf=lf, rf=rf, op=op):
-            a = np.asarray(lf(env), dtype=float)
-            b = np.asarray(rf(env), dtype=float)
-            with np.errstate(over="ignore"):
-                if op == "add":
-                    r = a + b
-                elif op == "sub":
-                    r = a - b
-                elif op == "mul":
-                    r = a * b
-                else:
-                    if np.any(b == 0):
-                        raise EvalError("division by zero")
-                    r = a / b
-            if not np.all(np.isfinite(r)):
-                raise EvalError(f"non-finite result in {op}")
-            return r
-        return bi
+        op = _NP_BINARY[node.op]
+        return lambda env: op(lf(env), rf(env))
 
     body = rec(e)
 
     def fn(env):
-        return np.asarray(body(env), dtype=float)
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                r = np.asarray(body(env), dtype=float)
+        except FloatingPointError as exc:
+            raise EvalError(f"{exc} evaluating {e}") from None
+        if not np.isfinite(r).all():
+            raise EvalError(f"non-finite value of {e}")
+        return r
     return fn
 
 

@@ -212,13 +212,9 @@ def _boundary_cells(counts, a, side):
     return idx[tuple(sl)].ravel()
 
 
-def gradient(grid, v):
-    """Per-axis derivative fields: central interior, one-sided at boundaries."""
-    vals = _values(grid, v)
-    return [GridField(grid, G @ vals) for G in _grad_matrices(grid)]
-
-
 def gradient_array(grid, v):
+    """Per-axis derivatives as (m, axes) columns: central interior, one-sided
+    at boundaries."""
     vals = _values(grid, v)
     return np.column_stack([G @ vals for G in _grad_matrices(grid)])
 

@@ -147,23 +147,6 @@ def assemble(geometry, beta, f=None, source=None, initial=None,
     return TransformedProblem(metric, beta, f, source, initial)
 
 
-def eval_F(p: TransformedProblem, t, pts, v, grad):
-    """Pointwise right-hand side F = f(t,v) - b . grad v (+ g).
-
-    pts (m,d) are fixed-domain sample points, v (m,) state values, grad
-    (m,d) the spatial gradient of v at those points.
-    """
-    pts = np.asarray(pts, dtype=float)
-    v = np.asarray(v, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    out = p.f_values(t, v)
-    b = p.metric.eval_b(t, pts)
-    out -= np.einsum("mk,mk->m", b, grad)
-    if p.source is not None:
-        out += p.source_values(t, pts)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # growth checks
 

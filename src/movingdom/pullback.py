@@ -9,7 +9,6 @@ the exact-cocycle consistency check.
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,14 +65,7 @@ class PullbackReport:
             raise PullbackError("non-finite entry in pullback report")
 
 
-def _map(fn, items, jobs):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
-def decay_fit(p, grid, cfg, tau, horizon, seeds, jobs=1) -> DecayFit:
+def decay_fit(p, grid, cfg, tau, horizon, seeds) -> DecayFit:
     """Fit log ||U(t,tau)v||_L2 over (t-tau) in [0, horizon] for each seed.
 
     Returns the largest fitted K and the smallest fitted b across seeds
@@ -110,7 +102,7 @@ def decay_fit(p, grid, cfg, tau, horizon, seeds, jobs=1) -> DecayFit:
         slope, intercept = np.polyfit(ts, logn, 1)
         return math.exp(intercept) / n0, -slope
 
-    per_seed = tuple(_map(fit_one, usable, jobs))
+    per_seed = tuple(fit_one(v0) for v0 in usable)
     return DecayFit(K=max(k for k, _ in per_seed),
                     b=min(b for _, b in per_seed),
                     skipped=skipped, per_seed=per_seed)
@@ -180,7 +172,7 @@ def _require_nonlinearity_bounds(p):
 
 
 def pullback_converge(p, grid, cfg, t_star, u0, k_max,
-                      max_total_steps=5_000_000, jobs=1) -> GapReport:
+                      max_total_steps=5_000_000) -> GapReport:
     """Gap sequence along the pullback ladder tau_k = t* - 2^k.
 
     Runs S(t*, tau_k)u0 for k = 0..k_max and reports
@@ -207,10 +199,7 @@ def pullback_converge(p, grid, cfg, t_star, u0, k_max,
                     ks[-1])
     taus = tuple(t_star - 2.0 ** k for k in ks)
 
-    def one(tau):
-        return run(p, grid, cfg, tau, t_star, u0).final
-
-    finals = tuple(_map(one, taus, jobs))
+    finals = tuple(run(p, grid, cfg, tau, t_star, u0).final for tau in taus)
     gaps = tuple(norm_L2(grid, a.values - b.values)
                  for a, b in zip(finals, finals[1:]))
     tail = gaps[2:]
@@ -219,8 +208,7 @@ def pullback_converge(p, grid, cfg, t_star, u0, k_max,
                      truncated=truncated, finals=finals)
 
 
-def absorbing_radius(p, grid, cfg, t_star, seeds, radii, k_max=5,
-                     jobs=1) -> float:
+def absorbing_radius(p, grid, cfg, t_star, seeds, radii, k_max=5) -> float:
     """Empirical absorbing radius in H1 at time t*.
 
     Every seed is rescaled to each H1 radius in `radii`, pulled back from
@@ -241,10 +229,8 @@ def absorbing_radius(p, grid, cfg, t_star, seeds, radii, k_max=5,
     if not starts:
         raise PullbackError("absorbing_radius needs a seed above the norm floor")
 
-    def one(v0):
-        return norm_H1(grid, run(p, grid, cfg, tau, t_star, v0).final.values)
-
-    return max(_map(one, starts, jobs))
+    return max(norm_H1(grid, run(p, grid, cfg, tau, t_star, v0).final.values)
+               for v0 in starts)
 
 
 def cocycle_check(p, grid, cfg, tau, s, t, u0) -> float:

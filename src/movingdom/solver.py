@@ -288,31 +288,6 @@ def _advance(p, grid, cfg, t, v, dt, get_op, homogeneous):
     return v_next, it1 + it2
 
 
-def _operator_memo(p, grid):
-    """get_op(t) -> assemble_A(p, grid, t), assembled once per time value.
-
-    The memo dict is returned too, so a march can drop earlier steps.
-    """
-    ops = {}
-
-    def get_op(t):
-        op = ops.get(t)
-        if op is None:
-            op = ops[t] = assemble_A(p, grid, t)
-        return op
-
-    return get_op, ops
-
-
-def step(p, grid, cfg: StepperConfig, t_n, v_n) -> GridField:
-    """One IMEX step from (t_n, v_n) to t_n + cfg.dt."""
-    get_op, _ = _operator_memo(p, grid)
-
-    v = as_field(grid, v_n).values
-    v1, _ = _advance(p, grid, cfg, float(t_n), v, cfg.dt, get_op, False)
-    return GridField(grid, v1)
-
-
 def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False) -> Trajectory:
     """March the problem from tau to T; ceil((T-tau)/dt) steps, last one short.
 
@@ -333,7 +308,14 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False) -> Traj
                 f"dt too large for the explicit nonlinearity: dt * sup|f_u| = "
                 f"{cfg.dt * lip:.3g} > 0.5; shrink dt below {0.5 / lip:.3g}")
 
-    get_op, ops = _operator_memo(p, grid)
+    ops = {}
+
+    def get_op(t):
+        # assembled once per time value; the march drops earlier steps
+        op = ops.get(t)
+        if op is None:
+            op = ops[t] = assemble_A(p, grid, t)
+        return op
 
     def metrics_row(n, t, vals, iters):
         # reuses the coefficients the operator at t was assembled from

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line front end and its file formats."""
 
+import logging
 import os
 import subprocess
 import sys
@@ -394,6 +395,17 @@ def test_pullback_jobs_deterministic(tmp_path):
     assert run_cli(["pullback", "--config", cfg, "--out", b, "--jobs", 4]) == 0
     assert ((a / "pullback_report.csv").read_bytes()
             == (b / "pullback_report.csv").read_bytes())
+
+
+def test_jobs_flag_is_accepted_with_one_warning(tmp_path, caplog):
+    cfg = fixture_path("identity")
+    with caplog.at_level(logging.WARNING, logger="movingdom.cli"):
+        assert run_cli(["check", "--config", cfg, "--out", tmp_path / "a"]) == 0
+        assert not caplog.records
+        assert run_cli(["check", "--config", cfg, "--out", tmp_path / "b",
+                        "--jobs", 2]) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "--jobs is ignored: runs are sequential"]
 
 
 def test_pullback_seed_changes_draws(tmp_path):

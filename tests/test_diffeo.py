@@ -84,22 +84,6 @@ def test_ball_shrink_boundary_weight():
     assert np.allclose(fn(env), 0.5, rtol=1e-12)
 
 
-def test_normal_map_radial():
-    m = dg.build_metric(ball_shrink())
-    n = dg.normal_map(m, 1.0, np.array([1.0, 0.0, 0.0]))
-    assert np.allclose(n, [1.0, 0.0, 0.0], atol=1e-14)
-    y = np.array([1.0, 1.0, 1.0]) / math.sqrt(3)
-    assert np.allclose(dg.normal_map(m, 0.5, y), y, atol=1e-14)
-
-
-def test_normal_map_box_face():
-    m = dg.build_metric(dilation_box())
-    n = dg.normal_map(m, 0.0, np.array([1.0, 0.4]))
-    assert np.allclose(n, [1.0, 0.0], atol=1e-14)
-    n = dg.normal_map(m, 0.0, np.array([0.0, 0.4]))
-    assert np.allclose(n, [-1.0, 0.0], atol=1e-14)
-
-
 def test_check_H1_ball_shrink():
     m = dg.build_metric(ball_shrink())
     rep = dg.check_H1(m)

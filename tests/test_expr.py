@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from movingdom import expr as ex
 
@@ -151,6 +153,9 @@ def test_eval_domain_guards():
         ("t^0.5", {"t": -2.0}),
         ("t^-1", {"t": 0.0}),
         ("exp(t)", {"t": 1e9}),   # overflow must raise, not return inf
+        ("sin(t)", {"t": math.inf}),   # non-finite bindings must raise too
+        ("sqrt(t)", {"t": math.inf}),
+        ("t", {"t": math.nan}),
     ]
     for src, b in cases:
         e = ex.parse(src)
@@ -179,3 +184,56 @@ def test_simplify_folds_trivial_structure():
     assert ex.evaluate(e, {"t": 5.0, "y1": 9.0, "u": 4.0}) == 11.0
     assert ex.evaluate(ex.simplify(ex.parse("t^1")), {"t": 7.0}) == 7.0
     assert ex.evaluate(ex.simplify(ex.parse("t^0")), {"t": 7.0}) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# property tests: random trees over the whole grammar
+
+_LEAF_VALUES = st.floats(-2.0, 2.0)
+_LEAVES = st.one_of(_LEAF_VALUES.map(ex.Const),
+                    st.sampled_from(("t", "u")).map(ex.Var))
+_EXPONENTS = st.one_of(st.sampled_from((-2.0, -1.0, -0.5, 0.5, 2.0, 3.0)),
+                       _LEAF_VALUES)
+
+
+def _trees(depth):
+    if depth == 0:
+        return _LEAVES
+    sub = _trees(depth - 1)
+    return st.one_of(
+        _LEAVES,
+        st.builds(ex.Unary, st.sampled_from(("neg",) + ex.FUNCTIONS), sub),
+        st.builds(ex.Binary, st.sampled_from(("add", "sub", "mul", "div")),
+                  sub, sub),
+        st.builds(lambda b, c: ex.Binary("pow", b, ex.Const(c)), sub, _EXPONENTS),
+    )
+
+
+_POINTS = st.lists(st.tuples(_LEAF_VALUES, _LEAF_VALUES), min_size=1, max_size=6)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(e=_trees(4), points=_POINTS)
+def test_compiled_is_finite_or_eval_error_and_matches_evaluate(e, points):
+    fn = ex.compiled(e)
+    t, u = (np.array(c) for c in zip(*points))
+    try:
+        got = fn({"t": t, "u": u})
+    except ex.EvalError:
+        pass
+    else:
+        assert np.all(np.isfinite(got))
+    for ti, ui in points:
+        env = {"t": ti, "u": ui}
+        try:
+            want = ex.evaluate(e, env)
+        except ex.EvalError:
+            want = None
+        try:
+            got = float(fn(env))
+        except ex.EvalError:
+            got = None
+        # the guards fire at the same points in both evaluators
+        assert (got is None) == (want is None), (str(e), env, got, want)
+        if got is not None:
+            assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), (str(e), env)

@@ -5,8 +5,9 @@ import pytest
 
 from movingdom import expr as ex
 from movingdom.diffeo import BallDomain, BoxDomain, DiffeoSpec, build_metric
-from movingdom.problem import (ProblemError, assemble, check_H2, check_H3,
-                               eval_F)
+from movingdom.grid import BoxGrid, RadialGrid, assemble_A, gradient_array
+from movingdom.problem import ProblemError, assemble, check_H2, check_H3
+from movingdom.solver import _explicit_rhs, _forcing
 
 
 def ball_shrink():
@@ -82,28 +83,28 @@ def test_lipschitz_sup_on_default_window():
 # ---------------------------------------------------------------------------
 # right-hand side evaluation
 
+def _rhs(p, grid, t, v):
+    return _explicit_rhs(p, grid, t, v, assemble_A(p, grid, t),
+                         _forcing(p, grid, t))
+
+
 def test_eval_F_matches_closed_form_drift():
     p = assemble(ball_shrink(), beta=1.0, f="sin(u)")
-    rng = np.random.default_rng(11)
-    pts = rng.uniform(-0.5, 0.5, size=(7, 3))
-    v = rng.normal(size=7)
-    grad = rng.normal(size=(7, 3))
+    g = RadialGrid(3, 8)
+    v = np.random.default_rng(11).normal(size=8)
     t = 1.0
-    # b_k = (h'/h) y_k with h = exp(-t^2) + 1
+    # b_k = (h'/h) y_k with h = exp(-t^2) + 1; radially b_r = (h'/h) r
     h = math.exp(-1.0) + 1.0
     hp = -2.0 * math.exp(-1.0)
-    expected = np.sin(v) - (hp / h) * np.einsum("mk,mk->m", pts, grad)
-    out = eval_F(p, t, pts, v, grad)
-    assert np.allclose(out, expected, rtol=1e-12)
+    r = g.embed()[:, 0]
+    expected = np.sin(v) - (hp / h) * r * gradient_array(g, v)[:, 0]
+    assert np.allclose(_rhs(p, g, t, v), expected, rtol=1e-12)
 
 
 def test_eval_F_adds_explicit_source():
     p = assemble(identity_1d(), beta=1.0, source="t * y1")
-    pts = np.array([[0.25], [0.5]])
-    v = np.zeros(2)
-    grad = np.zeros((2, 1))
-    out = eval_F(p, 2.0, pts, v, grad)
-    assert np.allclose(out, [0.5, 1.0])
+    g = BoxGrid((1.0,), (4,))
+    assert np.allclose(_rhs(p, g, 2.0, np.zeros(4)), [0.25, 0.75, 1.25, 1.75])
 
 
 # ---------------------------------------------------------------------------

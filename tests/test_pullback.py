@@ -214,19 +214,6 @@ def test_pullback_step_cap_truncates_ladder():
         pullback_converge(p, g, cfg, 0.0, 1.0, k_max=5, max_total_steps=50)
 
 
-def test_parallel_runs_are_bitwise_reproducible():
-    p = identity_problem()
-    g = BoxGrid((1.0,), (16,))
-    cfg = StepperConfig(dt=0.01, scheme="crank-nicolson")
-    rng = np.random.default_rng(1)
-    u0 = rng.normal(size=16)
-    seq = pullback_converge(p, g, cfg, 0.0, u0, k_max=3, jobs=1)
-    par = pullback_converge(p, g, cfg, 0.0, u0, k_max=3, jobs=4)
-    assert seq.gaps == par.gaps
-    assert all(np.array_equal(a.values, b.values)
-               for a, b in zip(seq.finals, par.finals))
-
-
 def test_gap_report_rejects_non_finite():
     with pytest.raises(PullbackError, match="finite"):
         GapReport(taus=(-1.0, -2.0), gaps=(math.nan,), cauchy=False,

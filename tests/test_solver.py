@@ -16,8 +16,7 @@ from movingdom.diffeo import build_metric
 from movingdom.problem import assemble
 from movingdom.solver import (SCHEMES, CgError, MmsReport, SolverError,
                               StepperConfig, _cg, _kronecker_solve, _solve,
-                              cg_solve, mms_convergence, run, run_homogeneous,
-                              step)
+                              cg_solve, mms_convergence, run, run_homogeneous)
 
 
 def identity_problem(dim, domain=None, beta=1.0, f=None):
@@ -214,7 +213,7 @@ def test_backward_euler_constant_mode():
     p = identity_problem(1)
     g = BoxGrid((1.0,), (8,))
     cfg = StepperConfig(dt=0.1, cg_tol=1e-13)
-    v1 = step(p, g, cfg, 0.0, 2.0)
+    v1 = run(p, g, cfg, 0.0, cfg.dt, 2.0).final
     assert np.allclose(v1.values, 2.0 / 1.1, rtol=1e-12)
 
 
