@@ -23,10 +23,10 @@ import numpy as np
 
 from . import expr as ex
 from .diffeo import (BallDomain, BoxDomain, DegenerateDiffeoError,
-                     MissingInverseError, boundary_points, build_metric,
+                     DiffeoError, boundary_points, build_metric,
                      check_H1, check_H4, ellipticity_probe, hoelder_probe,
                      parse_diffeo, validate_inverse)
-from .grid import BoxGrid, RadialGrid, write_snapshot
+from .grid import BoxGrid, GridError, RadialGrid, write_snapshot
 from .problem import ProblemError, assemble, check_H2, check_H3
 from .pullback import (PullbackError, PullbackReport, absorbing_radius,
                        cocycle_check, decay_fit, drift_norm,
@@ -499,10 +499,11 @@ def main(argv=None) -> int:
     except _HypothesisFailure as e:
         print(f"movingdom: {e}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except DegenerateDiffeoError as e:
+    except DegenerateDiffeoError as e:  # before its base class DiffeoError
         print(f"movingdom: {e}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (ConfigError, ex.ParseError, ProblemError, MissingInverseError) as e:
+    except (ConfigError, ex.ParseError, ex.EvalError, ProblemError, DiffeoError,
+            GridError) as e:
         print(f"movingdom: config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except PullbackError as e:

@@ -350,14 +350,15 @@ def compiled(e: Expr, names=None):
 
     env maps variable names to arrays or scalars; arrays must broadcast
     against each other.  `names` restricts which variables may appear.
-    Each node is a bare numpy call.  The whole evaluation runs in one
-    errstate scope that raises on division by zero, invalid values and
-    overflow, and the result is checked once for finiteness, so the domain
-    guards of evaluate() hold over every element and non-finite bindings
-    raise too.  Every guard raises EvalError naming the expression.
+    Bindings of the variables used must be finite, as in evaluate().  Each
+    node is a bare numpy call, and the whole evaluation runs in one errstate
+    scope that raises on division by zero, invalid values and overflow, so
+    the domain guards of evaluate() hold over every element; the result is
+    checked once for finiteness.  Every guard raises EvalError.
     """
     allowed = set(VARIABLES if names is None else names)
-    for name in free_vars(e):
+    used = sorted(free_vars(e))
+    for name in used:
         if name not in allowed:
             raise EvalError(f"variable {e!s} uses {name!r}, not in {sorted(allowed)}")
 
@@ -367,12 +368,7 @@ def compiled(e: Expr, names=None):
             return lambda env: c
         if isinstance(node, Var):
             name = node.name
-            def leaf(env):
-                try:
-                    return env[name]
-                except KeyError:
-                    raise EvalError(f"unbound variable {name!r}") from None
-            return leaf
+            return lambda env: env[name]
         if isinstance(node, Unary):
             argf = rec(node.arg)
             op = _NP_UNARY[node.op]
@@ -390,6 +386,12 @@ def compiled(e: Expr, names=None):
     body = rec(e)
 
     def fn(env):
+        for name in used:
+            if name not in env:
+                raise EvalError(f"unbound variable {name!r}")
+            x = env[name]
+            if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
+                raise EvalError(f"non-finite binding for {name!r}")
         try:
             with np.errstate(all="raise", under="ignore"):
                 r = np.asarray(body(env), dtype=float)

@@ -16,12 +16,15 @@ into a separate matrix meant to be lagged explicitly by the stepper; the
 implicit part stays symmetric positive semidefinite.
 
 The operator acts as A v = S v / vol + beta v, which is self-adjoint in
-the volume-weighted inner product used by `inner`.  On a radial grid or a
-1-D box S is tridiagonal (the radial one is built directly in CSR form);
-its bands are what the stepper's direct solve eliminates.  On a box whose
-axis-k face weights depend on y_k alone, as for a stretch that acts axis by
-axis, S is a Kronecker sum of 1-D Neumann chains; the operator keeps those
-per-axis weights, and their eigenpairs diagonalize the implicit matrix.
+the volume-weighted inner product used by `inner`.  One builder, `_flux`,
+makes S on every grid: it writes the per-axis face weights straight into a
+cached CSR stencil, each face's negated weight into both mirrored slots, so
+S is symmetric by construction.  On a radial grid or a 1-D box S is
+tridiagonal; its bands are what the stepper's direct solve eliminates.  On
+a box whose axis-k face weights depend on y_k alone, as for a stretch that
+acts axis by axis, S is a Kronecker sum of 1-D Neumann chains; the operator
+keeps those per-axis weights, and their eigenpairs diagonalize the
+implicit matrix.
 """
 
 from __future__ import annotations
@@ -194,15 +197,21 @@ def _grad_matrices(grid):
     return tuple(mats)
 
 
+def _face_slices(d, a):
+    """Slices picking the (low, high) cells of every interior a-face from an
+    array shaped like a d-axis grid."""
+    lo = [slice(None)] * d
+    hi = [slice(None)] * d
+    lo[a] = slice(None, -1)
+    hi[a] = slice(1, None)
+    return tuple(lo), tuple(hi)
+
+
 def _axis_faces(counts, a):
     """Flat indices of the (low, high) cells across every interior a-face."""
     idx = np.arange(int(np.prod(counts))).reshape(counts)
-    sl = [slice(None)] * len(counts)
-    sl[a] = slice(None, -1)
-    lo = idx[tuple(sl)].ravel()
-    sl[a] = slice(1, None)
-    hi = idx[tuple(sl)].ravel()
-    return lo, hi
+    lo, hi = _face_slices(len(counts), a)
+    return idx[lo].ravel(), idx[hi].ravel()
 
 
 def _boundary_cells(counts, a, side):
@@ -252,10 +261,9 @@ def mass(grid, v):
 class SparseOperator:
     """A(t) in flux form: apply(v) = (flux @ v) / vol + beta v (+ cross part).
 
-    `flux` collects the symmetric diagonal-coefficient fluxes; `cross` the
-    off-diagonal a_jk fluxes, kept apart so time steppers can treat them
-    explicitly while the implicit matrix stays SPD.  `symmetric` asserts
-    elementwise symmetry of the assembled operator within 1e-13 relative.
+    `flux` collects the diagonal-coefficient fluxes, symmetric by
+    construction; `cross` the off-diagonal a_jk fluxes, kept apart so time
+    steppers can treat them explicitly while the implicit matrix stays SPD.
     `a` holds the cell-center coefficients a(t) the operator was assembled
     from (None on derived operators such as `shifted`), so diagnostics at
     the same time need not evaluate them again.  `axis_weights` is set when
@@ -268,10 +276,8 @@ class SparseOperator:
     volumes: np.ndarray
     beta: float
     cross: object = None
-    symmetric: bool = False
-    symmetry_residual: float = 0.0
-    a: object = field(default=None, repr=False)
-    axis_weights: tuple = field(default=None, repr=False)
+    a: object = field(default=None, repr=False, kw_only=True)
+    axis_weights: tuple = field(default=None, repr=False, kw_only=True)
 
     @property
     def n(self):
@@ -281,8 +287,6 @@ class SparseOperator:
         return (self.flux @ v) / self.volumes + self.beta * v
 
     def apply_explicit(self, v):
-        if self.cross is None:
-            return np.zeros_like(v)
         return (self.cross @ v) / self.volumes
 
     def apply(self, v):
@@ -297,8 +301,7 @@ class SparseOperator:
         if weights is not None:
             weights = tuple(w * dt for w in weights)
         return SparseOperator(self.grid, self.flux * dt, self.volumes,
-                              1.0 + dt * self.beta, None, self.symmetric,
-                              self.symmetry_residual, axis_weights=weights)
+                              1.0 + dt * self.beta, axis_weights=weights)
 
     @cached_property
     def spd_matrix(self):
@@ -336,40 +339,50 @@ class SparseOperator:
         return tuple(vecs), total
 
 
-def _face_flux_coo(lo, hi, w):
-    rows = np.concatenate([lo, hi, lo, hi])
-    cols = np.concatenate([lo, hi, hi, lo])
-    vals = np.concatenate([w, w, -w, -w])
-    return rows, cols, vals
-
-
 @lru_cache(maxsize=64)
-def _tridiagonal_pattern(m):
-    """CSR indices and row pointer of an m x m tridiagonal matrix."""
-    rows = np.repeat(np.arange(m, dtype=np.int32), 3)[1:-1]
-    cols = rows + np.tile(np.array([-1, 0, 1], dtype=np.int32), m)[1:-1]
+def _flux_pattern(counts):
+    """CSR indices and row pointer of the face-flux stencil on a grid of
+    `counts` cells, with the data slots of the diagonal and of each axis's
+    (upper, lower) off-diagonals, the latter in the order of `_axis_faces`."""
+    m = int(np.prod(counts))
+    rows, cols = [np.arange(m)], [np.arange(m)]
+    for ax in range(len(counts)):
+        lo, hi = _axis_faces(counts, ax)
+        rows += [lo, hi]
+        cols += [hi, lo]
+    sizes = [len(r) for r in rows]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.lexsort((cols, rows))
+    slot = np.empty(len(order), dtype=np.intp)
+    slot[order] = np.arange(len(order))
+    indices = cols[order].astype(np.int32)
     indptr = np.zeros(m + 1, dtype=np.int32)
     indptr[1:] = np.cumsum(np.bincount(rows, minlength=m))
-    cols.flags.writeable = indptr.flags.writeable = False
-    return cols, indptr
+    diag_at, *off = np.split(slot, np.cumsum(sizes)[:-1])
+    for arr in (indices, indptr, diag_at, *off):
+        arr.flags.writeable = False
+    return indices, indptr, diag_at, tuple(zip(off[0::2], off[1::2]))
 
 
-def _tridiagonal_flux(w):
-    """Flux matrix of a chain of faces with weights w, straight into CSR.
+def _flux(counts, weights):
+    """Flux matrix of the interior faces of a grid of `counts` cells, in CSR.
 
-    Returns the matrix and its (upper, lower) off-diagonals as stored.
+    weights[k] holds the k-face weights, shaped like the grid with one fewer
+    cell along axis k.  Each face adds its weight to the diagonal of both
+    cells and its negated weight to the two mirrored off-diagonal slots, so
+    the matrix is symmetric with zero row and column sums by construction.
     """
-    m = len(w) + 1
-    diag = np.zeros(m)
-    diag[:-1] += w
-    diag[1:] += w
-    data = np.empty(3 * m - 2)
-    data[0::3] = diag          # rows lay out as (lower, diag, upper)
-    data[1::3] = -w
-    data[2::3] = -w
-    cols, indptr = _tridiagonal_pattern(m)
-    S = sp.csr_matrix((data, cols, indptr), shape=(m, m))
-    return S, S.data[1::3], S.data[2::3]
+    indices, indptr, diag_at, off_at = _flux_pattern(tuple(counts))
+    diag = np.zeros(counts)
+    data = np.empty(len(indices))
+    for ax, w in enumerate(weights):
+        lo, hi = _face_slices(len(counts), ax)
+        diag[lo] += w
+        diag[hi] += w
+        upper, lower = off_at[ax]
+        data[upper] = data[lower] = -w.ravel()
+    data[diag_at] = diag.ravel()
+    return sp.csr_matrix((data, indices, indptr), shape=(len(diag_at),) * 2)
 
 
 def assemble_A(p, grid, t) -> SparseOperator:
@@ -383,7 +396,6 @@ def assemble_A(p, grid, t) -> SparseOperator:
         raise GridError(f"problem dimension {p.dim} does not match "
                         f"grid dimension {grid.dim}")
     a = p.metric.eval_a(t, grid.embed())
-    V = grid.volumes
     m = grid.m
     scale = float(np.abs(a).max()) or 1.0
 
@@ -397,70 +409,55 @@ def assemble_A(p, grid, t) -> SparseOperator:
         dr = grid.spacing[0]
         area = _SPHERE_AREA[grid.dim] * rf ** (grid.dim - 1)
         w = area * 0.5 * (s[:-1] + s[1:]) / dr
-        S, upper, lower = _tridiagonal_flux(w)
-        resid = float(np.abs(upper - lower).max())
-        rel = resid / max(float(np.abs(S.data).max()), 1e-300)
-        return SparseOperator(grid, S, V, float(p.beta), None, rel <= 1e-13, rel, a)
+        return SparseOperator(grid, _flux((m,), (w,)), grid.volumes, float(p.beta), a=a)
+
+    weights = []
+    cell_vol = float(np.prod(grid.spacing))
+    for ax in range(grid.dim):
+        lo, hi = _face_slices(grid.dim, ax)
+        akk = a[:, ax, ax].reshape(grid.counts)
+        h = grid.spacing[ax]
+        area = cell_vol / h
+        weights.append(area * 0.5 * (akk[lo] + akk[hi]) / h)
+    cross = None
+    grads = _grad_matrices(grid)
+    for j in range(grid.dim):
+        for k in range(grid.dim):
+            if j == k or np.abs(a[:, j, k]).max() <= 1e-12 * scale:
+                continue
+            lo, hi = _axis_faces(grid.counts, j)
+            nf = len(lo)
+            area = cell_vol / grid.spacing[j]
+            w = area * 0.5 * (a[lo, j, k] + a[hi, j, k])
+            inc = sp.csr_matrix(
+                (np.concatenate([np.full(nf, -1.0), np.full(nf, 1.0)]),
+                 (np.concatenate([np.arange(nf)] * 2),
+                  np.concatenate([lo, hi]))), shape=(nf, m))
+            avg = sp.csr_matrix(
+                (np.full(2 * nf, 0.5),
+                 (np.concatenate([np.arange(nf)] * 2),
+                  np.concatenate([lo, hi]))), shape=(nf, m))
+            term = inc.T @ sp.diags(w) @ avg @ grads[k]
+            cross = term if cross is None else cross + term
+    axis_weights = None
+    if cross is not None:
+        cross = cross.tocsr()
     else:
-        rows, cols, vals = [], [], []
-        lines = []
-        cell_vol = float(np.prod(grid.spacing))
-        for ax in range(grid.dim):
-            lo, hi = _axis_faces(grid.counts, ax)
-            h = grid.spacing[ax]
-            area = cell_vol / h
-            w = area * 0.5 * (a[lo, ax, ax] + a[hi, ax, ax]) / h
-            r, c, v = _face_flux_coo(lo, hi, w)
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-            lines.append(_axis_line(w, grid.counts, ax))
-        S = sp.csr_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(m, m))
-        cross = None
-        grads = _grad_matrices(grid)
-        for j in range(grid.dim):
-            for k in range(grid.dim):
-                if j == k or np.abs(a[:, j, k]).max() <= 1e-12 * scale:
-                    continue
-                lo, hi = _axis_faces(grid.counts, j)
-                nf = len(lo)
-                area = cell_vol / grid.spacing[j]
-                w = area * 0.5 * (a[lo, j, k] + a[hi, j, k])
-                inc = sp.csr_matrix(
-                    (np.concatenate([np.full(nf, -1.0), np.full(nf, 1.0)]),
-                     (np.concatenate([np.arange(nf)] * 2),
-                      np.concatenate([lo, hi]))), shape=(nf, m))
-                avg = sp.csr_matrix(
-                    (np.full(2 * nf, 0.5),
-                     (np.concatenate([np.arange(nf)] * 2),
-                      np.concatenate([lo, hi]))), shape=(nf, m))
-                term = inc.T @ sp.diags(w) @ avg @ grads[k]
-                cross = term if cross is None else cross + term
-        if cross is not None:
-            cross = cross.tocsr()
-        weights = None
-        if cross is None and all(line is not None for line in lines):
-            weights = tuple(lines)
-
-    resid = float(np.abs(S - S.T).max()) if S.nnz else 0.0
-    rel = resid / max(float(np.abs(S).max()), 1e-300) if S.nnz else 0.0
-    symmetric = cross is None and rel <= 1e-13
-    return SparseOperator(grid, S, V, float(p.beta), cross, symmetric, rel, a,
-                          weights)
+        lines = [_axis_line(w, ax) for ax, w in enumerate(weights)]
+        if all(line is not None for line in lines):
+            axis_weights = tuple(lines)
+    return SparseOperator(grid, _flux(grid.counts, weights), grid.volumes,
+                          float(p.beta), cross, a=a, axis_weights=axis_weights)
 
 
-def _axis_line(w, counts, ax):
-    """The 1-D weights along axis ax if every line of a-faces carries them, else None.
+def _axis_line(w, ax):
+    """The 1-D weights along axis ax if every line of ax-faces carries them, else None.
 
-    w holds the interior a-face weights in the order of `_axis_faces`.
+    w holds the interior ax-face weights, shaped like the grid with one fewer
+    cell along ax.
     """
-    shape = list(counts)
-    shape[ax] -= 1
-    w = w.reshape(shape)
-    line = w[tuple(slice(None) if k == ax else slice(0, 1) for k in range(len(shape)))]
-    return line.ravel().copy() if np.array_equal(w, np.broadcast_to(line, shape)) else None
+    line = w[tuple(slice(None) if k == ax else slice(0, 1) for k in range(w.ndim))]
+    return line.ravel().copy() if np.array_equal(w, np.broadcast_to(line, w.shape)) else None
 
 
 # ---------------------------------------------------------------------------

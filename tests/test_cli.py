@@ -185,12 +185,27 @@ def test_check_accepts_bounded_nonlinearity(tmp_path):
                     "--out", tmp_path]) == 0
 
 
-def test_malformed_expression_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("command, change, message", [
+    ("check", {"forward": '"y1 + "'}, "offset"),
+    # validate_inverse samples negative t, where sqrt leaves its domain
+    ("check", {"forward": '"y1 * sqrt(t)"'}, "sqrt"),
+    ("check", {"forward": '"y1 + u"'}, "forward component uses ['u']"),
+    ("check", {"extents": "-1.0"}, "box extents must be positive"),
+    ("solve", {"grid": "2"}, "at least 3 cells per axis"),
+], ids=["syntax", "eval_domain", "foreign_variable", "negative_extent",
+        "two_cells"])
+def test_malformed_expression_exits_2(tmp_path, capsys, command, change, message):
+    cfg = {"extents": "1.0", "forward": '"y1"', "grid": "8"} | change
     p = tmp_path / "bad.cfg"
-    p.write_text('[problem]\ndim = 1\nextents = 1.0\n'
-                 'forward = "y1 + "\ninverse = "x1"\nbeta = 1.0\n')
-    assert run_cli(["check", "--config", p, "--out", tmp_path]) == 2
-    assert "offset" in capsys.readouterr().err
+    p.write_text(f'[problem]\ndim = 1\nextents = {cfg["extents"]}\n'
+                 f'forward = {cfg["forward"]}\ninverse = "x1"\nbeta = 1.0\n'
+                 f'initial = "1 + y1"\n[numerics]\ngrid = {cfg["grid"]}\n'
+                 f'dt = 0.01\n[experiment]\ntau = 0.0\nt = 0.02\n')
+    assert run_cli([command, "--config", p, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("movingdom: config error: ") and message in last
 
 
 def test_missing_config_exits_2(tmp_path):

@@ -156,6 +156,9 @@ def test_eval_domain_guards():
         ("sin(t)", {"t": math.inf}),   # non-finite bindings must raise too
         ("sqrt(t)", {"t": math.inf}),
         ("t", {"t": math.nan}),
+        ("1/t", {"t": math.inf}),   # a later node absorbs the inf binding
+        ("exp(-t)", {"t": math.inf}),
+        ("tanh(t)", {"t": math.inf}),
     ]
     for src, b in cases:
         e = ex.parse(src)

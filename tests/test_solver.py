@@ -82,7 +82,7 @@ def test_config_validation():
 
 def test_cg_identity_operator_converges_in_one_iteration():
     g = BoxGrid((1.0,), (8,))
-    A = SparseOperator(g, sp.csr_matrix((8, 8)), g.volumes, 1.0, None, True, 0.0)
+    A = SparseOperator(g, sp.csr_matrix((8, 8)), g.volumes, beta=1.0, cross=None)
     rhs = np.arange(8.0)
     from movingdom.solver import _cg
     x, iters = _cg(A, rhs, tol=1e-12)
@@ -105,7 +105,7 @@ def test_cg_rejects_indefinite_operator():
     p = identity_problem(1)
     g = BoxGrid((1.0,), (16,))
     A = assemble_A(p, g, 0.0)
-    bad = SparseOperator(g, A.flux, A.volumes, -10.0, None, False, 0.0)
+    bad = SparseOperator(g, A.flux, A.volumes, beta=-10.0, cross=None)
     with pytest.raises(CgError):
         cg_solve(bad, np.ones(16))
 
@@ -127,7 +127,7 @@ def test_radial_direct_solve_rejects_indefinite_operator():
     from movingdom.solver import _tridiagonal_solve
     g = RadialGrid(3, 64)
     A = assemble_A(ball_shrink_problem(), g, 0.0)
-    bad = SparseOperator(g, A.flux, A.volumes, -10.0, None, False, 0.0)
+    bad = SparseOperator(g, A.flux, A.volumes, beta=-10.0, cross=None)
     with pytest.raises(CgError, match="not positive definite"):
         _tridiagonal_solve(bad, np.ones(64))
 
