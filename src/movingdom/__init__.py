@@ -23,8 +23,8 @@ from .pullback import (DecayFit, GapReport, PullbackError, PullbackReport,
                        absorbing_radius, cocycle_check, decay_fit, drift_norm,
                        factorization_probe, pullback_converge)
 from .solver import (CgError, MmsReport, SolverError, StepperConfig,
-                     Trajectory, cg_solve, manufactured_source,
-                     mms_convergence, run, run_homogeneous)
+                     Trajectory, manufactured_source, mms_convergence, run,
+                     run_homogeneous)
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,6 @@ __all__ = [
     "absorbing_radius", "cocycle_check", "decay_fit", "drift_norm",
     "factorization_probe", "pullback_converge",
     "CgError", "MmsReport", "SolverError", "StepperConfig", "Trajectory",
-    "cg_solve", "manufactured_source", "mms_convergence", "run",
-    "run_homogeneous",
+    "manufactured_source", "mms_convergence", "run", "run_homogeneous",
     "__version__",
 ]

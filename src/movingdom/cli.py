@@ -17,6 +17,7 @@ import re
 import sys
 from dataclasses import dataclass
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -325,12 +326,8 @@ def cmd_transform(rc, out, seed=None):
               + [f"b_{k + 1}" for k in range(d)])
     sample_rows = []
     for t in times:
-        a = metric.eval_a(t, pts)
-        b = metric.eval_b(t, pts)
-        for i in range(len(pts)):
-            sample_rows.append([t] + [float(c) for c in pts[i]]
-                               + [float(x) for x in a[i].ravel()]
-                               + [float(x) for x in b[i]])
+        cols = [pts, metric.eval_a(t, pts).reshape(len(pts), -1), metric.eval_b(t, pts)]
+        sample_rows += ([t] + row for row in np.column_stack(cols).tolist())
     write_table(out / "transform_samples.csv", "transform_samples",
                 header, sample_rows)
 
@@ -339,8 +336,7 @@ def cmd_transform(rc, out, seed=None):
     k_rows = []
     for t in times:
         Kv = metric.eval_K(t, bpts, normals)
-        for i in range(len(bpts)):
-            k_rows.append([t] + [float(c) for c in bpts[i]] + [float(Kv[i])])
+        k_rows += ([t] + row for row in np.column_stack([bpts, Kv]).tolist())
     write_table(out / "transform_boundary.csv", "transform_boundary",
                 k_header, k_rows)
     return EXIT_OK
@@ -371,11 +367,13 @@ def cmd_solve(rc, out, seed=None):
         env = {"t": np.full(g.m, t)}
         for i in range(rc.dim):
             env[f"y{i + 1}"] = centers[:, i]
-        xs = [np.broadcast_to(f(env), (g.m,)) for f in fwd]
-        rows = ([t] + [float(x[i]) for x in xs] + [float(snap.values[i])]
-                for i in range(g.m))
+        xs = [np.broadcast_to(f(env), (g.m,)) for f in fwd] + [snap.values]
+        # floats formatted as write_table's _cell would, the constant t once; a
+        # memoryview yields one Python float at a time, so no column is held
+        # as a list of objects and the rows stream
+        cols = [repeat(repr(float(t)), g.m)] + [map(repr, memoryview(x)) for x in xs]
         write_table(out / f"moving_{idx:03d}.csv", "moving_snapshot",
-                    ["t"] + [f"x{i + 1}" for i in range(rc.dim)] + ["u"], rows)
+                    ["t"] + [f"x{i + 1}" for i in range(rc.dim)] + ["u"], zip(*cols))
     return EXIT_OK
 
 

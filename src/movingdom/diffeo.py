@@ -341,15 +341,15 @@ def _holder_fit(tgrid, samples, max_lag_ratio=4.0):
     """Fit sup-diff ~ c gap^theta over the smallest grid gaps.
 
     samples has shape (nt, ...); the sup is over everything but time.
-    Degenerate data (all diffs below 1e-14) reports (1.0, 0.0).
+    Fewer than two gaps with a diff above 1e-14 (degenerate data, or a grid
+    of fewer than three times) report (1.0, 0.0).
     """
     tgrid = np.asarray(tgrid, dtype=float)
     flat = samples.reshape(len(tgrid), -1)
-    gmin = tgrid[1] - tgrid[0]
     lags = [ell for ell in range(1, len(tgrid))
-            if (tgrid[ell] - tgrid[0]) <= max_lag_ratio * gmin + 1e-12]
+            if (tgrid[ell] - tgrid[0]) <= max_lag_ratio * (tgrid[1] - tgrid[0]) + 1e-12]
     if len(lags) < 3:
-        lags = [1, 2, 3]
+        lags = [ell for ell in (1, 2, 3) if ell < len(tgrid)]
     gaps, sups = [], []
     for ell in lags:
         diff = np.abs(flat[ell:] - flat[:-ell]).max()

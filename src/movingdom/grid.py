@@ -25,6 +25,10 @@ a box whose axis-k face weights depend on y_k alone, as for a stretch that
 acts axis by axis, S is a Kronecker sum of 1-D Neumann chains; the operator
 keeps those per-axis weights, and their eigenpairs diagonalize the
 implicit matrix.
+
+The public norms and diagnostics validate their field through `as_field`.
+The stepper's `_metrics` kernel takes its already checked state and gets
+L2, H1, mass and boundary flux from one gradient, through the same pieces.
 """
 
 from __future__ import annotations
@@ -159,7 +163,7 @@ def as_field(grid, data) -> GridField:
         if data.grid != grid:
             raise GridError("field belongs to a different grid")
         return data
-    if np.isscalar(data):
+    if np.ndim(data) == 0:
         return GridField(grid, np.full(grid.m, float(data)))
     return GridField(grid, np.asarray(data, dtype=float))
 
@@ -214,27 +218,30 @@ def _axis_faces(counts, a):
     return idx[lo].ravel(), idx[hi].ravel()
 
 
-def _boundary_cells(counts, a, side):
-    idx = np.arange(int(np.prod(counts))).reshape(counts)
-    sl = [slice(None)] * len(counts)
-    sl[a] = 0 if side == 0 else -1
-    return idx[tuple(sl)].ravel()
+def _gradients(grid, vals):
+    """Per-axis derivatives of a validated array: central, one-sided at boundaries."""
+    return [G @ vals for G in _grad_matrices(grid)]
 
 
 def gradient_array(grid, v):
-    """Per-axis derivatives as (m, axes) columns: central interior, one-sided
-    at boundaries."""
-    vals = _values(grid, v)
-    return np.column_stack([G @ vals for G in _grad_matrices(grid)])
+    """Per-axis derivatives as (m, axes) columns."""
+    return np.column_stack(_gradients(grid, _values(grid, v)))
 
 
 # ---------------------------------------------------------------------------
-# inner products and norms
+# inner products, norms and the per-step metrics
 
 def inner(grid, v, w):
     # v*w first: elementwise products commute exactly, so inner is
     # bit-for-bit symmetric in its arguments
     return float(np.dot(grid.volumes, _values(grid, v) * _values(grid, w)))
+
+
+def _h1(grid, sq, grads):
+    """H1 norm from the squared L2 norm sq and the per-axis gradients."""
+    for g in grads:
+        sq += float(np.dot(grid.volumes, g * g))
+    return float(np.sqrt(sq))
 
 
 def norm_L2(grid, v):
@@ -243,15 +250,20 @@ def norm_L2(grid, v):
 
 def norm_H1(grid, v):
     vals = _values(grid, v)
-    sq = inner(grid, vals, vals)
-    for G in _grad_matrices(grid):
-        g = G @ vals
-        sq += float(np.dot(grid.volumes, g * g))
-    return float(np.sqrt(sq))
+    return _h1(grid, float(np.dot(grid.volumes, vals * vals)), _gradients(grid, vals))
 
 
 def mass(grid, v):
     return float(np.dot(grid.volumes, _values(grid, v)))
+
+
+def _metrics(grid, vals, a):
+    """(L2, H1, mass, boundary flux) of a validated array; a holds the
+    coefficients at the cell centers."""
+    grads = _gradients(grid, vals)
+    sq = float(np.dot(grid.volumes, vals * vals))
+    return (float(np.sqrt(sq)), _h1(grid, sq, grads),
+            float(np.dot(grid.volumes, vals)), _boundary_flux(grid, a, grads))
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +475,23 @@ def _axis_line(w, ax):
 # ---------------------------------------------------------------------------
 # boundary flux diagnostic
 
+def _boundary_flux(grid, a, grads):
+    """Max |n . (M grad v)| over boundary faces, from the coefficients a at
+    the cell centers and the per-axis gradients."""
+    if grid.kind == "radial":
+        return float(abs(a[-1, 0, 0] * grads[0][-1]))
+    d = grid.dim
+    a = a.reshape(grid.counts + (d, d))
+    g = np.stack(grads, axis=-1).reshape(grid.counts + (d,))
+    worst = 0.0
+    for ax in range(d):
+        for side in (0, -1):
+            ca, cg = np.take(a, side, axis=ax)[..., ax, :], np.take(g, side, axis=ax)
+            flux = np.einsum("mk,mk->m", ca.reshape(-1, d), cg.reshape(-1, d))
+            worst = max(worst, float(np.abs(flux).max()))
+    return worst
+
+
 def boundary_residual(p, grid, t, v, a=None):
     """Max reconstructed conormal flux |n . (M grad v)| over boundary faces.
 
@@ -470,18 +499,9 @@ def boundary_residual(p, grid, t, v, a=None):
     centers (an assembled operator's `a`); they are evaluated otherwise.
     """
     vals = _values(grid, v)
-    grads = gradient_array(grid, vals)
     if a is None:
         a = p.metric.eval_a(float(t), grid.embed())
-    if grid.kind == "radial":
-        return float(abs(a[-1, 0, 0] * grads[-1, 0]))
-    worst = 0.0
-    for ax in range(grid.dim):
-        for side in (0, 1):
-            cells = _boundary_cells(grid.counts, ax, side)
-            flux = np.einsum("mk,mk->m", a[cells][:, ax, :], grads[cells])
-            worst = max(worst, float(np.abs(flux).max()))
-    return worst
+    return _boundary_flux(grid, a, _gradients(grid, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +519,7 @@ def write_snapshot(path, field: GridField, time):
         "extents " + " ".join(repr(float(e)) for e in extents),
         f"time {float(time)!r}",
     ]
-    lines.extend(repr(float(x)) for x in field.values)
+    lines.extend(map(repr, field.values.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import assemble_A, inner, norm_H1, norm_L2
+from .grid import as_field, assemble_A, inner, norm_H1, norm_L2
 from .problem import check_H2, check_H3
 from .solver import _solve, run, run_homogeneous
 
@@ -77,22 +77,14 @@ def decay_fit(p, grid, cfg, tau, horizon, seeds) -> DecayFit:
         raise PullbackError(
             f"horizon {horizon} too short for a decay fit; need >= 10/beta = "
             f"{10.0 / p.beta}")
-    usable = []
-    skipped = 0
-    for s in seeds:
-        v = np.asarray(s, dtype=float)
-        if v.ndim == 0:
-            v = np.full(grid.m, float(v))
-        if norm_L2(grid, v) <= NORM_FLOOR:
-            skipped += 1
-        else:
-            usable.append(v)
+    starts = [as_field(grid, s).values for s in seeds]
+    usable = [v for v in starts if norm_L2(grid, v) > NORM_FLOOR]
     if not usable:
         raise PullbackError("decay_fit needs at least one seed above the norm floor")
 
     def fit_one(v0):
-        n0 = norm_L2(grid, v0)
         traj = run_homogeneous(p, grid, cfg, tau, tau + horizon, v0)
+        n0 = traj.metrics[0].L2
         ts, logn = [], []
         for m in traj.metrics:
             if m.L2 <= NORM_FLOOR:
@@ -105,7 +97,7 @@ def decay_fit(p, grid, cfg, tau, horizon, seeds) -> DecayFit:
     per_seed = tuple(fit_one(v0) for v0 in usable)
     return DecayFit(K=max(k for k, _ in per_seed),
                     b=min(b for _, b in per_seed),
-                    skipped=skipped, per_seed=per_seed)
+                    skipped=len(starts) - len(usable), per_seed=per_seed)
 
 
 def drift_norm(p, grid, times) -> float:
@@ -219,13 +211,10 @@ def absorbing_radius(p, grid, cfg, t_star, seeds, radii, k_max=5) -> float:
     tau = t_star - 2.0 ** k_max
     starts = []
     for s in seeds:
-        v = np.asarray(s, dtype=float)
-        if v.ndim == 0:
-            v = np.full(grid.m, float(v))
+        v = as_field(grid, s).values
         h1 = norm_H1(grid, v)
-        if h1 <= NORM_FLOOR:
-            continue
-        starts.extend(v * (r / h1) for r in radii)
+        if h1 > NORM_FLOOR:
+            starts.extend(v * (r / h1) for r in radii)
     if not starts:
         raise PullbackError("absorbing_radius needs a seed above the norm floor")
 

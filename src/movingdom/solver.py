@@ -31,6 +31,9 @@ assembled from its exact time value and kept for the current step only,
 so a run restarted from a stored state on the step lattice reproduces the
 uninterrupted run bit for bit, and memory stays flat in the step count.
 The final step is shortened to land exactly on the requested end time.
+
+`run` validates the initial state once and checks each new state for finite
+values; in between, the loop and its one-call metrics kernel use plain arrays.
 """
 
 from __future__ import annotations
@@ -42,8 +45,7 @@ import numpy as np
 
 from . import expr as ex
 from .diffeo import boundary_points
-from .grid import (GridField, as_field, assemble_A, boundary_residual,
-                   gradient_array, mass, norm_H1, norm_L2)
+from .grid import GridField, _gradients, _metrics, as_field, assemble_A, norm_L2
 
 
 class SolverError(Exception):
@@ -62,7 +64,6 @@ class StepperConfig:
     dt: float
     scheme: str = "backward-euler"
     cg_tol: float = 1e-10        # CG-path box operators only: other solves are exact
-    cg_maxiter: int = 0          # 0 means the 10*N default
     snapshot_every: int = 0      # 0 keeps only the first and last snapshot
 
     def __post_init__(self):
@@ -143,11 +144,6 @@ def _cg(op, rhs, tol, maxiter=0, x0=None):
                   f"residual {float(np.linalg.norm(r / V)):.3e}, target {target:.3e}")
 
 
-def cg_solve(A, rhs, tol=1e-10, maxiter=0) -> GridField:
-    x, _ = _cg(A, as_field(A.grid, rhs).values, tol, maxiter)
-    return GridField(A.grid, x)
-
-
 # ---------------------------------------------------------------------------
 # direct solve on the tridiagonal radial form
 
@@ -213,18 +209,19 @@ def _kronecker_solve(op, rhs):
     return x.ravel()
 
 
-def _solve(op, rhs, tol, maxiter=0, x0=None):
+def _solve(op, rhs, tol, x0=None):
     """op x = rhs, with the solver that the structure of op allows.
 
     Tridiagonal elimination on single-axis operators, fast diagonalization
-    on Kronecker-sum boxes, Jacobi CG from x0 (to tol, within maxiter) on
-    every other box.  Returns (x, CG iterations); a direct solve counts 0.
+    on Kronecker-sum boxes, Jacobi CG from x0 (to tol, within 10*N
+    iterations) on every other box.  Returns (x, CG iterations); a direct
+    solve counts 0.
     """
     if op.grid.axes == 1:
         return _tridiagonal_solve(op, rhs), 0
     if op.axis_weights is not None:
         return _kronecker_solve(op, rhs), 0
-    return _cg(op, rhs, tol, maxiter, x0=x0)
+    return _cg(op, rhs, tol, x0=x0)
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +250,11 @@ def _explicit_rhs(p, grid, t, v, cross_op, forcing):
         out = np.zeros_like(v)
     else:
         b, source = forcing
-        grads = gradient_array(grid, v)
+        grads = _gradients(grid, v)
         if grid.kind == "radial":
-            drift = b * grads[:, 0]
+            drift = b * grads[0]
         else:
-            drift = np.einsum("mk,mk->m", b, grads)
+            drift = np.einsum("mk,mk->m", b, np.column_stack(grads))
         out = p.f_values(t, v) - drift
         if source is not None:
             out += source
@@ -273,18 +270,18 @@ def _advance(p, grid, cfg, t, v, dt, get_op, homogeneous):
     if cfg.scheme == "backward-euler":
         forcing = None if homogeneous else _forcing(p, grid, t)
         rhs = v + dt * _explicit_rhs(p, grid, t, v, A0, forcing)
-        return _solve(A1.shifted(dt), rhs, cfg.cg_tol, cfg.cg_maxiter, v)
+        return _solve(A1.shifted(dt), rhs, cfg.cg_tol, v)
     tm = t + 0.5 * dt
     cross_op = get_op(tm) if A0.cross is not None else A0
     forcing = None if homogeneous else _forcing(p, grid, tm)
     base = v - (0.5 * dt) * A0.apply_implicit(v)
     left = A1.shifted(0.5 * dt)
     F0 = _explicit_rhs(p, grid, tm, v, cross_op, forcing)
-    v_star, it1 = _solve(left, base + dt * F0, cfg.cg_tol, cfg.cg_maxiter, v)
+    v_star, it1 = _solve(left, base + dt * F0, cfg.cg_tol, v)
     Fm = _explicit_rhs(p, grid, tm, 0.5 * (v + v_star), cross_op, forcing)
     if np.array_equal(Fm, F0):
         return v_star, it1
-    v_next, it2 = _solve(left, base + dt * Fm, cfg.cg_tol, cfg.cg_maxiter, v_star)
+    v_next, it2 = _solve(left, base + dt * Fm, cfg.cg_tol, v_star)
     return v_next, it1 + it2
 
 
@@ -300,7 +297,7 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False) -> Traj
     if v0 is None:
         v = p.initial_values(grid.embed())
     else:
-        v = as_field(grid, v0).values.copy()
+        v = as_field(grid, v0).values
     if not homogeneous:
         lip = p.lipschitz_sup()
         if cfg.dt * lip > 0.5:
@@ -319,10 +316,7 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False) -> Traj
 
     def metrics_row(n, t, vals, iters):
         # reuses the coefficients the operator at t was assembled from
-        return StepMetrics(n, t, norm_L2(grid, vals), norm_H1(grid, vals),
-                           mass(grid, vals),
-                           boundary_residual(p, grid, t, vals, get_op(t).a),
-                           iters)
+        return StepMetrics(n, t, *_metrics(grid, vals, get_op(t).a), iters)
 
     times = [tau]
     snapshots = [GridField(grid, v)]
@@ -330,7 +324,6 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False) -> Traj
     tol_t = 1e-9 * cfg.dt
     t = tau
     n = 0
-    prev_norm = metrics[0].L2
     while t < T - tol_t:
         t_next = t + cfg.dt
         if T - t_next <= tol_t:
@@ -339,9 +332,7 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False) -> Traj
         else:
             dt_step = cfg.dt
         # keep only this step's operators: the one at t is reused from the last step
-        current = ops[t]
-        ops.clear()
-        ops[t] = current
+        ops = {t: ops[t]}
         v, iters = _advance(p, grid, cfg, t, v, dt_step, get_op, homogeneous)
         if not np.all(np.isfinite(v)):
             raise SolverError(f"non-finite state at t = {t_next}; "
@@ -350,10 +341,9 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False) -> Traj
         row = metrics_row(n, t_next, v, iters)
         if homogeneous and cfg.scheme == "backward-euler" \
                 and get_op(t_next).cross is None \
-                and row.L2 > prev_norm * (1.0 + 10 * cfg.cg_tol) + 1e-300:
+                and row.L2 > metrics[-1].L2 * (1.0 + 10 * cfg.cg_tol) + 1e-300:
             raise SolverError(f"homogeneous backward-Euler norm grew at t = {t_next}: "
-                              f"{prev_norm} -> {row.L2}")
-        prev_norm = row.L2
+                              f"{metrics[-1].L2} -> {row.L2}")
         metrics.append(row)
         t = t_next
         if t == T or (cfg.snapshot_every and n % cfg.snapshot_every == 0):

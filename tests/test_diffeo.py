@@ -174,6 +174,20 @@ def test_hoelder_probe_degenerate_convention():
     assert (theta, c) == (1.0, 0.0)
 
 
+def test_holder_fit_on_short_time_grids():
+    # the fallback lags stay inside the grid; fewer than two gaps report (1, 0)
+    m = dg.build_metric(ball_shrink())
+    three = np.linspace(0.0, 1.0, 3)
+    rep = dg.check_H1(m, tgrid=three)
+    assert rep.passed and rep.theta > 0 and rep.holder_c > 0
+    theta, c = dg.hoelder_probe(m, tgrid=three)
+    assert theta > 0 and c > 0
+    for short in (np.linspace(0.0, 1.0, 2), np.array([0.5])):
+        rep = dg.check_H1(m, tgrid=short)
+        assert (rep.theta, rep.holder_c) == (1.0, 0.0)
+        assert dg.hoelder_probe(m, tgrid=short) == (1.0, 0.0)
+
+
 def test_coefficients_against_finite_differences():
     # reconstruct T and a through the map values only, no symbolic path
     m = dg.build_metric(ball_shrink())

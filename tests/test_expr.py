@@ -215,6 +215,28 @@ def _trees(depth):
 _POINTS = st.lists(st.tuples(_LEAF_VALUES, _LEAF_VALUES), min_size=1, max_size=6)
 
 
+def _value(e, env):
+    try:
+        return ex.evaluate(e, env)
+    except ex.EvalError:
+        return None
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(e=_trees(4), points=_POINTS)
+def test_print_parse_round_trip_is_exact(e, points):
+    back = ex.parse(ex.to_string(e))
+    for ti, ui in points:
+        env = {"t": ti, "u": ui}
+        # equal to the last bit, or both outside the domain
+        assert _value(back, env) == _value(e, env), (ex.to_string(e), env)
+    # printing is a fixpoint from the second round on: the first parse may
+    # change the tree's shape (a negated constant -0.0 prints as --0.0, which
+    # reads back as a double negation and prints as -(-0.0))
+    text = ex.to_string(back)
+    assert ex.to_string(ex.parse(text)) == text
+
+
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(e=_trees(4), points=_POINTS)
 def test_compiled_is_finite_or_eval_error_and_matches_evaluate(e, points):
