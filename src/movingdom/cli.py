@@ -27,7 +27,7 @@ from .diffeo import (BallDomain, BoxDomain, DegenerateDiffeoError,
                      DiffeoError, boundary_points, build_metric,
                      check_H1, check_H4, ellipticity_probe, hoelder_probe,
                      parse_diffeo, validate_inverse)
-from .grid import BoxGrid, GridError, RadialGrid, write_snapshot
+from .grid import BoxGrid, GridError, RadialGrid, operator_family, write_snapshot
 from .problem import ProblemError, assemble, check_H2, check_H3
 from .pullback import (PullbackError, PullbackReport, absorbing_radius,
                        cocycle_check, decay_fit, drift_norm,
@@ -203,12 +203,17 @@ def _cell(v):
 
 
 def write_table(path, name, header, rows):
-    """Write a schema-tagged CSV; rows may be any iterable and are streamed."""
+    """Write a schema-tagged CSV; rows may be any iterable of sequences and
+    are streamed.  A row of strings is written as it is."""
     with open(path, "w") as fh:
         fh.write(f"schema,{name},{SCHEMA_VERSION}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_cell(c) for c in row) + "\n")
+            try:
+                line = ",".join(row)
+            except TypeError:   # not every cell is formatted yet
+                line = ",".join(map(_cell, row))
+            fh.write(line + "\n")
 
 
 def read_table(path):
@@ -355,6 +360,7 @@ def cmd_solve(rc, out, seed=None):
         raise ConfigError("solve needs `initial` in the [problem] section")
     p = _problem(rc, metric)
     g = _grid(rc)
+    operator_family(p, g)   # set-up: built once, before the march
     tau = _exp_float(rc, "tau", 0.0)
     T = _exp_float(rc, "t", 1.0)
     traj = run(p, g, _stepper(rc), tau, T)
@@ -396,6 +402,7 @@ def cmd_mms(rc, out, seed=None):
 def cmd_pullback(rc, out, seed=None):
     p = _problem(rc, _require_checks(rc))
     g = _grid(rc)
+    operator_family(p, g)   # set-up: built once, shared by every run below
     cfg = _stepper(rc)
     t_star = _exp_float(rc, "t_star", 0.0)
     k_max = _exp_int(rc, "k_max", 6)

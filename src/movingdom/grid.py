@@ -13,18 +13,16 @@ flux matrix S has exact zero row and column sums, so constants are in its
 kernel and the total mass sum(vol * v) only moves through beta and the
 right-hand side.  Off-diagonal coefficients a_jk (j != k) are assembled
 into a separate matrix meant to be lagged explicitly by the stepper; the
-implicit part stays symmetric positive semidefinite.
+implicit part stays symmetric positive semidefinite.  One builder, `_flux`,
+writes each face's weight into a cached CSR stencil and its negation into
+both mirrored slots.  A v = scale * S v / vol + beta v is self-adjoint in
+the volume-weighted inner product of `inner` (scale 1 when assembled).
 
-The operator acts as A v = S v / vol + beta v, which is self-adjoint in
-the volume-weighted inner product used by `inner`.  One builder, `_flux`,
-makes S on every grid: it writes the per-axis face weights straight into a
-cached CSR stencil, each face's negated weight into both mirrored slots, so
-S is symmetric by construction.  On a radial grid or a 1-D box S is
-tridiagonal; its bands are what the stepper's direct solve eliminates.  On
-a box whose axis-k face weights depend on y_k alone, as for a stretch that
-acts axis by axis, S is a Kronecker sum of 1-D Neumann chains; the operator
-keeps those per-axis weights, and their eigenpairs diagonalize the
-implicit matrix.
+Under H1, a(t) = h2(t) a0 and S(t) = h2(t) S0.  `operator_family` builds,
+once per (metric, grid) and only if that holds to 1e-13, A at t = 0, the
+scalar h2(t), and the eigenpairs of L0 = S0 / vol: one eigh of
+V^-1/2 S0 V^-1/2 on a radial grid, one per axis on a box whose axis-k face
+weights depend on y_k alone (a Kronecker sum of 1-D chains).
 
 The public norms and diagnostics validate their field through `as_field`.
 The stepper's `_metrics` kernel takes its already checked state and gets
@@ -34,13 +32,14 @@ L2, H1, mass and boundary flux from one gradient, through the same pieces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from .diffeo import BallDomain
+from . import expr as ex
+from .diffeo import BallDomain, interior_points, time_grid
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
@@ -223,11 +222,6 @@ def _gradients(grid, vals):
     return [G @ vals for G in _grad_matrices(grid)]
 
 
-def gradient_array(grid, v):
-    """Per-axis derivatives as (m, axes) columns."""
-    return np.column_stack(_gradients(grid, _values(grid, v)))
-
-
 # ---------------------------------------------------------------------------
 # inner products, norms and the per-step metrics
 
@@ -257,13 +251,13 @@ def mass(grid, v):
     return float(np.dot(grid.volumes, _values(grid, v)))
 
 
-def _metrics(grid, vals, a):
-    """(L2, H1, mass, boundary flux) of a validated array; a holds the
-    coefficients at the cell centers."""
+def _metrics(grid, vals, op):
+    """(L2, H1, mass, boundary flux) of a validated array; the boundary flux
+    takes the coefficients op.scale * op.a at the cell centers."""
     grads = _gradients(grid, vals)
     sq = float(np.dot(grid.volumes, vals * vals))
-    return (float(np.sqrt(sq)), _h1(grid, sq, grads),
-            float(np.dot(grid.volumes, vals)), _boundary_flux(grid, a, grads))
+    return (float(np.sqrt(sq)), _h1(grid, sq, grads), float(np.dot(grid.volumes, vals)),
+            op.scale * _boundary_flux(grid, op.a, grads))
 
 
 # ---------------------------------------------------------------------------
@@ -271,17 +265,17 @@ def _metrics(grid, vals, a):
 
 @dataclass(frozen=True, eq=False)
 class SparseOperator:
-    """A(t) in flux form: apply(v) = (flux @ v) / vol + beta v (+ cross part).
+    """A(t) in flux form: apply(v) = scale * (flux @ v) / vol + beta v (+ cross part).
 
     `flux` collects the diagonal-coefficient fluxes, symmetric by
     construction; `cross` the off-diagonal a_jk fluxes, kept apart so time
     steppers can treat them explicitly while the implicit matrix stays SPD.
-    `a` holds the cell-center coefficients a(t) the operator was assembled
-    from (None on derived operators such as `shifted`), so diagnostics at
-    the same time need not evaluate them again.  `axis_weights` is set when
-    flux is the Kronecker sum over axes of the 1-D chain fluxes with these
-    face weights (box grids with no cross block whose axis-k weights are
-    bitwise the same on every line along axis k); it is None otherwise.
+    Both, and the cell-center coefficients `a` (None on derived operators
+    such as `shifted`), are multiplied by `scale`.  `axis_weights` is set
+    when flux is the Kronecker sum over axes of the 1-D chain fluxes with
+    these face weights (boxes with no cross block whose axis-k weights are
+    bitwise the same on every line along axis k).  `family` is the
+    OperatorFamily whose matrices the operator scales, None when assembled.
     """
     grid: object
     flux: sp.csr_matrix
@@ -290,65 +284,34 @@ class SparseOperator:
     cross: object = None
     a: object = field(default=None, repr=False, kw_only=True)
     axis_weights: tuple = field(default=None, repr=False, kw_only=True)
+    scale: float = field(default=1.0, kw_only=True)
+    family: object = field(default=None, repr=False, kw_only=True)
 
     @property
     def n(self):
         return self.flux.shape[0]
 
     def apply_implicit(self, v):
-        return (self.flux @ v) / self.volumes + self.beta * v
+        return self.scale * (self.flux @ v) / self.volumes + self.beta * v
 
     def apply_explicit(self, v):
-        return (self.cross @ v) / self.volumes
+        return self.scale * (self.cross @ v) / self.volumes
 
     def apply(self, v):
         out = self.apply_implicit(v)
         if self.cross is not None:
-            out += (self.cross @ v) / self.volumes
+            out += self.apply_explicit(v)
         return out
 
     def shifted(self, dt):
-        """Operator I + dt * (implicit part), in the same flux form."""
-        weights = self.axis_weights
-        if weights is not None:
-            weights = tuple(w * dt for w in weights)
-        return SparseOperator(self.grid, self.flux * dt, self.volumes,
-                              1.0 + dt * self.beta, axis_weights=weights)
+        """Operator I + dt * (implicit part), on the same matrices."""
+        return SparseOperator(self.grid, self.flux, self.volumes, 1.0 + dt * self.beta,
+                              scale=dt * self.scale, family=self.family)
 
     @cached_property
     def spd_matrix(self):
-        """flux + beta*diag(vol): the plain-SPD matrix behind apply_implicit."""
-        return (self.flux + sp.diags(self.beta * self.volumes)).tocsr()
-
-    @cached_property
-    def bands(self):
-        """(diagonal, off-diagonal) of flux + beta*diag(vol), for a tridiagonal flux."""
-        if self.grid.axes != 1:
-            raise GridError("only single-axis operators are tridiagonal")
-        return (self.flux.diagonal() + self.beta * self.volumes,
-                self.flux.diagonal(1))
-
-    @cached_property
-    def diagonalization(self):
-        """(per-axis eigenvectors, eigenvalues of flux + beta*diag(vol)).
-
-        Needs axis_weights.  Each 1-D chain flux factors as Q diag(lam) Q^T
-        by one eigh; the eigenvalues of the Kronecker sum are beta*vol plus
-        the per-axis sums, returned as an array shaped like the grid.
-        """
-        if self.axis_weights is None:
-            raise GridError("operator is not a Kronecker sum of 1-D fluxes")
-        total = self.beta * float(self.volumes[0])
-        vecs = []
-        for ax, w in enumerate(self.axis_weights):
-            T = -np.diag(w, 1) - np.diag(w, -1)
-            T[np.diag_indices(len(w) + 1)] = np.append(w, 0.0) + np.append(0.0, w)
-            lam, Q = np.linalg.eigh(T)
-            shape = [1] * len(self.axis_weights)
-            shape[ax] = -1
-            total = total + lam.reshape(shape)
-            vecs.append(Q)
-        return tuple(vecs), total
+        """scale * flux + beta * diag(vol): the plain-SPD matrix behind apply_implicit."""
+        return (self.flux * self.scale + sp.diags(self.beta * self.volumes)).tocsr()
 
 
 @lru_cache(maxsize=64)
@@ -473,6 +436,74 @@ def _axis_line(w, ax):
 
 
 # ---------------------------------------------------------------------------
+# the separable operator family
+
+@dataclass(frozen=True, eq=False)
+class OperatorFamily:
+    """A(t) = h2(t) (S0 + C0) / vol + beta for coefficients a(t) = h2(t) a0.
+
+    `base` is A at t = 0 (S0, C0, a0); h2(t) = a_00(t, y*) / a0_00(y*) at the
+    cell y* of largest |a0_00|.  Where the grid allows, L0 = W^-1 Q diag(lam)
+    Q^T W: Q the Kronecker product of the per-axis eigenvectors `vecs`, lam
+    flat in cell order, W = diag(root_vol) (None, a constant, on boxes).
+    """
+    base: SparseOperator
+    h2: object
+    vecs: tuple = None
+    lam: np.ndarray = None
+    root_vol: np.ndarray = None
+
+    def at(self, t, beta):
+        b = self.base
+        return SparseOperator(b.grid, b.flux, b.volumes, beta, b.cross, a=b.a,
+                              scale=float(self.h2(t)), family=self)
+
+
+def operator_family(p, grid):
+    """The OperatorFamily of p's metric on grid, None when a(t) is not
+    h2(t) a0 to rounding; built once and kept on the metric."""
+    cache, key = p.metric._fns, ("family", grid)
+    if key not in cache:
+        cache[key] = _build_family(p, grid)
+    return cache[key]
+
+
+def _build_family(p, grid):
+    def h2(t):
+        return a00({**y_ref, "t": t}) / a0[ref, 0, 0]
+
+    def pairs():   # (a, h2 a0) in blocks of times and cells that bound the memory
+        pts = interior_points(p.domain, p.dim)
+        for ts in np.array_split(time_grid(), 8):
+            yield p.metric.eval_a(ts, pts), np.multiply.outer(h2(ts), p.metric.eval_a(0.0, pts))
+        for t in (-16.0, -4.0, -1.0, 1.0, 4.0):
+            for c in np.array_split(np.arange(grid.m), -(-grid.m // 4096)):
+                yield p.metric.eval_a(t, grid.embed()[c]), h2(t) * a0[c]
+
+    # a family only if a(t) = h2(t) a0 to 1e-13 on the H1 samples and on the grid
+    try:
+        base = assemble_A(p, grid, 0.0)   # GridError for the grids assemble_A rejects
+        a0 = base.a
+        ref = int(np.argmax(np.abs(a0[:, 0, 0])))
+        a00 = p.metric._fn(("a", 0, 0), p.metric.a[0][0])
+        y_ref = {f"y{i + 1}": float(y) for i, y in enumerate(grid.embed()[ref])}
+        if not all(np.abs(a - b).max() <= 1e-13 * np.abs(a).max() for a, b in pairs()):
+            return None
+    except ex.EvalError:   # a is undefined at t = 0 or at a sampled time
+        return None
+    if grid.kind == "radial":
+        root = np.sqrt(grid.volumes)
+        lam, Q = np.linalg.eigh(base.flux.toarray() / np.outer(root, root))
+        return OperatorFamily(base, h2, (Q,), lam, root)
+    if base.axis_weights is None:
+        return OperatorFamily(base, h2)
+    # S0 is the Kronecker sum of the 1-D chains: eigenvalues add across axes
+    eig = [np.linalg.eigh(_flux((len(w) + 1,), (w,)).toarray()) for w in base.axis_weights]
+    lam = reduce(np.add.outer, [lam_k for lam_k, _ in eig]).ravel()
+    return OperatorFamily(base, h2, tuple(Q for _, Q in eig), lam / base.volumes[0])
+
+
+# ---------------------------------------------------------------------------
 # boundary flux diagnostic
 
 def _boundary_flux(grid, a, grads):
@@ -492,16 +523,12 @@ def _boundary_flux(grid, a, grads):
     return worst
 
 
-def boundary_residual(p, grid, t, v, a=None):
-    """Max reconstructed conormal flux |n . (M grad v)| over boundary faces.
-
-    `a` may pass the coefficients already evaluated at time t at the cell
-    centers (an assembled operator's `a`); they are evaluated otherwise.
-    """
-    vals = _values(grid, v)
-    if a is None:
-        a = p.metric.eval_a(float(t), grid.embed())
-    return _boundary_flux(grid, a, _gradients(grid, vals))
+def boundary_residual(p, grid, t, v):
+    """Max reconstructed conormal flux |n . (M grad v)| over boundary faces,
+    with the coefficients at time t that the stepper uses."""
+    family = operator_family(p, grid)
+    op = assemble_A(p, grid, t) if family is None else family.at(t, p.beta)
+    return op.scale * _boundary_flux(grid, op.a, _gradients(grid, _values(grid, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +546,9 @@ def write_snapshot(path, field: GridField, time):
         "extents " + " ".join(repr(float(e)) for e in extents),
         f"time {float(time)!r}",
     ]
-    lines.extend(map(repr, field.values.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:   # values stream out one Python float at a time
+        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"{v!r}\n" for v in memoryview(field.values))
 
 
 def read_snapshot(path):

@@ -16,21 +16,21 @@ state-dependent F the correction restores second order in time.  The
 state-independent parts of F (drift field and source) are evaluated once
 per distinct time.
 
-Every implicit system goes through `_solve`, which picks the solver from
-the structure the assembled operator declares.  Single-axis operators
-(radial grids, 1-D boxes) are tridiagonal SPD and are solved exactly by an
-O(n) elimination.  Multi-axis boxes whose flux is a Kronecker sum of 1-D
-chains (no cross block, axis-k weights depending on y_k alone) are solved
-exactly by fast diagonalization: one eigendecomposition per axis, then a
-forward transform, a division by the eigenvalues and a back transform.
-Every other box operator uses Jacobi-preconditioned conjugate gradients to
-the relative tolerance cg_tol.  A direct solve reports 0 iterations.
+Under H1 the operators come from the operator family of the metric on
+the grid (grid.py): A(t) is the fixed flux S0 (and cross block C0) scaled
+by h2(t), one scalar per time instead of an assembly.  `_solve` solves a
+family that diagonalizes L0 = S0 / vol (radial grids, 1-D and Kronecker-sum
+boxes) exactly in that eigenbasis: a transform, a division by
+(1 + c beta) + c h2(t) lam and a back transform; it reports 0 iterations.
+Other boxes use Jacobi CG, matrix-free on S0, to the relative tolerance
+cg_tol, as does a metric without a family, assembled at every time.
 
-Time marches by accumulation (t_{n+1} = t_n + dt) and each operator is
-assembled from its exact time value and kept for the current step only,
-so a run restarted from a stored state on the step lattice reproduces the
-uninterrupted run bit for bit, and memory stays flat in the step count.
-The final step is shortened to land exactly on the requested end time.
+Time marches by accumulation (t_{n+1} = t_n + dt).  Each operator is made
+from its exact time value (the family from time 0, never from a run's
+start) and kept for the current step only, so a run restarted from a
+stored state on the step lattice reproduces the uninterrupted run bit for
+bit, and memory stays flat in the step count.  The final step is
+shortened to land exactly on the requested end time.
 
 `run` validates the initial state once and checks each new state for finite
 values; in between, the loop and its one-call metrics kernel use plain arrays.
@@ -45,7 +45,8 @@ import numpy as np
 
 from . import expr as ex
 from .diffeo import boundary_points
-from .grid import GridField, _gradients, _metrics, as_field, assemble_A, norm_L2
+from .grid import (GridField, _gradients, _metrics, as_field, assemble_A, norm_L2,
+                   operator_family)
 
 
 class SolverError(Exception):
@@ -103,23 +104,26 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# conjugate gradients on the volume-weighted SPD form
+# linear solves
 
 def _cg(op, rhs, tol, maxiter=0, x0=None):
-    """Solve op x = rhs, op = flux/vol + beta I, via CG on flux + beta*diag(vol).
-
-    Jacobi preconditioned; stops when |op x - rhs|_2 <= tol |rhs|_2.
+    """Solve op x = rhs via Jacobi CG on scale * flux + beta * diag(vol),
+    matrix-free on a family's flux; stops when |op x - rhs|_2 <= tol |rhs|_2.
     """
     rhs = np.asarray(rhs, dtype=float)
-    M = op.spd_matrix
     V = op.volumes
+    if op.family is None:
+        M = op.spd_matrix
+        matvec, d = M.__matmul__, M.diagonal()
+    else:
+        S, c, shift = op.flux, op.scale, op.beta * V
+        matvec, d = (lambda x: c * (S @ x) + shift * x), c * S.diagonal() + shift
     b = V * rhs
     cap = maxiter if maxiter else 10 * op.n
-    d = M.diagonal()
     if np.any(d <= 0):
         raise CgError("operator diagonal is not positive; CG needs an SPD operator")
     x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=float).copy()
-    r = b - M @ x
+    r = b - matvec(x)
     target = tol * float(np.linalg.norm(rhs))
     if float(np.linalg.norm(r / V)) <= target:
         return x, 0
@@ -127,7 +131,7 @@ def _cg(op, rhs, tol, maxiter=0, x0=None):
     p = z.copy()
     rz = float(r @ z)
     for it in range(1, cap + 1):
-        q = M @ p
+        q = matvec(p)
         pq = float(p @ q)
         if pq <= 0:
             raise CgError(f"breakdown at iteration {it}: operator is not positive definite")
@@ -144,40 +148,6 @@ def _cg(op, rhs, tol, maxiter=0, x0=None):
                   f"residual {float(np.linalg.norm(r / V)):.3e}, target {target:.3e}")
 
 
-# ---------------------------------------------------------------------------
-# direct solve on the tridiagonal radial form
-
-def _tridiagonal_solve(op, rhs):
-    """Solve op x = rhs exactly for a radial op: LDL^T of flux + beta*diag(vol).
-
-    O(n) elimination on the SPD tridiagonal form.  A pivot that is not
-    positive means the operator is not positive definite; that raises
-    CgError, as CG does.
-    """
-    diag, off = op.bands
-    d = diag.tolist()
-    e = off.tolist()
-    y = (op.volumes * np.asarray(rhs, dtype=float)).tolist()
-    piv = d[0]
-    for i in range(len(d)):
-        if i:
-            ratio = e[i - 1] / piv
-            piv = d[i] - ratio * e[i - 1]
-            y[i] -= ratio * y[i - 1]
-        if not piv > 0:
-            raise CgError(f"pivot {piv:.3e} at row {i}: "
-                          "operator is not positive definite")
-        d[i] = piv
-    x = y
-    x[-1] /= d[-1]
-    for i in range(len(d) - 2, -1, -1):
-        x[i] = (y[i] - e[i] * x[i + 1]) / d[i]
-    return np.array(x)
-
-
-# ---------------------------------------------------------------------------
-# fast diagonalization of a Kronecker-sum box operator
-
 def _along(x, M, ax):
     """M applied along axis ax of the array x (a matmul on a reshaped view)."""
     shape = x.shape
@@ -188,40 +158,30 @@ def _along(x, M, ax):
     return np.matmul(M, x.reshape(-1, n, post)).reshape(shape)
 
 
-def _kronecker_solve(op, rhs):
-    """Solve op x = rhs exactly for a box op whose flux is a Kronecker sum.
-
-    With each 1-D chain flux T_k = Q_k diag(lam_k) Q_k^T, the matrix
-    flux + beta*diag(vol) is diagonal in the tensor basis of the Q_k
-    (Lynch, Rice & Thomas 1964).  An eigenvalue that is not positive means
-    the operator is not positive definite; that raises CgError, as CG does.
-    """
-    vecs, denom = op.diagonalization
-    low = float(denom.min())
-    if not low > 0:
-        raise CgError(f"eigenvalue {low:.3e}: operator is not positive definite")
-    x = (op.volumes * np.asarray(rhs, dtype=float)).reshape(denom.shape)
-    for ax, Q in enumerate(vecs):
-        x = _along(x, Q.T, ax)
-    x /= denom
-    for ax, Q in enumerate(vecs):
-        x = _along(x, Q, ax)
-    return x.ravel()
+def _eigen(fam, x, back=False):
+    """x in the family's eigenbasis of L0 (orthonormal in the vol-weighted
+    inner product, up to a constant on boxes), or back from it."""
+    w = 1.0 if fam.root_vol is None else fam.root_vol
+    x = (x if back else x * w).reshape([len(Q) for Q in fam.vecs])
+    for ax, Q in enumerate(fam.vecs):
+        x = _along(x, Q if back else Q.T, ax)
+    return x.ravel() / w if back else x.ravel()
 
 
 def _solve(op, rhs, tol, x0=None):
-    """op x = rhs, with the solver that the structure of op allows.
-
-    Tridiagonal elimination on single-axis operators, fast diagonalization
-    on Kronecker-sum boxes, Jacobi CG from x0 (to tol, within 10*N
-    iterations) on every other box.  Returns (x, CG iterations); a direct
-    solve counts 0.
+    """op x = rhs: exact in the eigenbasis of a family that has one (a
+    denominator beta + scale * lam that is not positive raises CgError, as
+    CG does), Jacobi CG from x0 to tol within 10*N iterations otherwise.
+    Returns (x, CG iterations); a direct solve counts 0.
     """
-    if op.grid.axes == 1:
-        return _tridiagonal_solve(op, rhs), 0
-    if op.axis_weights is not None:
-        return _kronecker_solve(op, rhs), 0
-    return _cg(op, rhs, tol, x0=x0)
+    fam = op.family
+    if fam is None or fam.lam is None:
+        return _cg(op, rhs, tol, x0=x0)
+    denom = op.beta + op.scale * fam.lam
+    low = float(denom.min())
+    if not low > 0:
+        raise CgError(f"eigenvalue {low:.3e}: operator is not positive definite")
+    return _eigen(fam, _eigen(fam, rhs) / denom, back=True), 0
 
 
 # ---------------------------------------------------------------------------
@@ -305,18 +265,19 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False) -> Traj
                 f"dt too large for the explicit nonlinearity: dt * sup|f_u| = "
                 f"{cfg.dt * lip:.3g} > 0.5; shrink dt below {0.5 / lip:.3g}")
 
+    family = operator_family(p, grid)
     ops = {}
 
     def get_op(t):
-        # assembled once per time value; the march drops earlier steps
+        # made once per time value (from the family if any); earlier steps drop
         op = ops.get(t)
         if op is None:
-            op = ops[t] = assemble_A(p, grid, t)
+            op = ops[t] = assemble_A(p, grid, t) if family is None else family.at(t, p.beta)
         return op
 
     def metrics_row(n, t, vals, iters):
-        # reuses the coefficients the operator at t was assembled from
-        return StepMetrics(n, t, *_metrics(grid, vals, get_op(t).a), iters)
+        # reuses the coefficients of the operator at t
+        return StepMetrics(n, t, *_metrics(grid, vals, get_op(t)), iters)
 
     times = [tau]
     snapshots = [GridField(grid, v)]

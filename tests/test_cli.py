@@ -103,6 +103,19 @@ def test_streamed_table_matches_the_joined_form(tmp_path):
     assert p.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def test_formatted_rows_skip_per_cell_formatting(tmp_path, monkeypatch):
+    # rows of strings (as `solve` streams its moving-frame tables) are joined
+    # as they are; rows with other cells still go through _cell
+    from movingdom import cli
+    calls = []
+    cell = cli._cell
+    monkeypatch.setattr(cli, "_cell", lambda v: calls.append(v) or cell(v))
+    p = tmp_path / "s.csv"
+    write_table(p, "demo", ("t", "u"), [("0.5", "-1e-300"), ("1.0", "2.5"), (2, 0.25)])
+    assert p.read_text().splitlines()[2:] == ["0.5,-1e-300", "1.0,2.5", "2,0.25"]
+    assert calls == [2, 0.25]
+
+
 def test_cli_import_leaves_out_scipy_linalg_and_fft():
     # either module adds megabytes of resident memory to every command
     code = ("import sys, movingdom.cli; "

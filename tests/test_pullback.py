@@ -1,17 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from movingdom import expr as ex
-from movingdom.diffeo import BallDomain, BoxDomain, DiffeoSpec
-from movingdom.grid import BoxGrid, RadialGrid, assemble_A, norm_H1, norm_L2
+from movingdom import pullback
+from movingdom.cli import _spec, fixture_path, load_config
+from movingdom.diffeo import BallDomain, BoxDomain, DiffeoSpec, build_metric
+from movingdom.grid import (BoxGrid, RadialGrid, assemble_A, inner, norm_H1,
+                            norm_L2, operator_family)
 from movingdom.problem import assemble
 from movingdom.pullback import (DecayFit, GapReport, PullbackError,
                                 absorbing_radius, cocycle_check, decay_fit,
                                 drift_norm, factorization_probe,
                                 pullback_converge)
-from movingdom.solver import StepperConfig
+from movingdom.solver import StepperConfig, _cg, run_homogeneous
 
 
 def identity_problem(dim=1, beta=1.0, f=None):
@@ -31,6 +35,48 @@ def ball_shrink_problem(beta=1.0, f=None):
         inverse=tuple(ex.parse(f"(exp(-t^2) + 1) * x{i}") for i in (1, 2, 3)),
     )
     return assemble(spec, beta=beta, f=f)
+
+
+def stretch_problem():
+    """Per-axis stretch of the unit cube: its flux is a Kronecker sum."""
+    spec = DiffeoSpec(
+        dim=3, domain=BoxDomain((1.0, 1.0, 1.0)),
+        forward=tuple(ex.parse(f"(y{i} + 0.25 * y{i}^2) / (exp(0 - t^2) + 1)")
+                      for i in (1, 2, 3)),
+        inverse=tuple(ex.parse(f"2 * (sqrt(1 + x{i} * (exp(0 - t^2) + 1)) - 1)")
+                      for i in (1, 2, 3)),
+    )
+    return assemble(spec, beta=1.0)
+
+
+def coupled_moving_problem():
+    """Diagonal diffusion on the unit square, a_11 depending on y2 and both
+    entries on t: no cross block and no Kronecker sum, so solves use CG."""
+    metric = build_metric(identity_problem(2).metric.spec)
+    a = [list(row) for row in metric.a]
+    a[0][0] = ex.parse("(1 + 0.5 * y2) * (exp(0 - t^2) + 1)^2")
+    a[1][1] = ex.parse("(exp(0 - t^2) + 1)^2")
+    return assemble(dataclasses.replace(metric, a=a, _fns={}), beta=1.0)
+
+
+def power_drift_norm(p, grid, times):
+    """Oracle: power iteration (tol 1e-8, at most 200 steps) on the normal
+    operator of (A_h(t) - A_h(tau)) A_h(r)^-1 in the vol-weighted inner
+    product, with the operators assembled at each time and CG solves."""
+    t, tau, r = times
+    op_t, op_tau, op_r = (assemble_A(p, grid, s) for s in times)
+    x = np.where(np.arange(grid.m) % 2 == 0, 1.0, -1.0)
+    x /= math.sqrt(inner(grid, x, x))
+    est = 0.0
+    for it in range(200):
+        w, _ = _cg(op_r, x, tol=1e-12)
+        bx = op_t.apply(w) - op_tau.apply(w)
+        prev, est = est, math.sqrt(inner(grid, bx, bx))
+        if it > 0 and abs(est - prev) <= 1e-8 * est:
+            break
+        y, _ = _cg(op_r, op_t.apply(bx) - op_tau.apply(bx), tol=1e-12)
+        x = y / math.sqrt(inner(grid, y, y))
+    return est
 
 
 def rk4_scalar(rhs, v, t0, t1, dt):
@@ -72,6 +118,44 @@ def test_decay_fit_radial_random_seeds():
     fit = decay_fit(p, g, cfg, 0.0, 10.0, seeds)
     assert fit.b >= 0.9
     assert math.isfinite(fit.K)
+
+
+def test_decay_fit_matches_exact_discrete_decay_of_an_eigenvector(monkeypatch):
+    # a(t) = h2(t) a0 on a ball of radius 8 (small eigenvalues keep the
+    # rounding in slower modes below the signal): backward Euler multiplies
+    # an eigenvector of L0 = S0 / vol by 1 / (1 + dt beta + dt h2(t_n) lam)
+    spec = DiffeoSpec(
+        dim=3, domain=BallDomain(3),
+        forward=tuple(ex.parse(f"8 * y{i} / (exp(0 - t^2) + 1)") for i in (1, 2, 3)),
+        inverse=tuple(ex.parse(f"x{i} * (exp(0 - t^2) + 1) / 8") for i in (1, 2, 3)),
+    )
+    p = assemble(spec, beta=1.0)
+    g = RadialGrid(3, 32)
+    assert operator_family(p, g) is not None
+    root = np.sqrt(g.volumes)
+    lam, Q = np.linalg.eigh(assemble_A(p, g, 0.0).flux.toarray() / np.outer(root, root))
+    seed = Q[:, 1] / root                      # the slowest non-constant mode
+    cfg = StepperConfig(dt=0.01, scheme="backward-euler")
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(run_homogeneous(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(pullback, "run_homogeneous", recording)
+    fit = decay_fit(p, g, cfg, -5.0, 10.0, [seed])
+    (traj,) = runs
+    h2 = lambda t: ((math.exp(-t * t) + 1.0) / 2.0) ** 2
+    exact = [traj.metrics[0].L2]
+    for m in traj.metrics[1:]:
+        exact.append(exact[-1] / (1.0 + cfg.dt * p.beta + cfg.dt * h2(m.t) * lam[1]))
+    got = np.array([m.L2 for m in traj.metrics])
+    assert len(got) == 1001
+    rel = np.abs(got - exact) / np.array(exact)
+    assert rel.max() <= 1e-12
+    slope, icpt = np.polyfit([m.t + 5.0 for m in traj.metrics], np.log(exact), 1)
+    assert abs(fit.b + slope) <= 1e-9 * abs(slope)
+    assert abs(fit.K - math.exp(icpt) / exact[0]) <= 1e-9
 
 
 def test_decay_fit_requires_long_horizon():
@@ -143,6 +227,25 @@ def test_drift_norm_matches_dense_spectral_norm():
     # narrow band below it
     assert 0.0 < est <= exact * (1 + 1e-12)
     assert est >= exact * 0.999
+
+
+def test_drift_norm_matches_the_power_iteration_oracle():
+    sin_t = assemble(_spec(load_config(fixture_path("sin_t"))), beta=1.0)
+    cases = [(sin_t, RadialGrid(3, 64), (0.0, -1.0, 5.0)),
+             (sin_t, RadialGrid(3, 64), (0.0, -4.0, 5.0)),
+             (stretch_problem(), BoxGrid((1.0, 1.0, 1.0), (6, 5, 4)), (0.0, 0.8, 2.0)),
+             (coupled_moving_problem(), BoxGrid((1.0, 1.0), (8, 8)), (0.0, 0.8, 2.0))]
+    for p, g, times in cases:
+        est = drift_norm(p, g, times)
+        oracle = power_drift_norm(p, g, times)
+        assert est > 0.0
+        assert abs(est - oracle) <= 1e-7 * oracle
+        fam = operator_family(p, g)
+        if fam.lam is not None:
+            # a Rayleigh quotient: at most |h2(t) - h2(tau)| lmax / (h2(r) lmax + beta)
+            h2 = [float(fam.h2(s)) for s in times]
+            lmax = float(fam.lam.max())
+            assert est <= abs(h2[0] - h2[1]) * lmax / (h2[2] * lmax + p.beta) * (1 + 1e-12)
 
 
 def test_drift_norm_rejects_cross_terms():

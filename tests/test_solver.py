@@ -9,13 +9,14 @@ import scipy.sparse as sp
 from movingdom import expr as ex
 from movingdom.diffeo import BallDomain, BoxDomain, DiffeoSpec
 from movingdom.grid import (BoxGrid, GridField, RadialGrid, SparseOperator,
-                            assemble_A, boundary_residual, mass, norm_L2)
+                            assemble_A, boundary_residual, mass, norm_L2,
+                            operator_family)
 from movingdom import pullback
 from movingdom.cli import _spec, fixture_path, load_config
 from movingdom.diffeo import build_metric
 from movingdom.problem import assemble
 from movingdom.solver import (SCHEMES, CgError, MmsReport, SolverError,
-                              StepperConfig, _cg, _kronecker_solve, _solve,
+                              StepperConfig, _cg, _solve,
                               mms_convergence, run, run_homogeneous)
 
 
@@ -58,6 +59,24 @@ def stretch_problem(extents=(1.0, 1.0, 1.0)):
                       for i in range(1, dim + 1)),
     )
     return assemble(spec, beta=1.0)
+
+
+def shear_stretch_problem(eps=0.0):
+    """A stretch with shear on the unit square, separable with h = exp(-t^2) + 1.
+
+    Its operator has a cross block, so solves use CG.  eps adds eps * t * y1^2
+    to the first forward component: a(t) then leaves h(t)^2 a(0) by about
+    eps while T = h P still holds to well within the H1 tolerance.
+    """
+    s = "(exp(0 - t^2) + 1)"
+    spec = DiffeoSpec(
+        dim=2, domain=BoxDomain((1.0, 1.0)),
+        forward=(ex.parse(f"(y1 + 0.25 * y1^2) / {s} + {eps!r} * t * y1^2"),
+                 ex.parse(f"(y2 - 0.2 * (y1 + 0.25 * y1^2)) / {s}")),
+        inverse=(ex.parse(f"2 * (sqrt(1 + x1 * {s}) - 1)"),
+                 ex.parse(f"{s} * x2 + 0.2 * {s} * x1")),
+    )
+    return assemble(spec, beta=1.0, f="sin(t)")
 
 
 def coupled_problem():
@@ -110,26 +129,33 @@ def test_cg_rejects_indefinite_operator():
         _cg(bad, np.ones(16), tol=1e-10)
 
 
+def dense_shifted(A, dt):
+    """I + dt * (implicit part of A) as a dense matrix, dt = 0 giving A itself."""
+    D = A.flux.toarray() / A.volumes[:, None] + A.beta * np.eye(A.n)
+    return D if dt == 0 else np.eye(A.n) + dt * D
+
+
 def test_radial_direct_solve_matches_dense_solve():
-    from movingdom.solver import _tridiagonal_solve
+    # the family's eigenbasis solve against a dense solve of the assembled operator
     p = ball_shrink_problem(beta=0.5)
     g = RadialGrid(3, 64)
+    fam = operator_family(p, g)
     rng = np.random.default_rng(23)
     rhs = rng.normal(size=64)
-    for A in (assemble_A(p, g, 0.7), assemble_A(p, g, -0.2).shifted(0.01)):
-        dense = A.flux.toarray() / A.volumes[:, None] + A.beta * np.eye(64)
-        exact = np.linalg.solve(dense, rhs)
-        x = _tridiagonal_solve(A, rhs)
+    for t, dt in ((0.7, 0.0), (-0.2, 0.01)):
+        A = fam.at(t, p.beta)
+        exact = np.linalg.solve(dense_shifted(assemble_A(p, g, t), dt), rhs)
+        x, iters = _solve(A.shifted(dt) if dt else A, rhs, tol=1e-10)
+        assert iters == 0
         assert np.abs(x - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
 def test_radial_direct_solve_rejects_indefinite_operator():
-    from movingdom.solver import _tridiagonal_solve
     g = RadialGrid(3, 64)
-    A = assemble_A(ball_shrink_problem(), g, 0.0)
-    bad = SparseOperator(g, A.flux, A.volumes, beta=-10.0, cross=None)
+    bad = dataclasses.replace(operator_family(ball_shrink_problem(), g).at(0.0, 1.0),
+                              beta=-10.0)
     with pytest.raises(CgError, match="not positive definite"):
-        _tridiagonal_solve(bad, np.ones(64))
+        _solve(bad, np.ones(64), tol=1e-10)
 
 
 def test_radial_runs_solve_directly():
@@ -143,13 +169,14 @@ def test_radial_runs_solve_directly():
 def test_kronecker_solve_matches_dense_solve():
     p = stretch_problem((1.0, 1.3, 0.7))
     g = BoxGrid((1.0, 1.3, 0.7), (6, 5, 4))
+    fam = operator_family(p, g)
+    assert fam.base.axis_weights is not None and len(fam.vecs) == 3
     rng = np.random.default_rng(29)
     rhs = rng.normal(size=g.m)
-    for A in (assemble_A(p, g, 0.4), assemble_A(p, g, -0.9).shifted(0.02)):
-        assert A.axis_weights is not None
-        dense = A.flux.toarray() / A.volumes[:, None] + A.beta * np.eye(g.m)
-        exact = np.linalg.solve(dense, rhs)
-        x, iters = _solve(A, rhs, tol=1e-10)
+    for t, dt in ((0.4, 0.0), (-0.9, 0.02)):
+        A = fam.at(t, p.beta)
+        exact = np.linalg.solve(dense_shifted(assemble_A(p, g, t), dt), rhs)
+        x, iters = _solve(A.shifted(dt) if dt else A, rhs, tol=1e-10)
         assert iters == 0
         assert np.abs(x - exact).max() <= 1e-12 * np.abs(exact).max()
 
@@ -167,11 +194,11 @@ def test_non_kronecker_boxes_fall_back_to_cg():
 
 def test_kronecker_solve_rejects_indefinite_operator():
     g = BoxGrid((1.0, 1.0, 1.0), (5, 4, 3))
-    A = assemble_A(stretch_problem(), g, 0.0)
-    bad = dataclasses.replace(A, beta=-10.0)
-    assert bad.axis_weights is not None
+    bad = dataclasses.replace(operator_family(stretch_problem(), g).at(0.0, 1.0),
+                              beta=-10.0)
+    assert bad.family.vecs is not None
     with pytest.raises(CgError, match="not positive definite"):
-        _kronecker_solve(bad, np.ones(g.m))
+        _solve(bad, np.ones(g.m), tol=1e-10)
 
 
 def test_direct_box_runs_report_zero_iterations():
@@ -184,18 +211,81 @@ def test_direct_box_runs_report_zero_iterations():
             assert all(m.cg_iters == 0 for m in traj.metrics)
 
 
-def test_drift_norm_direct_solves_match_cg(monkeypatch):
+def test_drift_norm_direct_solves_match_cg():
+    # drift_norm reads the spectrum behind the family's direct solves; at the
+    # drift times those solves agree with CG on the assembled operators
     sin_t = assemble(_spec(load_config(fixture_path("sin_t"))), beta=1.0)
     cases = [(sin_t, RadialGrid(3, 24), (0.0, -1.0, -4.0)),
              (stretch_problem(), BoxGrid((1.0, 1.0, 1.0), (6, 5, 4)), (0.0, 0.8, 2.0))]
+    rhs = np.cos(np.arange(120.0))
     for p, g, times in cases:
-        direct = pullback.drift_norm(p, g, times)
-        with monkeypatch.context() as m:
-            m.setattr(pullback, "_solve",
-                      lambda op, rhs, tol, x0=None: _cg(op, rhs, tol, x0=x0))
-            reference = pullback.drift_norm(p, g, times)
-        assert direct > 0.0
-        assert abs(direct - reference) <= 1e-10 * reference
+        assert pullback.drift_norm(p, g, times) > 0.0
+        fam = operator_family(p, g)
+        for t in times:
+            direct, iters = _solve(fam.at(t, p.beta), rhs[:g.m], tol=1e-12)
+            reference, _ = _cg(assemble_A(p, g, t), rhs[:g.m], tol=1e-13)
+            assert iters == 0
+            assert np.abs(direct - reference).max() <= 1e-10 * np.abs(reference).max()
+
+
+def test_family_operators_match_the_assembled_ones():
+    cases = [(ball_shrink_problem(), RadialGrid(3, 16)),
+             (stretch_problem((1.0, 1.3, 0.7)), BoxGrid((1.0, 1.3, 0.7), (6, 5, 4))),
+             (shear_stretch_problem(), BoxGrid((1.0, 1.0), (8, 8)))]
+    rng = np.random.default_rng(31)
+    for (p, g), kind in zip(cases, ("radial", "kronecker", "cg")):
+        fam = operator_family(p, g)
+        assert (fam.lam is None) == (kind == "cg")
+        assert (fam.base.cross is not None) == (kind == "cg")
+        v = rng.normal(size=g.m)
+        for t in (-3.0, -0.5, 0.0, 0.7, 2.0):
+            A, F = assemble_A(p, g, t), fam.at(t, p.beta)
+            want = A.apply(v)
+            assert np.abs(F.apply(v) - want).max() <= 1e-13 * np.abs(want).max()
+            assert np.abs(F.scale * F.a - A.a).max() <= 1e-13 * np.abs(A.a).max()
+
+
+def test_non_separable_metrics_assemble_every_step(monkeypatch):
+    from movingdom import solver
+    from movingdom.diffeo import check_H1
+    from movingdom.solver import _explicit_rhs
+    g = BoxGrid((1.0, 1.0), (8, 8))
+    p0, p = shear_stretch_problem(), shear_stretch_problem(eps=1e-9)
+    assert check_H1(p.metric).passed and operator_family(p, g) is None
+    assert operator_family(p0, g) is not None
+    calls = []
+    monkeypatch.setattr(solver, "assemble_A", lambda *a: calls.append(a) or assemble_A(*a))
+    cfg = StepperConfig(dt=0.01)
+    v0 = np.cos(np.pi * g.centers[:, 0]) + g.centers[:, 1]
+    traj = run_homogeneous(p, g, cfg, -0.5, -0.4, v0)
+    assert len(calls) >= 10
+    # the per-step march as it ran before the operator family: the
+    # operators at t and t + dt assembled, the shift scaling the flux
+    v, t = v0, -0.5
+    for _ in range(10):
+        A0, A1 = assemble_A(p, g, t), assemble_A(p, g, t + cfg.dt)
+        rhs = v + cfg.dt * _explicit_rhs(p, g, t, v, A0, None)
+        left = SparseOperator(g, A1.flux * cfg.dt, A1.volumes, 1.0 + cfg.dt * A1.beta)
+        v, _ = _cg(left, rhs, cfg.cg_tol, x0=v)
+        t += cfg.dt
+    assert np.array_equal(traj.final.values, v)
+    calls.clear()
+    run_homogeneous(p0, g, cfg, -0.5, -0.4, v0)
+    assert calls == []
+    cn = StepperConfig(dt=0.01, scheme="crank-nicolson")
+    for q in (p0, p):
+        assert pullback.cocycle_check(q, g, cn, -0.2, -0.1, 0.0, v0) == 0.0
+
+
+def test_coefficients_undefined_at_time_zero_are_assembled_per_step():
+    # the family is built at t = 0; a map singular there still runs elsewhere
+    spec = DiffeoSpec(dim=1, domain=BoxDomain((1.0,)),
+                      forward=(ex.parse("y1 * t"),), inverse=(ex.parse("x1 / t"),))
+    p = assemble(spec, beta=1.0)
+    g = BoxGrid((1.0,), (8,))
+    assert operator_family(p, g) is None
+    traj = run(p, g, StepperConfig(dt=0.05), 1.0, 1.2, 1.0)
+    assert np.allclose(traj.final.values, 1.05 ** -4, rtol=1e-12)
 
 
 def test_cg_iteration_cap():
