@@ -360,7 +360,7 @@ def cmd_solve(rc, out, seed=None):
         raise ConfigError("solve needs `initial` in the [problem] section")
     p = _problem(rc, metric)
     g = _grid(rc)
-    operator_family(p, g)   # set-up: built once, before the march
+    operator_family(p, g)   # built once before the march, which then does per-step work only
     tau = _exp_float(rc, "tau", 0.0)
     T = _exp_float(rc, "t", 1.0)
     traj = run(p, g, _stepper(rc), tau, T)
@@ -402,7 +402,7 @@ def cmd_mms(rc, out, seed=None):
 def cmd_pullback(rc, out, seed=None):
     p = _problem(rc, _require_checks(rc))
     g = _grid(rc)
-    operator_family(p, g)   # set-up: built once, shared by every run below
+    operator_family(p, g)   # built once before the runs below, which share it
     cfg = _stepper(rc)
     t_star = _exp_float(rc, "t_star", 0.0)
     k_max = _exp_int(rc, "k_max", 6)

@@ -474,8 +474,9 @@ def _build_family(p, grid):
 
     def pairs():   # (a, h2 a0) in blocks of times and cells that bound the memory
         pts = interior_points(p.domain, p.dim)
+        a0_pts = p.metric.eval_a(0.0, pts)
         for ts in np.array_split(time_grid(), 8):
-            yield p.metric.eval_a(ts, pts), np.multiply.outer(h2(ts), p.metric.eval_a(0.0, pts))
+            yield p.metric.eval_a(ts, pts), np.multiply.outer(h2(ts), a0_pts)
         for t in (-16.0, -4.0, -1.0, 1.0, 4.0):
             for c in np.array_split(np.arange(grid.m), -(-grid.m // 4096)):
                 yield p.metric.eval_a(t, grid.embed()[c]), h2(t) * a0[c]
@@ -523,12 +524,11 @@ def _boundary_flux(grid, a, grads):
     return worst
 
 
-def boundary_residual(p, grid, t, v):
+def boundary_residual(p, grid, t, v, a=None):
     """Max reconstructed conormal flux |n . (M grad v)| over boundary faces,
-    with the coefficients at time t that the stepper uses."""
-    family = operator_family(p, grid)
-    op = assemble_A(p, grid, t) if family is None else family.at(t, p.beta)
-    return op.scale * _boundary_flux(grid, op.a, _gradients(grid, _values(grid, v)))
+    from the coefficients `a` at time t at the cell centers, evaluated if None."""
+    a = p.metric.eval_a(float(t), grid.embed()) if a is None else a
+    return _boundary_flux(grid, a, _gradients(grid, _values(grid, v)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import as_field, norm_H1, norm_L2, operator_family
+from .grid import as_field, assemble_A, norm_H1, norm_L2, operator_family
 from .problem import check_H2, check_H3
-from .solver import _eigen, _solve, run, run_homogeneous
+from .solver import _solve, run, run_homogeneous
 
 log = logging.getLogger("movingdom.pullback")
 
@@ -103,46 +103,47 @@ def decay_fit(p, grid, cfg, tau, horizon, seeds) -> DecayFit:
 def drift_norm(p, grid, times) -> float:
     """Spectral-norm estimate of (A_h(t) - A_h(tau)) A_h(r)^-1.
 
-    With a(s) = h2(s) a0 every A_h(s) is h2(s) L0 + beta, L0 = S0 / vol
-    self-adjoint in the vol-weighted inner product, so the operator is
-    N = (h2(t) - h2(tau)) L0 (h2(r) L0 + beta)^-1.  Power iteration (tol
-    1e-8, at most 200 steps, a stall is logged) on N^2: diagonal in the
-    operator family's eigenbasis of L0, one family solve per N elsewhere.
-    The estimate, a Rayleigh quotient, is at most the norm |h2(t) - h2(tau)|
-    lmax / (h2(r) lmax + beta) (lmax the top eigenvalue of L0) and a little
-    below it where top eigenvalues cluster.  The stop test is
-    scale-invariant, so ratios of estimates across times are exact.
+    Power iteration (tol 1e-8) on the normal operator in the vol-weighted
+    inner product.  The operators are the stepper's: the metric's operator
+    family scaled to each time where it has one, assembled otherwise; the
+    inverse is applied through `_solve`, exact where the operator's
+    structure allows and conjugate gradients (tol 1e-12) otherwise.
+    The estimate is a Rayleigh quotient, so it never exceeds the true
+    norm; operators with clustered top singular values may stop at the
+    iteration cap instead of the tolerance, which is logged, and the
+    stop test is scale-invariant, so ratios of estimates across times
+    stay exact even then.
     """
     t, tau, r = times
     if t == tau:
         return 0.0
     family = operator_family(p, grid)
-    if family is None or family.base.cross is not None:
-        raise PullbackError("drift_norm requires diagonal diffusion (no explicit "
-                            "cross-derivative block) separable as h(t)^2 a(0)")
-    gap, h2r = float(family.h2(t) - family.h2(tau)), float(family.h2(r))
+    op_t, op_tau, op_r = (assemble_A(p, grid, s) if family is None
+                          else family.at(s, p.beta) for s in times)
+    if any(o.cross is not None for o in (op_t, op_tau, op_r)):
+        raise PullbackError("drift_norm requires diagonal diffusion "
+                            "(no explicit cross-derivative block)")
+
+    def norm(v):   # the norm of `inner`, on arrays this loop made itself
+        return math.sqrt(np.dot(grid.volumes, v * v))
+
     # start from the highest-frequency sign pattern: the drift operator
     # annihilates constants, so a flat start would report 0
     x = np.where(np.arange(grid.m) % 2 == 0, 1.0, -1.0)
-    if family.lam is not None:   # N is diagonal in the eigenbasis of L0
-        s = gap * family.lam / (h2r * family.lam + p.beta)
-        x, N = _eigen(family, x), (lambda y: s * y)
-    else:   # on the grid, in coordinates y = sqrt(vol) x that make N symmetric
-        op_r, root = family.at(r, p.beta), np.sqrt(grid.volumes)
-        x, N = root * x, (lambda y: root * gap * (
-            family.base.flux @ _solve(op_r, y / root, 1e-12)[0]) / grid.volumes)
-    x /= math.sqrt(x @ x)
+    x /= norm(x)
     est = 0.0
     for it in range(200):
-        bx = N(x)
-        nbx = math.sqrt(bx @ bx)
+        w, _ = _solve(op_r, x, tol=1e-12)
+        bx = op_t.apply(w) - op_tau.apply(w)
+        nbx = norm(bx)
         if nbx == 0.0:
             return 0.0
         prev, est = est, nbx
         if it > 0 and abs(est - prev) <= 1e-8 * est:
             return est
-        y = N(bx)
-        ny = math.sqrt(y @ y)
+        dbx = op_t.apply(bx) - op_tau.apply(bx)
+        y, _ = _solve(op_r, dbx, tol=1e-12)
+        ny = norm(y)
         if ny == 0.0:
             return est
         x = y / ny

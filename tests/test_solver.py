@@ -212,7 +212,7 @@ def test_direct_box_runs_report_zero_iterations():
 
 
 def test_drift_norm_direct_solves_match_cg():
-    # drift_norm reads the spectrum behind the family's direct solves; at the
+    # drift_norm inverts A(r) through the family's direct solves; at the
     # drift times those solves agree with CG on the assembled operators
     sin_t = assemble(_spec(load_config(fixture_path("sin_t"))), beta=1.0)
     cases = [(sin_t, RadialGrid(3, 24), (0.0, -1.0, -4.0)),
@@ -349,13 +349,19 @@ def test_metrics_reuse_the_assembled_coefficients():
     cases = [(ball_shrink_problem(f="sin(t)"), RadialGrid(3, 16)),
              (shear_problem(), BoxGrid((1.0, 1.0), (6, 6)))]
     for p, g in cases:
+        fam = operator_family(p, g)
         for scheme in SCHEMES:
             cfg = StepperConfig(dt=0.05, scheme=scheme, snapshot_every=1)
             traj = run(p, g, cfg, 0.3, 0.6, np.linspace(0.0, 1.0, g.m))
             assert len(traj.times) == len(traj.metrics)
             for t, snap, row in zip(traj.times, traj.snapshots, traj.metrics):
                 assert row.t == t
-                assert row.boundary_residual == boundary_residual(p, g, t, snap)
+                # the stepper's coefficients h2(t) a0, against a fresh evaluation
+                op = fam.at(t, p.beta)
+                assert row.boundary_residual == \
+                    op.scale * boundary_residual(p, g, t, snap, a=op.a)
+                assert row.boundary_residual == \
+                    pytest.approx(boundary_residual(p, g, t, snap), rel=1e-12)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
