@@ -143,17 +143,18 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"bad config value: {e}") from None
 
 
-def _exp_float(rc, key, default):
-    return float(rc.experiment.get(key, default))
-
-
-def _exp_int(rc, key, default):
-    return int(rc.experiment.get(key, default))
-
-
-def _exp_floats(rc, key, default):
+def _exp(rc, key, default, parse=float):
+    """[experiment] value `key` read by `parse` (float, int or _floats), else default."""
     raw = rc.experiment.get(key)
-    return default if raw is None else _floats(raw)
+    if raw is None:
+        return default
+    try:
+        value = parse(raw)
+    except ValueError as e:
+        raise ConfigError(f"bad [experiment] value {key} = {raw!r}: {e}") from None
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"[experiment] value {key} = {raw!r} is not finite")
+    return value
 
 
 def fixture_path(name) -> Path:
@@ -325,7 +326,7 @@ def cmd_transform(rc, out, seed=None):
 
     g = _grid(rc)
     pts = g.embed()[:, :d]
-    times = _exp_floats(rc, "sample_times", (0.0, 1.0))
+    times = _exp(rc, "sample_times", (0.0, 1.0), _floats)
     header = (["t"] + [f"y{i + 1}" for i in range(d)]
               + [f"a_{j + 1}{k + 1}" for j in range(d) for k in range(d)]
               + [f"b_{k + 1}" for k in range(d)])
@@ -360,9 +361,9 @@ def cmd_solve(rc, out, seed=None):
         raise ConfigError("solve needs `initial` in the [problem] section")
     p = _problem(rc, metric)
     g = _grid(rc)
+    tau = _exp(rc, "tau", 0.0)
+    T = _exp(rc, "t", 1.0)
     operator_family(p, g)   # built once before the march, which then does per-step work only
-    tau = _exp_float(rc, "tau", 0.0)
-    T = _exp_float(rc, "t", 1.0)
     traj = run(p, g, _stepper(rc), tau, T)
     _write_metrics(out, traj)
 
@@ -402,22 +403,25 @@ def cmd_mms(rc, out, seed=None):
 def cmd_pullback(rc, out, seed=None):
     p = _problem(rc, _require_checks(rc))
     g = _grid(rc)
-    operator_family(p, g)   # built once before the runs below, which share it
     cfg = _stepper(rc)
-    t_star = _exp_float(rc, "t_star", 0.0)
-    k_max = _exp_int(rc, "k_max", 6)
-    horizon = _exp_float(rc, "horizon", 10.0)
-    n_seeds = _exp_int(rc, "seeds", 5)
-    radii = _exp_floats(rc, "radii", (1.0, 10.0, 100.0))
-    gaps_ladder = _exp_floats(rc, "drift_gaps", (1.0, 2.0, 4.0, 8.0))
-    drift_r = _exp_float(rc, "drift_r", 5.0)
-    radius_k = _exp_int(rc, "radius_k", 4)
-    cap = _exp_int(rc, "max_total_steps", 5_000_000)
-    rng_seed = seed if seed is not None else _exp_int(rc, "rng_seed", 0)
+    t_star = _exp(rc, "t_star", 0.0)
+    k_max = _exp(rc, "k_max", 6, int)
+    horizon = _exp(rc, "horizon", 10.0)
+    n_seeds = _exp(rc, "seeds", 5, int)
+    radii = _exp(rc, "radii", (1.0, 10.0, 100.0), _floats)
+    gaps_ladder = _exp(rc, "drift_gaps", (1.0, 2.0, 4.0, 8.0), _floats)
+    drift_r = _exp(rc, "drift_r", 5.0)
+    radius_k = _exp(rc, "radius_k", 4, int)
+    cap = _exp(rc, "max_total_steps", 5_000_000, int)
+    rng_seed = seed if seed is not None else _exp(rc, "rng_seed", 0, int)
+    for key, count in (("k_max", k_max), ("seeds", n_seeds)):
+        if count < 1:
+            raise ConfigError(f"{key} must be at least 1, got {count}")
     if horizon < 10.0 / p.beta:
         raise ConfigError(f"experiment horizon {horizon} too short for the "
                           f"decay fit; need >= 10/beta = {10.0 / p.beta}")
 
+    operator_family(p, g)   # built once before the runs below, which share it
     rng = np.random.default_rng(rng_seed)
     seeds = [rng.normal(size=g.m) for _ in range(n_seeds)]
     u0 = p.initial_values(g.embed()) if rc.initial is not None else np.zeros(g.m)

@@ -133,16 +133,17 @@ def interior_points(domain, dim, per_axis=None):
 def boundary_points(domain, dim, n=32):
     """Boundary samples with their outward unit normals on the fixed domain."""
     if isinstance(domain, BoxDomain):
+        # each face gets its own lattice of k cell midpoints per tangential axis
+        k = max(2, int(round(n ** (1 / max(dim - 1, 1)))))
+        axes = [np.linspace(L / (2 * k), L - L / (2 * k), k) for L in domain.extents]
         pts, nrm = [], []
-        inner = interior_points(domain, dim, per_axis=max(2, int(round(n ** (1 / max(dim - 1, 1))))))
         for axis in range(dim):
-            for side, L in ((0.0, 0.0), (1.0, domain.extents[axis])):
-                base = inner.copy() if dim > 1 else np.zeros((1, 1))
-                base = base[:max(1, min(len(base), n))]
-                face = base.copy()
-                face[:, axis] = L
+            for side, L in ((-1.0, 0.0), (1.0, domain.extents[axis])):
+                lattice = np.meshgrid(*(axes[:axis] + [np.array([L])] + axes[axis + 1:]),
+                                      indexing="ij")
+                face = np.stack([c.ravel() for c in lattice], axis=1)
                 normal = np.zeros(dim)
-                normal[axis] = 1.0 if side else -1.0
+                normal[axis] = side
                 pts.append(face)
                 nrm.append(np.tile(normal, (len(face), 1)))
         return np.concatenate(pts), np.concatenate(nrm)

@@ -3,20 +3,24 @@
 Two cell-centered uniform grids: boxes [0,L_1]x...x[0,L_d] for d = 1,2,3,
 and a radially symmetric reduction of the unit ball (cells are spherical
 shells, the first cell center sits at dr/2 so no stencil touches r = 0).
+Both have per-axis `counts` and `spacing`; a field is a flat array of the
+cells in C order of the counts, and every stencil below works on its
+grid-shaped view by numpy slicing.
 
 assemble_A discretizes A(t)v = -sum_jk d_j(a_jk d_k v) + beta v in flux
-form: every interior face carries a_face * (normal difference quotient) *
-face area, with a_face the arithmetic mean of the two adjacent cell-center
-coefficient values; boundary faces carry no flux, which is the discrete
-statement of the conormal condition n . (M grad v) = 0.  The resulting
-flux matrix S has exact zero row and column sums, so constants are in its
-kernel and the total mass sum(vol * v) only moves through beta and the
-right-hand side.  Off-diagonal coefficients a_jk (j != k) are assembled
-into a separate matrix meant to be lagged explicitly by the stepper; the
-implicit part stays symmetric positive semidefinite.  One builder, `_flux`,
-writes each face's weight into a cached CSR stencil and its negation into
-both mirrored slots.  A v = scale * S v / vol + beta v is self-adjoint in
-the volume-weighted inner product of `inner` (scale 1 when assembled).
+form: every interior face carries a weight, face area times a_face over
+the spacing, with a_face the arithmetic mean of the two adjacent
+cell-center coefficient values; boundary faces carry no flux, which is the
+discrete statement of the conormal condition n . (M grad v) = 0.  The
+operator is its face weights: S v moves w * (v_lo - v_hi) across each face,
+into the low cell and out of the high one, so S is symmetric with constants
+in its kernel by construction and the total mass sum(vol * v) only moves
+through beta and the right-hand side.  Off-diagonal coefficients a_jk
+(j != k) give a separate cross block, the k-gradient averaged to the
+j-faces times a j-face weight, meant to be lagged explicitly by the
+stepper; the implicit part stays symmetric positive semidefinite.
+A v = scale * S v / vol + beta v is self-adjoint in the volume-weighted
+inner product of `inner` (scale 1 when assembled).
 
 Under H1, a(t) = h2(t) a0 and S(t) = h2(t) S0.  `operator_family` builds,
 once per (metric, grid) and only if that holds to 1e-13, A at t = 0, the
@@ -32,11 +36,10 @@ L2, H1, mass and boundary flux from one gradient, through the same pieces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import expr as ex
 from .diffeo import BallDomain, interior_points, time_grid
@@ -69,10 +72,6 @@ class BoxGrid:
 
     @property
     def dim(self):
-        return len(self.counts)
-
-    @property
-    def axes(self):
         return len(self.counts)
 
     @property
@@ -111,11 +110,14 @@ class RadialGrid:
             raise GridError(f"radial grid needs at least 8 cells, got {self.n}")
 
     kind = "radial"
-    axes = 1
 
     @property
     def m(self):
         return self.n
+
+    @property
+    def counts(self):
+        return (self.n,)
 
     @cached_property
     def spacing(self):
@@ -172,33 +174,7 @@ def _values(grid, data):
 
 
 # ---------------------------------------------------------------------------
-# difference matrices
-
-def _deriv_1d(n, h):
-    # central interior, second-order one-sided at the ends (exact on quadratics)
-    rows = [0, 0, 0, n - 1, n - 1, n - 1]
-    cols = [0, 1, 2, n - 3, n - 2, n - 1]
-    vals = [-1.5 / h, 2.0 / h, -0.5 / h, 0.5 / h, -2.0 / h, 1.5 / h]
-    i = np.arange(1, n - 1)
-    rows = np.concatenate([rows, i, i])
-    cols = np.concatenate([cols, i - 1, i + 1])
-    vals = np.concatenate([vals, np.full(n - 2, -0.5 / h), np.full(n - 2, 0.5 / h)])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-@lru_cache(maxsize=64)
-def _grad_matrices(grid):
-    if grid.kind == "radial":
-        return (_deriv_1d(grid.n, grid.spacing[0]),)
-    mats = []
-    for a in range(grid.dim):
-        M = sp.identity(1, format="csr")
-        for i, n in enumerate(grid.counts):
-            F = _deriv_1d(n, grid.spacing[i]) if i == a else sp.identity(n)
-            M = sp.kron(M, F, format="csr")
-        mats.append(M)
-    return tuple(mats)
-
+# stencils on the grid-shaped array
 
 def _face_slices(d, a):
     """Slices picking the (low, high) cells of every interior a-face from an
@@ -210,16 +186,45 @@ def _face_slices(d, a):
     return tuple(lo), tuple(hi)
 
 
-def _axis_faces(counts, a):
-    """Flat indices of the (low, high) cells across every interior a-face."""
-    idx = np.arange(int(np.prod(counts))).reshape(counts)
-    lo, hi = _face_slices(len(counts), a)
-    return idx[lo].ravel(), idx[hi].ravel()
-
-
 def _gradients(grid, vals):
-    """Per-axis derivatives of a validated array: central, one-sided at boundaries."""
-    return [G @ vals for G in _grad_matrices(grid)]
+    """Per-axis derivatives of a validated array: central inside, second-order
+    one-sided at both ends of every line (exact on quadratics)."""
+    x = vals.reshape(grid.counts)
+    grads = []
+    for ax, h in enumerate(grid.spacing):
+        g = np.empty_like(x)
+        u, du = x.swapaxes(0, ax), g.swapaxes(0, ax)   # views with axis ax first
+        du[1:-1] = (0.5 / h) * u[2:] - (0.5 / h) * u[:-2]
+        du[0] = (-1.5 / h) * u[0] + (2.0 / h) * u[1] + (-0.5 / h) * u[2]
+        du[-1] = (0.5 / h) * u[-3] + (-2.0 / h) * u[-2] + (1.5 / h) * u[-1]
+        grads.append(g.ravel())
+    return grads
+
+
+def _apply_flux(weights, x):
+    """S x on the grid-shaped array x, from the per-axis face weights."""
+    out = np.zeros_like(x)
+    for ax, w in enumerate(weights):
+        lo, hi = _face_slices(x.ndim, ax)
+        f = w * (x[lo] - x[hi])
+        out[lo] += f
+        out[hi] -= f
+    return out
+
+
+def _diagonal(weights, counts):
+    """Diagonal of S on the grid shape: each face weight added to both its cells."""
+    diag = np.zeros(counts)
+    for ax, w in enumerate(weights):
+        lo, hi = _face_slices(len(counts), ax)
+        diag[lo] += w
+        diag[hi] += w
+    return diag
+
+
+def _chain(w):
+    """Dense S of a 1-D chain of cells with face weights w."""
+    return np.diag(_diagonal((w,), (len(w) + 1,))) - np.diag(w, 1) - np.diag(w, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -265,37 +270,48 @@ def _metrics(grid, vals, op):
 
 @dataclass(frozen=True, eq=False)
 class SparseOperator:
-    """A(t) in flux form: apply(v) = scale * (flux @ v) / vol + beta v (+ cross part).
+    """A(t) in flux form: apply(v) = scale * S v / vol + beta v (+ cross part).
 
-    `flux` collects the diagonal-coefficient fluxes, symmetric by
-    construction; `cross` the off-diagonal a_jk fluxes, kept apart so time
-    steppers can treat them explicitly while the implicit matrix stays SPD.
-    Both, and the cell-center coefficients `a` (None on derived operators
-    such as `shifted`), are multiplied by `scale`.  `axis_weights` is set
-    when flux is the Kronecker sum over axes of the 1-D chain fluxes with
-    these face weights (boxes with no cross block whose axis-k weights are
-    bitwise the same on every line along axis k).  `family` is the
-    OperatorFamily whose matrices the operator scales, None when assembled.
+    S is held as its face weights: `weights[k]` are the interior k-face
+    weights, shaped like the grid with one fewer cell along axis k, and S is
+    applied as a stencil, symmetric by construction.  `cross` holds the
+    off-diagonal a_jk fluxes as (j, k, j-face weights), None when a is
+    diagonal; it is kept apart so time steppers can treat it explicitly while
+    the implicit part stays SPD.  Both, and the cell-center coefficients `a`
+    (None on derived operators such as `shifted`), are multiplied by
+    `scale`.  `family` is the OperatorFamily whose weights the operator
+    scales, None when assembled.
     """
     grid: object
-    flux: sp.csr_matrix
+    weights: tuple
     volumes: np.ndarray
     beta: float
-    cross: object = None
+    cross: tuple = None
     a: object = field(default=None, repr=False, kw_only=True)
-    axis_weights: tuple = field(default=None, repr=False, kw_only=True)
     scale: float = field(default=1.0, kw_only=True)
     family: object = field(default=None, repr=False, kw_only=True)
 
     @property
     def n(self):
-        return self.flux.shape[0]
+        return self.grid.m
+
+    def apply_flux(self, v):
+        """S v for a flat array v."""
+        return _apply_flux(self.weights, v.reshape(self.grid.counts)).ravel()
 
     def apply_implicit(self, v):
-        return self.scale * (self.flux @ v) / self.volumes + self.beta * v
+        return self.scale * self.apply_flux(v) / self.volumes + self.beta * v
 
     def apply_explicit(self, v):
-        return self.scale * (self.cross @ v) / self.volumes
+        counts = self.grid.counts
+        grads = [g.reshape(counts) for g in _gradients(self.grid, v)]
+        out = np.zeros(counts)
+        for j, k, w in self.cross:
+            lo, hi = _face_slices(len(counts), j)
+            f = w * (0.5 * (grads[k][lo] + grads[k][hi]))
+            out[lo] -= f
+            out[hi] += f
+        return self.scale * out.ravel() / self.volumes
 
     def apply(self, v):
         out = self.apply_implicit(v)
@@ -304,60 +320,9 @@ class SparseOperator:
         return out
 
     def shifted(self, dt):
-        """Operator I + dt * (implicit part), on the same matrices."""
-        return SparseOperator(self.grid, self.flux, self.volumes, 1.0 + dt * self.beta,
+        """Operator I + dt * (implicit part), on the same weights."""
+        return SparseOperator(self.grid, self.weights, self.volumes, 1.0 + dt * self.beta,
                               scale=dt * self.scale, family=self.family)
-
-    @cached_property
-    def spd_matrix(self):
-        """scale * flux + beta * diag(vol): the plain-SPD matrix behind apply_implicit."""
-        return (self.flux * self.scale + sp.diags(self.beta * self.volumes)).tocsr()
-
-
-@lru_cache(maxsize=64)
-def _flux_pattern(counts):
-    """CSR indices and row pointer of the face-flux stencil on a grid of
-    `counts` cells, with the data slots of the diagonal and of each axis's
-    (upper, lower) off-diagonals, the latter in the order of `_axis_faces`."""
-    m = int(np.prod(counts))
-    rows, cols = [np.arange(m)], [np.arange(m)]
-    for ax in range(len(counts)):
-        lo, hi = _axis_faces(counts, ax)
-        rows += [lo, hi]
-        cols += [hi, lo]
-    sizes = [len(r) for r in rows]
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    order = np.lexsort((cols, rows))
-    slot = np.empty(len(order), dtype=np.intp)
-    slot[order] = np.arange(len(order))
-    indices = cols[order].astype(np.int32)
-    indptr = np.zeros(m + 1, dtype=np.int32)
-    indptr[1:] = np.cumsum(np.bincount(rows, minlength=m))
-    diag_at, *off = np.split(slot, np.cumsum(sizes)[:-1])
-    for arr in (indices, indptr, diag_at, *off):
-        arr.flags.writeable = False
-    return indices, indptr, diag_at, tuple(zip(off[0::2], off[1::2]))
-
-
-def _flux(counts, weights):
-    """Flux matrix of the interior faces of a grid of `counts` cells, in CSR.
-
-    weights[k] holds the k-face weights, shaped like the grid with one fewer
-    cell along axis k.  Each face adds its weight to the diagonal of both
-    cells and its negated weight to the two mirrored off-diagonal slots, so
-    the matrix is symmetric with zero row and column sums by construction.
-    """
-    indices, indptr, diag_at, off_at = _flux_pattern(tuple(counts))
-    diag = np.zeros(counts)
-    data = np.empty(len(indices))
-    for ax, w in enumerate(weights):
-        lo, hi = _face_slices(len(counts), ax)
-        diag[lo] += w
-        diag[hi] += w
-        upper, lower = off_at[ax]
-        data[upper] = data[lower] = -w.ravel()
-    data[diag_at] = diag.ravel()
-    return sp.csr_matrix((data, indices, indptr), shape=(len(diag_at),) * 2)
 
 
 def assemble_A(p, grid, t) -> SparseOperator:
@@ -371,7 +336,6 @@ def assemble_A(p, grid, t) -> SparseOperator:
         raise GridError(f"problem dimension {p.dim} does not match "
                         f"grid dimension {grid.dim}")
     a = p.metric.eval_a(t, grid.embed())
-    m = grid.m
     scale = float(np.abs(a).max()) or 1.0
 
     if grid.kind == "radial":
@@ -384,45 +348,23 @@ def assemble_A(p, grid, t) -> SparseOperator:
         dr = grid.spacing[0]
         area = _SPHERE_AREA[grid.dim] * rf ** (grid.dim - 1)
         w = area * 0.5 * (s[:-1] + s[1:]) / dr
-        return SparseOperator(grid, _flux((m,), (w,)), grid.volumes, float(p.beta), a=a)
+        return SparseOperator(grid, (w,), grid.volumes, float(p.beta), a=a)
 
     weights = []
+    cross = []
     cell_vol = float(np.prod(grid.spacing))
-    for ax in range(grid.dim):
-        lo, hi = _face_slices(grid.dim, ax)
-        akk = a[:, ax, ax].reshape(grid.counts)
-        h = grid.spacing[ax]
-        area = cell_vol / h
-        weights.append(area * 0.5 * (akk[lo] + akk[hi]) / h)
-    cross = None
-    grads = _grad_matrices(grid)
     for j in range(grid.dim):
+        lo, hi = _face_slices(grid.dim, j)
+        h = grid.spacing[j]
+        area = cell_vol / h
         for k in range(grid.dim):
-            if j == k or np.abs(a[:, j, k]).max() <= 1e-12 * scale:
-                continue
-            lo, hi = _axis_faces(grid.counts, j)
-            nf = len(lo)
-            area = cell_vol / grid.spacing[j]
-            w = area * 0.5 * (a[lo, j, k] + a[hi, j, k])
-            inc = sp.csr_matrix(
-                (np.concatenate([np.full(nf, -1.0), np.full(nf, 1.0)]),
-                 (np.concatenate([np.arange(nf)] * 2),
-                  np.concatenate([lo, hi]))), shape=(nf, m))
-            avg = sp.csr_matrix(
-                (np.full(2 * nf, 0.5),
-                 (np.concatenate([np.arange(nf)] * 2),
-                  np.concatenate([lo, hi]))), shape=(nf, m))
-            term = inc.T @ sp.diags(w) @ avg @ grads[k]
-            cross = term if cross is None else cross + term
-    axis_weights = None
-    if cross is not None:
-        cross = cross.tocsr()
-    else:
-        lines = [_axis_line(w, ax) for ax, w in enumerate(weights)]
-        if all(line is not None for line in lines):
-            axis_weights = tuple(lines)
-    return SparseOperator(grid, _flux(grid.counts, weights), grid.volumes,
-                          float(p.beta), cross, a=a, axis_weights=axis_weights)
+            ajk = a[:, j, k].reshape(grid.counts)
+            if j == k:
+                weights.append(area * 0.5 * (ajk[lo] + ajk[hi]) / h)
+            elif np.abs(ajk).max() > 1e-12 * scale:
+                cross.append((j, k, area * 0.5 * (ajk[lo] + ajk[hi])))
+    return SparseOperator(grid, tuple(weights), grid.volumes, float(p.beta),
+                          tuple(cross) or None, a=a)
 
 
 def _axis_line(w, ax):
@@ -455,7 +397,7 @@ class OperatorFamily:
 
     def at(self, t, beta):
         b = self.base
-        return SparseOperator(b.grid, b.flux, b.volumes, beta, b.cross, a=b.a,
+        return SparseOperator(b.grid, b.weights, b.volumes, beta, b.cross, a=b.a,
                               scale=float(self.h2(t)), family=self)
 
 
@@ -494,12 +436,13 @@ def _build_family(p, grid):
         return None
     if grid.kind == "radial":
         root = np.sqrt(grid.volumes)
-        lam, Q = np.linalg.eigh(base.flux.toarray() / np.outer(root, root))
+        lam, Q = np.linalg.eigh(_chain(base.weights[0]) / np.outer(root, root))
         return OperatorFamily(base, h2, (Q,), lam, root)
-    if base.axis_weights is None:
+    lines = [_axis_line(w, ax) for ax, w in enumerate(base.weights)]
+    if base.cross is not None or any(line is None for line in lines):
         return OperatorFamily(base, h2)
     # S0 is the Kronecker sum of the 1-D chains: eigenvalues add across axes
-    eig = [np.linalg.eigh(_flux((len(w) + 1,), (w,)).toarray()) for w in base.axis_weights]
+    eig = [np.linalg.eigh(_chain(line)) for line in lines]
     lam = reduce(np.add.outer, [lam_k for lam_k, _ in eig]).ravel()
     return OperatorFamily(base, h2, tuple(Q for _, Q in eig), lam / base.volumes[0])
 
@@ -536,13 +479,12 @@ def boundary_residual(p, grid, t, v, a=None):
 
 def write_snapshot(path, field: GridField, time):
     g = field.grid
-    counts = g.counts if g.kind == "box" else (g.n,)
     extents = g.extents if g.kind == "box" else (1.0,)
     lines = [
         "movingdom-snapshot 1",
         f"kind {g.kind}",
         f"dim {g.dim}",
-        "counts " + " ".join(str(c) for c in counts),
+        "counts " + " ".join(str(c) for c in g.counts),
         "extents " + " ".join(repr(float(e)) for e in extents),
         f"time {float(time)!r}",
     ]

@@ -22,8 +22,9 @@ by h2(t), one scalar per time instead of an assembly.  `_solve` solves a
 family that diagonalizes L0 = S0 / vol (radial grids, 1-D and Kronecker-sum
 boxes) exactly in that eigenbasis: a transform, a division by
 (1 + c beta) + c h2(t) lam and a back transform; it reports 0 iterations.
-Other boxes use Jacobi CG, matrix-free on S0, to the relative tolerance
-cg_tol, as does a metric without a family, assembled at every time.
+Other boxes use Jacobi CG, matrix-free on the face weights, to the
+relative tolerance cg_tol, as does a metric without a family, assembled at
+every time.
 
 Time marches by accumulation (t_{n+1} = t_n + dt).  Each operator is made
 from its exact time value (the family from time 0, never from a run's
@@ -45,8 +46,8 @@ import numpy as np
 
 from . import expr as ex
 from .diffeo import boundary_points
-from .grid import (GridField, _gradients, _metrics, as_field, assemble_A, norm_L2,
-                   operator_family)
+from .grid import (GridField, _diagonal, _gradients, _metrics, as_field, assemble_A,
+                   norm_L2, operator_family)
 
 
 class SolverError(Exception):
@@ -107,17 +108,17 @@ class Trajectory:
 # linear solves
 
 def _cg(op, rhs, tol, maxiter=0, x0=None):
-    """Solve op x = rhs via Jacobi CG on scale * flux + beta * diag(vol),
-    matrix-free on a family's flux; stops when |op x - rhs|_2 <= tol |rhs|_2.
+    """Solve op x = rhs via Jacobi CG on scale * S + beta * diag(vol), applied
+    matrix-free from the face weights; stops when |op x - rhs|_2 <= tol |rhs|_2.
     """
     rhs = np.asarray(rhs, dtype=float)
     V = op.volumes
-    if op.family is None:
-        M = op.spd_matrix
-        matvec, d = M.__matmul__, M.diagonal()
-    else:
-        S, c, shift = op.flux, op.scale, op.beta * V
-        matvec, d = (lambda x: c * (S @ x) + shift * x), c * S.diagonal() + shift
+    c, shift = op.scale, op.beta * V
+
+    def matvec(x):
+        return c * op.apply_flux(x) + shift * x
+
+    d = c * _diagonal(op.weights, op.grid.counts).ravel() + shift
     b = V * rhs
     cap = maxiter if maxiter else 10 * op.n
     if np.any(d <= 0):

@@ -116,16 +116,18 @@ def test_formatted_rows_skip_per_cell_formatting(tmp_path, monkeypatch):
     assert calls == [2, 0.25]
 
 
-def test_cli_import_leaves_out_scipy_linalg_and_fft():
-    # either module adds megabytes of resident memory to every command
-    code = ("import sys, movingdom.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'linalg'], ['scipy', 'fft'])))")
+def test_cli_loads_no_scipy(tmp_path):
+    # importing scipy.sparse alone adds about a quarter second and tens of
+    # MiB of resident memory to every command
+    code = ("import sys, movingdom.cli as cli; "
+            "code = cli.main(['check', '--config', str(cli.fixture_path('sin_t')), "
+            f"'--out', {str(tmp_path)!r}]); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=str(Path(movingdom.__file__).parents[1]))
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, env=env, timeout=120)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    assert r.stdout.strip() == "0 []"
 
 
 def test_read_table_rejects_untagged_file(tmp_path):
@@ -219,6 +221,30 @@ def test_malformed_expression_exits_2(tmp_path, capsys, command, change, message
     assert "Traceback" not in err
     last = err.strip().splitlines()[-1]
     assert last.startswith("movingdom: config error: ") and message in last
+
+
+@pytest.mark.parametrize("command, change, message", [
+    ("pullback", {"k_max": "abc"}, "k_max = 'abc'"),
+    ("pullback", {"radii": ""}, "radii = ''"),
+    ("pullback", {"t_star": "x"}, "t_star = 'x'"),
+    ("solve", {"t": "abc"}, "t = 'abc'"),
+    ("pullback", {"k_max": "0"}, "k_max must be at least 1, got 0"),
+    ("pullback", {"seeds": "0"}, "seeds must be at least 1, got 0"),
+    ("pullback", {"drift_gaps": ""}, "drift_gaps = ''"),
+    ("pullback", {"t_star": "inf"}, "t_star = 'inf' is not finite"),
+    ("pullback", {"horizon": "nan"}, "horizon = 'nan' is not finite"),
+], ids=["k_max_text", "radii_empty", "t_star_text", "solve_t_text", "k_max_zero",
+        "seeds_zero", "drift_gaps_empty", "t_star_inf", "horizon_nan"])
+def test_bad_experiment_value_exits_2(tmp_path, capsys, command, change, message):
+    experiment = {"horizon": "10.0", "seeds": "1"} | change
+    p = tmp_path / "bad.cfg"
+    p.write_text('[problem]\ndim = 1\nextents = 1.0\nforward = "y1"\ninverse = "x1"\n'
+                 'beta = 1.0\ninitial = "1 + y1"\n[numerics]\ngrid = 8\ndt = 0.05\n'
+                 '[experiment]\n' + "".join(f"{k} = {v}\n" for k, v in experiment.items()))
+    assert run_cli([command, "--config", p, "--out", tmp_path]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("movingdom: config error: ") and message in lines[0]
 
 
 def test_missing_config_exits_2(tmp_path):

@@ -84,6 +84,25 @@ def test_ball_shrink_boundary_weight():
     assert np.allclose(fn(env), 0.5, rtol=1e-12)
 
 
+@pytest.mark.parametrize("extents", [(1.0,), (1.0, 2.0), (1.0, 0.5, 2.0)])
+@pytest.mark.parametrize("n", [16, 32])
+def test_box_boundary_points_cover_every_face(extents, n):
+    dim = len(extents)
+    pts, normals = dg.boundary_points(dg.BoxDomain(extents), dim, n=n)
+    assert pts.shape == normals.shape
+    for axis in range(dim):
+        for side, L in ((-1.0, 0.0), (1.0, extents[axis])):
+            on = normals[:, axis] == side
+            face = pts[on]
+            assert len(face) >= 1 and np.all(face[:, axis] == L)
+            assert np.all(np.abs(normals[on]).sum(axis=1) == 1.0)
+            assert len(np.unique(face, axis=0)) == len(face)
+            for k in range(dim):
+                if k != axis:   # spread along every tangential axis, inside the face
+                    assert len(np.unique(face[:, k])) >= 2
+                    assert 0.0 < face[:, k].min() and face[:, k].max() < extents[k]
+
+
 def test_check_H1_ball_shrink():
     m = dg.build_metric(ball_shrink())
     rep = dg.check_H1(m)

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from movingdom import expr as ex
 from movingdom.diffeo import BallDomain, BoxDomain, DiffeoSpec
 from movingdom.grid import (BoxGrid, GridError, GridField, RadialGrid,
-                            as_field, assemble_A, boundary_residual,
+                            SparseOperator, as_field, assemble_A, boundary_residual,
                             _gradients, inner, mass, norm_H1, norm_L2,
                             read_snapshot, write_snapshot)
 from movingdom.problem import assemble
@@ -59,6 +61,11 @@ def symmetry_residual(S):
     return float(abs(S - S.T).max()) / float(abs(S).max())
 
 
+def dense(apply, n):
+    """The matrix of a linear map on n cells, column by column from unit vectors."""
+    return np.column_stack([apply(e) for e in np.eye(n)])
+
+
 # ---------------------------------------------------------------------------
 # grid construction
 
@@ -108,46 +115,56 @@ def test_identity_1d_stencil():
     p = identity_problem(1)
     g = BoxGrid((1.0,), (4,))
     A = assemble_A(p, g, 0.0)
-    dense = A.flux.toarray() / A.volumes[:, None] + np.eye(4)
-    assert np.allclose(dense[1], [-16.0, 33.0, -16.0, 0.0])
-    assert np.allclose(dense[2], [0.0, -16.0, 33.0, -16.0])
-    assert np.allclose(dense[0], [17.0, -16.0, 0.0, 0.0])
+    S = dense(A.apply_flux, A.n)
+    D = S / A.volumes[:, None] + np.eye(4)
+    assert np.allclose(D[1], [-16.0, 33.0, -16.0, 0.0])
+    assert np.allclose(D[2], [0.0, -16.0, 33.0, -16.0])
+    assert np.allclose(D[0], [17.0, -16.0, 0.0, 0.0])
     assert A.cross is None
-    assert symmetry_residual(A.flux) == 0.0
+    assert symmetry_residual(S) == 0.0
 
 
-def dense_flux_by_faces(A):
-    """The flux matrix assembled face by face from the coefficients A.a.
+def box_faces(g):
+    """(axis k, lower cell, its flat index i, flat index j of the upper cell)
+    for every interior face of the box grid g."""
+    idx = np.arange(g.m).reshape(g.counts)
+    for k in range(g.dim):
+        for cell in np.ndindex(*g.counts):
+            if cell[k] + 1 < g.counts[k]:
+                yield k, cell, idx[cell], idx[cell[:k] + (cell[k] + 1,) + cell[k + 1:]]
 
-    An interior face between cells i and j with weight w (face area times
-    the mean of the two cell-center coefficients over the spacing) adds w
-    to the diagonal entries of i and j and -w to (i, j) and (j, i).
-    """
-    g = A.grid
-    faces = []
-    if g.kind == "radial":
-        dr = g.spacing[0]
-        for i in range(g.n - 1):
-            r = g.faces[i + 1]
-            area = {1: 2.0, 2: 2.0 * math.pi * r, 3: 4.0 * math.pi * r * r}[g.dim]
-            faces.append((i, i + 1, area * 0.5 * (A.a[i, 0, 0] + A.a[i + 1, 0, 0]) / dr))
-    else:
-        idx = np.arange(g.m).reshape(g.counts)
-        cell_vol = math.prod(g.spacing)
-        for k, h in enumerate(g.spacing):
-            for cell in np.ndindex(*g.counts):
-                if cell[k] + 1 == g.counts[k]:
-                    continue
-                i = idx[cell]
-                j = idx[cell[:k] + (cell[k] + 1,) + cell[k + 1:]]
-                faces.append((i, j, cell_vol / h * 0.5 * (A.a[i, k, k] + A.a[j, k, k]) / h))
-    F = np.zeros((g.m, g.m))
+
+def dense_by_faces(m, faces):
+    """The flux matrix assembled face by face: an interior face between
+    cells i and j with weight w adds w to the diagonal entries of i and j
+    and -w to (i, j) and (j, i)."""
+    F = np.zeros((m, m))
     for i, j, w in faces:
         F[i, i] += w
         F[j, j] += w
         F[i, j] -= w
         F[j, i] -= w
     return F
+
+
+def dense_flux_by_faces(A):
+    """The flux matrix assembled face by face from the coefficients A.a: a
+    face weight is the face area times the mean of the two cell-center
+    coefficients over the spacing."""
+    g = A.grid
+    if g.kind == "radial":
+        dr = g.spacing[0]
+        faces = []
+        for i in range(g.n - 1):
+            r = g.faces[i + 1]
+            area = {1: 2.0, 2: 2.0 * math.pi * r, 3: 4.0 * math.pi * r * r}[g.dim]
+            faces.append((i, i + 1, area * 0.5 * (A.a[i, 0, 0] + A.a[i + 1, 0, 0]) / dr))
+    else:
+        cell_vol = math.prod(g.spacing)
+        h = g.spacing
+        faces = [(i, j, cell_vol / h[k] * 0.5 * (A.a[i, k, k] + A.a[j, k, k]) / h[k])
+                 for k, _, i, j in box_faces(g)]
+    return dense_by_faces(g.m, faces)
 
 
 @pytest.mark.parametrize("p, g", [
@@ -157,10 +174,48 @@ def dense_flux_by_faces(A):
 ], ids=["stretch_5x4x3", "shear_8x8", "radial_16"])
 def test_flux_matches_face_by_face_assembly(p, g):
     A = assemble_A(p, g, 0.37)
-    dense = A.flux.toarray()
+    S = dense(A.apply_flux, A.n)
     F = dense_flux_by_faces(A)
-    assert np.abs(dense - F).max() <= 1e-14 * np.abs(F).max()
-    assert (A.flux != A.flux.T).nnz == 0
+    assert np.abs(S - F).max() <= 1e-14 * np.abs(F).max()
+    assert np.array_equal(S, S.T)
+
+
+@st.composite
+def box_operators(draw):
+    """An operator on a box of 1-3 axes and 3-6 cells per axis, with random
+    positive face weights, beta and a field v."""
+    counts = draw(st.lists(st.integers(3, 6), min_size=1, max_size=3))
+    extents = draw(st.lists(st.floats(0.1, 10.0), min_size=len(counts),
+                            max_size=len(counts)))
+    g = BoxGrid(extents, counts)
+    weights = tuple(draw(hnp.arrays(float, [n - (i == k) for i, n in enumerate(counts)],
+                                    elements=st.floats(1e-3, 1e3)))
+                    for k in range(len(counts)))
+    beta = draw(st.floats(0.0, 10.0))
+    v = draw(hnp.arrays(float, g.m, elements=st.floats(-1e3, 1e3)))
+    return SparseOperator(g, weights, g.volumes, beta), v
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(op=box_operators())
+def test_stencil_flux_is_the_symmetric_face_assembly(op):
+    A, _ = op
+    S = dense(A.apply_flux, A.n)
+    assert np.array_equal(S, S.T)
+    F = dense_by_faces(A.n, [(i, j, A.weights[k][cell]) for k, cell, i, j in box_faces(A.grid)])
+    assert np.abs(S - F).max() <= 1e-14 * np.abs(F).max()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(op=box_operators(), c=st.floats(-1e3, 1e3))
+def test_stencil_operator_sees_constants_and_mass_only_through_beta(op, c):
+    A, v = op
+    assert np.array_equal(A.apply_implicit(np.full(A.n, c)), np.full(A.n, A.beta * c))
+    V = A.volumes
+    Sv = A.apply_flux(v)
+    mass_rate = float(np.dot(V, A.apply_implicit(v)))
+    size = float(np.abs(Sv).sum() + A.beta * np.dot(V, np.abs(v)))
+    assert abs(mass_rate - A.beta * float(np.dot(V, v))) <= 1e-12 * size
 
 
 def test_constant_field_sees_only_beta():
@@ -175,8 +230,8 @@ def test_radial_operator_scales_with_h_squared():
     shrink = ball_shrink_problem()
     ident = identity_problem(3, BallDomain(3))
     g = RadialGrid(3, 16)
-    S0 = assemble_A(shrink, g, 0.0).flux.toarray()
-    S_id = assemble_A(ident, g, 0.0).flux.toarray()
+    S0 = dense(assemble_A(shrink, g, 0.0).apply_flux, g.m)
+    S_id = dense(assemble_A(ident, g, 0.0).apply_flux, g.m)
     # h(0)^2 = 4, so the flux part is four times the identity-map stencil
     assert np.allclose(S0, 4.0 * S_id, rtol=1e-14)
 
@@ -185,13 +240,15 @@ def test_flux_row_and_column_sums_vanish():
     for p, g, t in [(ball_shrink_problem(), RadialGrid(3, 32), 1.3),
                     (shear_problem(), BoxGrid((1.0, 1.0), (8, 8)), 0.0)]:
         A = assemble_A(p, g, t)
-        scale = np.abs(A.flux.toarray()).max()
+        S = dense(A.apply_flux, A.n)
+        scale = np.abs(S).max()
         ones = np.ones(A.n)
-        assert np.abs(A.flux @ ones).max() <= 1e-12 * scale
-        assert np.abs(A.flux.T @ ones).max() <= 1e-12 * scale
+        assert np.abs(S @ ones).max() <= 1e-12 * scale
+        assert np.abs(S.T @ ones).max() <= 1e-12 * scale
         if A.cross is not None:
-            assert np.abs(A.cross @ ones).max() <= 1e-12 * scale
-            assert np.abs(A.cross.T @ ones).max() <= 1e-12 * scale
+            C = dense(A.apply_explicit, A.n) * A.volumes[:, None]
+            assert np.abs(C @ ones).max() <= 1e-12 * scale
+            assert np.abs(C.T @ ones).max() <= 1e-12 * scale
 
 
 def test_self_adjoint_in_volume_weighted_inner():
@@ -211,8 +268,9 @@ def test_ritz_values_bounded_below():
     p = ball_shrink_problem(beta=1.0)
     g = RadialGrid(3, 16)
     A = assemble_A(p, g, 0.5)
-    evals = scipy.linalg.eigh(A.flux.toarray(), np.diag(A.volumes),
-                              eigvals_only=True)
+    # S x = lam V x is symmetric as V^-1/2 S V^-1/2
+    root = np.sqrt(A.volumes)
+    evals = np.linalg.eigvalsh(dense(A.apply_flux, A.n) / np.outer(root, root))
     assert evals.min() >= -1e-10
     assert (evals + A.beta).min() >= 1.0 * (1 - 1e-10)
 
@@ -220,7 +278,8 @@ def test_ritz_values_bounded_below():
 def test_shear_map_produces_cross_part():
     A = assemble_A(shear_problem(), BoxGrid((1.0, 1.0), (8, 8)), 0.0)
     assert A.cross is not None
-    assert symmetry_residual(A.flux) <= 1e-13  # the implicit flux part stays symmetric
+    # the implicit flux part stays symmetric
+    assert symmetry_residual(dense(A.apply_flux, A.n)) <= 1e-13
 
 
 def test_cross_part_is_consistent_with_the_operator():
