@@ -188,9 +188,14 @@ def _problem(rc, metric):
     return assemble(metric, beta=rc.beta, f=rc.f, initial=rc.initial)
 
 
-def _stepper(rc):
-    return StepperConfig(dt=rc.dt, scheme=rc.scheme, cg_tol=rc.cg_tol,
-                         snapshot_every=rc.snapshot_every)
+def _stepper(rc, dt=None):
+    """The [numerics] StepperConfig, with step dt (rc.dt if None); invalid
+    values are config errors."""
+    try:
+        return StepperConfig(dt=rc.dt if dt is None else dt, scheme=rc.scheme,
+                             cg_tol=rc.cg_tol, snapshot_every=rc.snapshot_every)
+    except SolverError as e:
+        raise ConfigError(f"bad [numerics] value: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +364,13 @@ def cmd_solve(rc, out, seed=None):
     metric = _require_checks(rc)
     if rc.initial is None:
         raise ConfigError("solve needs `initial` in the [problem] section")
+    cfg = _stepper(rc)
     p = _problem(rc, metric)
     g = _grid(rc)
     tau = _exp(rc, "tau", 0.0)
     T = _exp(rc, "t", 1.0)
     operator_family(p, g)   # built once before the march, which then does per-step work only
-    traj = run(p, g, _stepper(rc), tau, T)
+    traj = run(p, g, cfg, tau, T)
     _write_metrics(out, traj)
 
     fwd = [ex.compiled(c) for c in metric.spec.forward]
@@ -388,6 +394,8 @@ def cmd_mms(rc, out, seed=None):
     metric = _require_checks(rc)
     if rc.exact is None:
         raise ConfigError("mms needs `exact` in the [problem] section")
+    for dt in rc.dts:
+        _stepper(rc, dt)
     p = _problem(rc, metric)
     grids = [_grid(rc, n) for n in rc.grid_ladder]
     rep = mms_convergence(p, rc.exact, grids, rc.dts, scheme=rc.scheme,
@@ -494,13 +502,10 @@ def main(argv=None) -> int:
         s = sub.add_parser(name)
         s.add_argument("--config", required=True)
         s.add_argument("--out", default=".")
-        s.add_argument("--jobs", type=int, default=1)  # ignored; kept for old scripts
         s.add_argument("--seed", type=int, default=None)
     args = ap.parse_args(argv)
     try:
         _setup_logging()
-        if args.jobs != 1:
-            log.warning("--jobs is ignored: runs are sequential")
         rc = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

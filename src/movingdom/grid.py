@@ -22,11 +22,13 @@ stepper; the implicit part stays symmetric positive semidefinite.
 A v = scale * S v / vol + beta v is self-adjoint in the volume-weighted
 inner product of `inner` (scale 1 when assembled).
 
-Under H1, a(t) = h2(t) a0 and S(t) = h2(t) S0.  `operator_family` builds,
-once per (metric, grid) and only if that holds to 1e-13, A at t = 0, the
-scalar h2(t), and the eigenpairs of L0 = S0 / vol: one eigh of
-V^-1/2 S0 V^-1/2 on a radial grid, one per axis on a box whose axis-k face
-weights depend on y_k alone (a Kronecker sum of 1-D chains).
+There is one operator type, `SparseOperator`.  Under H1, a(t) = h2(t) a0
+and S(t) = h2(t) S0, so A(t) is A(0) with scale h2(t).  `operator_family`
+builds, once per (metric, grid) and only if that holds to 1e-13, A(0) and
+the scalar h2(t); A(0) also carries the eigenpairs of L0 = S0 / vol where
+the grid allows: one eigh of V^-1/2 S0 V^-1/2 on a radial grid, one per
+axis on a box whose axis-k face weights depend on y_k alone (a Kronecker
+sum of 1-D chains).  Its scaled and shifted copies share them.
 
 The public norms and diagnostics validate their field through `as_field`.
 The stepper's `_metrics` kernel takes its already checked state and gets
@@ -35,7 +37,7 @@ L2, H1, mass and boundary flux from one gradient, through the same pieces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from pathlib import Path
 
@@ -270,59 +272,52 @@ def _metrics(grid, vals, op):
 
 @dataclass(frozen=True, eq=False)
 class SparseOperator:
-    """A(t) in flux form: apply(v) = scale * S v / vol + beta v (+ cross part).
+    """A(t) in flux form: scale * (S + C) v / vol + beta v.
 
     S is held as its face weights: `weights[k]` are the interior k-face
     weights, shaped like the grid with one fewer cell along axis k, and S is
     applied as a stencil, symmetric by construction.  `cross` holds the
-    off-diagonal a_jk fluxes as (j, k, j-face weights), None when a is
+    off-diagonal a_jk fluxes C as (j, k, j-face weights), None when a is
     diagonal; it is kept apart so time steppers can treat it explicitly while
     the implicit part stays SPD.  Both, and the cell-center coefficients `a`
-    (None on derived operators such as `shifted`), are multiplied by
-    `scale`.  `family` is the OperatorFamily whose weights the operator
-    scales, None when assembled.
+    (None on `shifted` operators), are multiplied by `scale`.  Where the grid
+    allows a direct solve, L = S / vol = W^-1 Q diag(lam) Q^T W: Q the
+    Kronecker product of the per-axis eigenvectors `vecs`, lam flat in cell
+    order, W = diag(root_vol) (1.0 on boxes); `lam` is None otherwise.
     """
     grid: object
     weights: tuple
-    volumes: np.ndarray
     beta: float
     cross: tuple = None
     a: object = field(default=None, repr=False, kw_only=True)
     scale: float = field(default=1.0, kw_only=True)
-    family: object = field(default=None, repr=False, kw_only=True)
-
-    @property
-    def n(self):
-        return self.grid.m
+    vecs: tuple = field(default=None, repr=False, kw_only=True)
+    lam: np.ndarray = field(default=None, repr=False, kw_only=True)
+    root_vol: object = field(default=1.0, repr=False, kw_only=True)
 
     def apply_flux(self, v):
         """S v for a flat array v."""
         return _apply_flux(self.weights, v.reshape(self.grid.counts)).ravel()
 
     def apply_implicit(self, v):
-        return self.scale * self.apply_flux(v) / self.volumes + self.beta * v
+        return self.scale * self.apply_flux(v) / self.grid.volumes + self.beta * v
 
-    def apply_explicit(self, v):
+    def apply_explicit(self, grads):
+        """The cross part, scale * C v / vol, from the per-axis gradients of v."""
         counts = self.grid.counts
-        grads = [g.reshape(counts) for g in _gradients(self.grid, v)]
+        grads = [g.reshape(counts) for g in grads]
         out = np.zeros(counts)
         for j, k, w in self.cross:
             lo, hi = _face_slices(len(counts), j)
             f = w * (0.5 * (grads[k][lo] + grads[k][hi]))
             out[lo] -= f
             out[hi] += f
-        return self.scale * out.ravel() / self.volumes
-
-    def apply(self, v):
-        out = self.apply_implicit(v)
-        if self.cross is not None:
-            out += self.apply_explicit(v)
-        return out
+        return self.scale * out.ravel() / self.grid.volumes
 
     def shifted(self, dt):
-        """Operator I + dt * (implicit part), on the same weights."""
-        return SparseOperator(self.grid, self.weights, self.volumes, 1.0 + dt * self.beta,
-                              scale=dt * self.scale, family=self.family)
+        """Operator I + dt * (implicit part), on the same weights and eigenpairs."""
+        return SparseOperator(self.grid, self.weights, 1.0 + dt * self.beta, scale=dt * self.scale,
+                              vecs=self.vecs, lam=self.lam, root_vol=self.root_vol)
 
 
 def assemble_A(p, grid, t) -> SparseOperator:
@@ -348,7 +343,7 @@ def assemble_A(p, grid, t) -> SparseOperator:
         dr = grid.spacing[0]
         area = _SPHERE_AREA[grid.dim] * rf ** (grid.dim - 1)
         w = area * 0.5 * (s[:-1] + s[1:]) / dr
-        return SparseOperator(grid, (w,), grid.volumes, float(p.beta), a=a)
+        return SparseOperator(grid, (w,), float(p.beta), a=a)
 
     weights = []
     cross = []
@@ -363,8 +358,7 @@ def assemble_A(p, grid, t) -> SparseOperator:
                 weights.append(area * 0.5 * (ajk[lo] + ajk[hi]) / h)
             elif np.abs(ajk).max() > 1e-12 * scale:
                 cross.append((j, k, area * 0.5 * (ajk[lo] + ajk[hi])))
-    return SparseOperator(grid, tuple(weights), grid.volumes, float(p.beta),
-                          tuple(cross) or None, a=a)
+    return SparseOperator(grid, tuple(weights), float(p.beta), tuple(cross) or None, a=a)
 
 
 def _axis_line(w, ax):
@@ -380,30 +374,13 @@ def _axis_line(w, ax):
 # ---------------------------------------------------------------------------
 # the separable operator family
 
-@dataclass(frozen=True, eq=False)
-class OperatorFamily:
-    """A(t) = h2(t) (S0 + C0) / vol + beta for coefficients a(t) = h2(t) a0.
-
-    `base` is A at t = 0 (S0, C0, a0); h2(t) = a_00(t, y*) / a0_00(y*) at the
-    cell y* of largest |a0_00|.  Where the grid allows, L0 = W^-1 Q diag(lam)
-    Q^T W: Q the Kronecker product of the per-axis eigenvectors `vecs`, lam
-    flat in cell order, W = diag(root_vol) (None, a constant, on boxes).
-    """
-    base: SparseOperator
-    h2: object
-    vecs: tuple = None
-    lam: np.ndarray = None
-    root_vol: np.ndarray = None
-
-    def at(self, t, beta):
-        b = self.base
-        return SparseOperator(b.grid, b.weights, b.volumes, beta, b.cross, a=b.a,
-                              scale=float(self.h2(t)), family=self)
-
-
 def operator_family(p, grid):
-    """The OperatorFamily of p's metric on grid, None when a(t) is not
-    h2(t) a0 to rounding; built once and kept on the metric."""
+    """(A0, h2) with A(t) = A0 scaled by h2(t) for p's metric on grid, None
+    when a(t) is not h2(t) a0 to rounding; built once and kept on the metric.
+
+    A0 is A at t = 0, with its eigenpairs where the grid allows; h2(t) =
+    a_00(t, y*) / a0_00(y*) at the cell y* of largest |a0_00|.
+    """
     cache, key = p.metric._fns, ("family", grid)
     if key not in cache:
         cache[key] = _build_family(p, grid)
@@ -437,14 +414,14 @@ def _build_family(p, grid):
     if grid.kind == "radial":
         root = np.sqrt(grid.volumes)
         lam, Q = np.linalg.eigh(_chain(base.weights[0]) / np.outer(root, root))
-        return OperatorFamily(base, h2, (Q,), lam, root)
+        return replace(base, vecs=(Q,), lam=lam, root_vol=root), h2
     lines = [_axis_line(w, ax) for ax, w in enumerate(base.weights)]
     if base.cross is not None or any(line is None for line in lines):
-        return OperatorFamily(base, h2)
+        return base, h2
     # S0 is the Kronecker sum of the 1-D chains: eigenvalues add across axes
     eig = [np.linalg.eigh(_chain(line)) for line in lines]
     lam = reduce(np.add.outer, [lam_k for lam_k, _ in eig]).ravel()
-    return OperatorFamily(base, h2, tuple(Q for _, Q in eig), lam / base.volumes[0])
+    return replace(base, vecs=tuple(Q for _, Q in eig), lam=lam / grid.volumes[0]), h2
 
 
 # ---------------------------------------------------------------------------

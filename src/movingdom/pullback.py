@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import as_field, assemble_A, norm_H1, norm_L2, operator_family
+from .grid import as_field, norm_H1, norm_L2
 from .problem import check_H2, check_H3
-from .solver import _solve, run, run_homogeneous
+from .solver import _solve, operator_at, run, run_homogeneous
 
 log = logging.getLogger("movingdom.pullback")
 
@@ -104,10 +104,11 @@ def drift_norm(p, grid, times) -> float:
     """Spectral-norm estimate of (A_h(t) - A_h(tau)) A_h(r)^-1.
 
     Power iteration (tol 1e-8) on the normal operator in the vol-weighted
-    inner product.  The operators are the stepper's: the metric's operator
-    family scaled to each time where it has one, assembled otherwise; the
-    inverse is applied through `_solve`, exact where the operator's
-    structure allows and conjugate gradients (tol 1e-12) otherwise.
+    inner product.  The operators are the stepper's, from `operator_at`:
+    the metric's H1 operator scaled to each time where it has one,
+    assembled otherwise.  Without a cross block each is its implicit part;
+    the inverse is applied through `_solve`, exact where the operator
+    carries eigenpairs and conjugate gradients (tol 1e-12) otherwise.
     The estimate is a Rayleigh quotient, so it never exceeds the true
     norm; operators with clustered top singular values may stop at the
     iteration cap instead of the tolerance, which is logged, and the
@@ -117,9 +118,7 @@ def drift_norm(p, grid, times) -> float:
     t, tau, r = times
     if t == tau:
         return 0.0
-    family = operator_family(p, grid)
-    op_t, op_tau, op_r = (assemble_A(p, grid, s) if family is None
-                          else family.at(s, p.beta) for s in times)
+    op_t, op_tau, op_r = (operator_at(p, grid, s) for s in times)
     if any(o.cross is not None for o in (op_t, op_tau, op_r)):
         raise PullbackError("drift_norm requires diagonal diffusion "
                             "(no explicit cross-derivative block)")
@@ -134,14 +133,14 @@ def drift_norm(p, grid, times) -> float:
     est = 0.0
     for it in range(200):
         w, _ = _solve(op_r, x, tol=1e-12)
-        bx = op_t.apply(w) - op_tau.apply(w)
+        bx = op_t.apply_implicit(w) - op_tau.apply_implicit(w)
         nbx = norm(bx)
         if nbx == 0.0:
             return 0.0
         prev, est = est, nbx
         if it > 0 and abs(est - prev) <= 1e-8 * est:
             return est
-        dbx = op_t.apply(bx) - op_tau.apply(bx)
+        dbx = op_t.apply_implicit(bx) - op_tau.apply_implicit(bx)
         y, _ = _solve(op_r, dbx, tol=1e-12)
         ny = norm(y)
         if ny == 0.0:

@@ -16,18 +16,18 @@ state-dependent F the correction restores second order in time.  The
 state-independent parts of F (drift field and source) are evaluated once
 per distinct time.
 
-Under H1 the operators come from the operator family of the metric on
-the grid (grid.py): A(t) is the fixed flux S0 (and cross block C0) scaled
-by h2(t), one scalar per time instead of an assembly.  `_solve` solves a
-family that diagonalizes L0 = S0 / vol (radial grids, 1-D and Kronecker-sum
-boxes) exactly in that eigenbasis: a transform, a division by
-(1 + c beta) + c h2(t) lam and a back transform; it reports 0 iterations.
-Other boxes use Jacobi CG, matrix-free on the face weights, to the
-relative tolerance cg_tol, as does a metric without a family, assembled at
-every time.
+Every A(t) comes from `operator_at`.  Under H1 it is the metric's operator
+at t = 0 on the grid (grid.py), the fixed flux S0 (and cross block C0),
+scaled by h2(t): one scalar per time instead of an assembly; a metric
+without that structure is assembled at every time.  `_solve` solves an
+operator that carries the eigenpairs of L0 = S0 / vol (radial grids, 1-D
+and Kronecker-sum boxes) exactly in that eigenbasis: a transform, a
+division by (1 + c beta) + c h2(t) lam and a back transform; it reports 0
+iterations.  Other operators use Jacobi CG, matrix-free on the face
+weights, to the relative tolerance cg_tol.
 
 Time marches by accumulation (t_{n+1} = t_n + dt).  Each operator is made
-from its exact time value (the family from time 0, never from a run's
+from its exact time value (the H1 scaling from time 0, never from a run's
 start) and kept for the current step only, so a run restarted from a
 stored state on the step lattice reproduces the uninterrupted run bit for
 bit, and memory stays flat in the step count.  The final step is
@@ -46,8 +46,8 @@ import numpy as np
 
 from . import expr as ex
 from .diffeo import boundary_points
-from .grid import (GridField, _diagonal, _gradients, _metrics, as_field, assemble_A,
-                   norm_L2, operator_family)
+from .grid import (GridField, SparseOperator, _diagonal, _gradients, _metrics, as_field,
+                   assemble_A, norm_L2, operator_family)
 
 
 class SolverError(Exception):
@@ -75,6 +75,8 @@ class StepperConfig:
             raise SolverError(f"dt must be positive, got {self.dt}")
         if not self.cg_tol > 0:
             raise SolverError(f"cg_tol must be positive, got {self.cg_tol}")
+        if self.snapshot_every < 0:
+            raise SolverError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
 
 
 @dataclass
@@ -112,7 +114,7 @@ def _cg(op, rhs, tol, maxiter=0, x0=None):
     matrix-free from the face weights; stops when |op x - rhs|_2 <= tol |rhs|_2.
     """
     rhs = np.asarray(rhs, dtype=float)
-    V = op.volumes
+    V = op.grid.volumes
     c, shift = op.scale, op.beta * V
 
     def matvec(x):
@@ -120,7 +122,7 @@ def _cg(op, rhs, tol, maxiter=0, x0=None):
 
     d = c * _diagonal(op.weights, op.grid.counts).ravel() + shift
     b = V * rhs
-    cap = maxiter if maxiter else 10 * op.n
+    cap = maxiter if maxiter else 10 * op.grid.m
     if np.any(d <= 0):
         raise CgError("operator diagonal is not positive; CG needs an SPD operator")
     x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=float).copy()
@@ -159,30 +161,40 @@ def _along(x, M, ax):
     return np.matmul(M, x.reshape(-1, n, post)).reshape(shape)
 
 
-def _eigen(fam, x, back=False):
-    """x in the family's eigenbasis of L0 (orthonormal in the vol-weighted
+def _eigen(op, x, back=False):
+    """x in the operator's eigenbasis of L0 (orthonormal in the vol-weighted
     inner product, up to a constant on boxes), or back from it."""
-    w = 1.0 if fam.root_vol is None else fam.root_vol
-    x = (x if back else x * w).reshape([len(Q) for Q in fam.vecs])
-    for ax, Q in enumerate(fam.vecs):
+    w = op.root_vol
+    x = (x if back else x * w).reshape([len(Q) for Q in op.vecs])
+    for ax, Q in enumerate(op.vecs):
         x = _along(x, Q if back else Q.T, ax)
     return x.ravel() / w if back else x.ravel()
 
 
 def _solve(op, rhs, tol, x0=None):
-    """op x = rhs: exact in the eigenbasis of a family that has one (a
+    """op x = rhs: exact in the eigenbasis of an operator that carries one (a
     denominator beta + scale * lam that is not positive raises CgError, as
     CG does), Jacobi CG from x0 to tol within 10*N iterations otherwise.
     Returns (x, CG iterations); a direct solve counts 0.
     """
-    fam = op.family
-    if fam is None or fam.lam is None:
+    if op.lam is None:
         return _cg(op, rhs, tol, x0=x0)
-    denom = op.beta + op.scale * fam.lam
+    denom = op.beta + op.scale * op.lam
     low = float(denom.min())
     if not low > 0:
         raise CgError(f"eigenvalue {low:.3e}: operator is not positive definite")
-    return _eigen(fam, _eigen(fam, rhs) / denom, back=True), 0
+    return _eigen(op, _eigen(op, rhs) / denom, back=True), 0
+
+
+def operator_at(p, grid, t):
+    """A(t) of problem p on grid: the metric's H1 operator scaled by h2(t)
+    where it has one, assembled at t otherwise."""
+    family = operator_family(p, grid)
+    if family is None:
+        return assemble_A(p, grid, t)
+    A0, h2 = family
+    return SparseOperator(A0.grid, A0.weights, p.beta, A0.cross, a=A0.a, scale=float(h2(t)),
+                          vecs=A0.vecs, lam=A0.lam, root_vol=A0.root_vol)
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +218,14 @@ def _forcing(p, grid, t):
 
 
 def _explicit_rhs(p, grid, t, v, cross_op, forcing):
-    """F(t, v), with forcing = _forcing(p, grid, t); None drops f, drift and source."""
+    """F(t, v), with forcing = _forcing(p, grid, t); None drops f, drift and
+    source.  The drift and the cross block share one gradient of v."""
+    if forcing is not None or cross_op.cross is not None:
+        grads = _gradients(grid, v)
     if forcing is None:
         out = np.zeros_like(v)
     else:
         b, source = forcing
-        grads = _gradients(grid, v)
         if grid.kind == "radial":
             drift = b * grads[0]
         else:
@@ -220,7 +234,7 @@ def _explicit_rhs(p, grid, t, v, cross_op, forcing):
         if source is not None:
             out += source
     if cross_op.cross is not None:
-        out -= cross_op.apply_explicit(v)
+        out -= cross_op.apply_explicit(grads)
     return out
 
 
@@ -266,14 +280,13 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False) -> Traj
                 f"dt too large for the explicit nonlinearity: dt * sup|f_u| = "
                 f"{cfg.dt * lip:.3g} > 0.5; shrink dt below {0.5 / lip:.3g}")
 
-    family = operator_family(p, grid)
     ops = {}
 
     def get_op(t):
-        # made once per time value (from the family if any); earlier steps drop
+        # made once per time value; earlier steps drop
         op = ops.get(t)
         if op is None:
-            op = ops[t] = assemble_A(p, grid, t) if family is None else family.at(t, p.beta)
+            op = ops[t] = operator_at(p, grid, t)
         return op
 
     def metrics_row(n, t, vals, iters):

@@ -1,6 +1,5 @@
 """End-to-end checks of the command line front end and its file formats."""
 
-import logging
 import os
 import subprocess
 import sys
@@ -247,6 +246,32 @@ def test_bad_experiment_value_exits_2(tmp_path, capsys, command, change, message
     assert lines[0].startswith("movingdom: config error: ") and message in lines[0]
 
 
+@pytest.mark.parametrize("command, change, message", [
+    ("solve", {"dt": "nan"}, "dt must be positive, got nan"),
+    ("solve", {"dt": "-1"}, "dt must be positive, got -1.0"),
+    ("solve", {"cg_tol": "0"}, "cg_tol must be positive, got 0.0"),
+    ("solve", {"scheme": "leapfrog"}, "unknown scheme 'leapfrog'"),
+    ("solve", {"snapshot_every": "-2"}, "snapshot_every must be >= 0, got -2"),
+    ("pullback", {"dt": "-1"}, "dt must be positive, got -1.0"),
+    ("mms", {"scheme": "leapfrog"}, "unknown scheme 'leapfrog'"),
+    ("mms", {"dts": "0.02, -0.01"}, "dt must be positive, got -0.01"),
+], ids=["solve_dt_nan", "solve_dt_negative", "solve_cg_tol_zero", "solve_scheme",
+        "solve_snapshot_every_negative", "pullback_dt_negative", "mms_scheme",
+        "mms_dts_negative"])
+def test_bad_numerics_value_exits_2(tmp_path, capsys, command, change, message):
+    numerics = {"grid": "8", "dt": "0.05", "dts": "0.02, 0.01"} | change
+    p = tmp_path / "bad.cfg"
+    p.write_text('[problem]\ndim = 1\nextents = 1.0\nforward = "y1"\ninverse = "x1"\n'
+                 'beta = 1.0\ninitial = "1 + y1"\n'
+                 'exact = "exp(0 - t) * cos(3.141592653589793 * y1)"\n[numerics]\n'
+                 + "".join(f"{k} = {v}\n" for k, v in numerics.items())
+                 + '[experiment]\ntau = 0.0\nt = 0.1\nhorizon = 10.0\nseeds = 1\n')
+    assert run_cli([command, "--config", p, "--out", tmp_path]) == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("movingdom: config error: bad [numerics] value: ")
+    assert message in last
+
+
 def test_missing_config_exits_2(tmp_path):
     assert run_cli(["check", "--config", tmp_path / "nope.cfg",
                     "--out", tmp_path]) == 2
@@ -446,20 +471,19 @@ def test_pullback_jobs_deterministic(tmp_path):
         'radii = 1.0, 10.0\nradius_k = 3\n')
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli(["pullback", "--config", cfg, "--out", a]) == 0
-    assert run_cli(["pullback", "--config", cfg, "--out", b, "--jobs", 4]) == 0
+    assert run_cli(["pullback", "--config", cfg, "--out", b]) == 0
     assert ((a / "pullback_report.csv").read_bytes()
             == (b / "pullback_report.csv").read_bytes())
 
 
-def test_jobs_flag_is_accepted_with_one_warning(tmp_path, caplog):
-    cfg = fixture_path("identity")
-    with caplog.at_level(logging.WARNING, logger="movingdom.cli"):
-        assert run_cli(["check", "--config", cfg, "--out", tmp_path / "a"]) == 0
-        assert not caplog.records
-        assert run_cli(["check", "--config", cfg, "--out", tmp_path / "b",
-                        "--jobs", 2]) == 0
-    assert [r.getMessage() for r in caplog.records] == [
-        "--jobs is ignored: runs are sequential"]
+def test_jobs_flag_is_a_usage_error(tmp_path, capsys):
+    # the option was removed: argparse rejects it before any work is done
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["check", "--config", fixture_path("identity"), "--out", tmp_path,
+                 "--jobs", 2])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert not (tmp_path / "hypothesis_report.csv").exists()
 
 
 def test_pullback_seed_changes_draws(tmp_path):

@@ -199,13 +199,13 @@ _EXPONENTS = st.one_of(st.sampled_from((-2.0, -1.0, -0.5, 0.5, 2.0, 3.0)),
                        _LEAF_VALUES)
 
 
-def _trees(depth):
+def _trees(depth, functions=ex.FUNCTIONS):
     if depth == 0:
         return _LEAVES
-    sub = _trees(depth - 1)
+    sub = _trees(depth - 1, functions)
     return st.one_of(
         _LEAVES,
-        st.builds(ex.Unary, st.sampled_from(("neg",) + ex.FUNCTIONS), sub),
+        st.builds(ex.Unary, st.sampled_from(("neg",) + functions), sub),
         st.builds(ex.Binary, st.sampled_from(("add", "sub", "mul", "div")),
                   sub, sub),
         st.builds(lambda b, c: ex.Binary("pow", b, ex.Const(c)), sub, _EXPONENTS),
@@ -262,3 +262,28 @@ def test_compiled_is_finite_or_eval_error_and_matches_evaluate(e, points):
         assert (got is None) == (want is None), (str(e), env, got, want)
         if got is not None:
             assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), (str(e), env)
+
+
+_SMOOTH = tuple(f for f in ex.FUNCTIONS if f not in ("abs", "sign"))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(e=_trees(4, _SMOOTH), points=_POINTS, var=st.sampled_from(("t", "u")))
+def test_diff_of_random_smooth_trees_matches_central_differences(e, points, var):
+    """d/dvar against central differences of `evaluate` with steps h and 2h,
+    at points where the derivative and all four shifted values are defined.
+    Points where the two differences disagree are skipped: a pole or a
+    branch point lies within 2h, so neither estimates the derivative."""
+    h = 1e-5
+    d = ex.diff(e, var)
+    for ti, ui in points:
+        env = {"t": ti, "u": ui}
+        vals = [_value(d, env)] + [_value(e, env | {var: env[var] + s})
+                                   for s in (h, -h, 2 * h, -2 * h)]
+        if None in vals:
+            continue
+        want, fp, fm, fp2, fm2 = vals
+        fd, fd2 = (fp - fm) / (2 * h), (fp2 - fm2) / (4 * h)
+        if abs(fd - fd2) > 1e-6 * (1.0 + abs(fd)):
+            continue
+        assert abs(want - fd) <= 1e-6 * (1.0 + abs(want)), (ex.to_string(e), var, env)

@@ -115,8 +115,8 @@ def test_identity_1d_stencil():
     p = identity_problem(1)
     g = BoxGrid((1.0,), (4,))
     A = assemble_A(p, g, 0.0)
-    S = dense(A.apply_flux, A.n)
-    D = S / A.volumes[:, None] + np.eye(4)
+    S = dense(A.apply_flux, A.grid.m)
+    D = S / A.grid.volumes[:, None] + np.eye(4)
     assert np.allclose(D[1], [-16.0, 33.0, -16.0, 0.0])
     assert np.allclose(D[2], [0.0, -16.0, 33.0, -16.0])
     assert np.allclose(D[0], [17.0, -16.0, 0.0, 0.0])
@@ -174,7 +174,7 @@ def dense_flux_by_faces(A):
 ], ids=["stretch_5x4x3", "shear_8x8", "radial_16"])
 def test_flux_matches_face_by_face_assembly(p, g):
     A = assemble_A(p, g, 0.37)
-    S = dense(A.apply_flux, A.n)
+    S = dense(A.apply_flux, A.grid.m)
     F = dense_flux_by_faces(A)
     assert np.abs(S - F).max() <= 1e-14 * np.abs(F).max()
     assert np.array_equal(S, S.T)
@@ -193,16 +193,16 @@ def box_operators(draw):
                     for k in range(len(counts)))
     beta = draw(st.floats(0.0, 10.0))
     v = draw(hnp.arrays(float, g.m, elements=st.floats(-1e3, 1e3)))
-    return SparseOperator(g, weights, g.volumes, beta), v
+    return SparseOperator(g, weights, beta), v
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(op=box_operators())
 def test_stencil_flux_is_the_symmetric_face_assembly(op):
     A, _ = op
-    S = dense(A.apply_flux, A.n)
+    S = dense(A.apply_flux, A.grid.m)
     assert np.array_equal(S, S.T)
-    F = dense_by_faces(A.n, [(i, j, A.weights[k][cell]) for k, cell, i, j in box_faces(A.grid)])
+    F = dense_by_faces(A.grid.m, [(i, j, A.weights[k][cell]) for k, cell, i, j in box_faces(A.grid)])
     assert np.abs(S - F).max() <= 1e-14 * np.abs(F).max()
 
 
@@ -210,8 +210,8 @@ def test_stencil_flux_is_the_symmetric_face_assembly(op):
 @given(op=box_operators(), c=st.floats(-1e3, 1e3))
 def test_stencil_operator_sees_constants_and_mass_only_through_beta(op, c):
     A, v = op
-    assert np.array_equal(A.apply_implicit(np.full(A.n, c)), np.full(A.n, A.beta * c))
-    V = A.volumes
+    assert np.array_equal(A.apply_implicit(np.full(A.grid.m, c)), np.full(A.grid.m, A.beta * c))
+    V = A.grid.volumes
     Sv = A.apply_flux(v)
     mass_rate = float(np.dot(V, A.apply_implicit(v)))
     size = float(np.abs(Sv).sum() + A.beta * np.dot(V, np.abs(v)))
@@ -222,7 +222,7 @@ def test_constant_field_sees_only_beta():
     p = ball_shrink_problem(beta=2.5)
     g = RadialGrid(3, 16)
     A = assemble_A(p, g, 1.0)
-    out = A.apply(np.ones(16))
+    out = A.apply_implicit(np.ones(16))
     assert np.allclose(out, 2.5, atol=1e-12)
 
 
@@ -240,13 +240,14 @@ def test_flux_row_and_column_sums_vanish():
     for p, g, t in [(ball_shrink_problem(), RadialGrid(3, 32), 1.3),
                     (shear_problem(), BoxGrid((1.0, 1.0), (8, 8)), 0.0)]:
         A = assemble_A(p, g, t)
-        S = dense(A.apply_flux, A.n)
+        S = dense(A.apply_flux, A.grid.m)
         scale = np.abs(S).max()
-        ones = np.ones(A.n)
+        ones = np.ones(A.grid.m)
         assert np.abs(S @ ones).max() <= 1e-12 * scale
         assert np.abs(S.T @ ones).max() <= 1e-12 * scale
         if A.cross is not None:
-            C = dense(A.apply_explicit, A.n) * A.volumes[:, None]
+            C = dense(lambda v: A.apply_explicit(_gradients(g, v)), A.grid.m) \
+                * A.grid.volumes[:, None]
             assert np.abs(C @ ones).max() <= 1e-12 * scale
             assert np.abs(C.T @ ones).max() <= 1e-12 * scale
 
@@ -269,8 +270,8 @@ def test_ritz_values_bounded_below():
     g = RadialGrid(3, 16)
     A = assemble_A(p, g, 0.5)
     # S x = lam V x is symmetric as V^-1/2 S V^-1/2
-    root = np.sqrt(A.volumes)
-    evals = np.linalg.eigvalsh(dense(A.apply_flux, A.n) / np.outer(root, root))
+    root = np.sqrt(A.grid.volumes)
+    evals = np.linalg.eigvalsh(dense(A.apply_flux, A.grid.m) / np.outer(root, root))
     assert evals.min() >= -1e-10
     assert (evals + A.beta).min() >= 1.0 * (1 - 1e-10)
 
@@ -279,7 +280,7 @@ def test_shear_map_produces_cross_part():
     A = assemble_A(shear_problem(), BoxGrid((1.0, 1.0), (8, 8)), 0.0)
     assert A.cross is not None
     # the implicit flux part stays symmetric
-    assert symmetry_residual(dense(A.apply_flux, A.n)) <= 1e-13
+    assert symmetry_residual(dense(A.apply_flux, A.grid.m)) <= 1e-13
 
 
 def test_cross_part_is_consistent_with_the_operator():
@@ -297,7 +298,7 @@ def test_cross_part_is_consistent_with_the_operator():
         vxy = -np.pi ** 2 * np.cos(np.pi * y[:, 0]) * np.sin(np.pi * y[:, 1])
         exact = -(a11 * vxx + 2 * a12 * vxy + a22 * vyy) + v
         A = assemble_A(p, g, 0.0)
-        approx = A.apply(v)
+        approx = A.apply_implicit(v) + A.apply_explicit(_gradients(g, v))
         interior = np.all((g.centers > 2.5 / n) & (g.centers < 1 - 2.5 / n), axis=1)
         return np.abs(approx - exact)[interior].max()
 

@@ -8,15 +8,15 @@ import pytest
 from movingdom import expr as ex
 from movingdom.diffeo import BallDomain, BoxDomain, DiffeoSpec
 from movingdom.grid import (BoxGrid, GridField, RadialGrid, SparseOperator,
-                            assemble_A, boundary_residual, mass, norm_L2,
-                            operator_family)
+                            _gradients, assemble_A, boundary_residual, mass,
+                            norm_L2, operator_family)
 from movingdom import pullback
 from movingdom.cli import _spec, fixture_path, load_config
 from movingdom.diffeo import build_metric
 from movingdom.problem import assemble
 from movingdom.solver import (SCHEMES, CgError, MmsReport, SolverError,
                               StepperConfig, _cg, _solve,
-                              mms_convergence, run, run_homogeneous)
+                              mms_convergence, operator_at, run, run_homogeneous)
 
 
 def identity_problem(dim, domain=None, beta=1.0, f=None):
@@ -93,6 +93,8 @@ def test_config_validation():
         StepperConfig(dt=0.0)
     with pytest.raises(SolverError, match="cg_tol"):
         StepperConfig(dt=0.1, cg_tol=0.0)
+    with pytest.raises(SolverError, match="snapshot_every"):
+        StepperConfig(dt=0.1, snapshot_every=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +102,7 @@ def test_config_validation():
 
 def test_cg_identity_operator_converges_in_one_iteration():
     g = BoxGrid((1.0,), (8,))
-    A = SparseOperator(g, (np.zeros(7),), g.volumes, beta=1.0, cross=None)
+    A = SparseOperator(g, (np.zeros(7),), beta=1.0, cross=None)
     rhs = np.arange(8.0)
     from movingdom.solver import _cg
     x, iters = _cg(A, rhs, tol=1e-12)
@@ -122,27 +124,35 @@ def test_cg_rejects_indefinite_operator():
     p = identity_problem(1)
     g = BoxGrid((1.0,), (16,))
     A = assemble_A(p, g, 0.0)
-    bad = SparseOperator(g, A.weights, A.volumes, beta=-10.0, cross=None)
+    bad = SparseOperator(g, A.weights, beta=-10.0, cross=None)
     with pytest.raises(CgError):
         _cg(bad, np.ones(16), tol=1e-10)
 
 
 def dense_shifted(A, dt):
     """I + dt * (implicit part of A) as a dense matrix, dt = 0 giving A itself."""
-    S = np.column_stack([A.apply_flux(e) for e in np.eye(A.n)])
-    D = S / A.volumes[:, None] + A.beta * np.eye(A.n)
-    return D if dt == 0 else np.eye(A.n) + dt * D
+    n = A.grid.m
+    S = np.column_stack([A.apply_flux(e) for e in np.eye(n)])
+    D = S / A.grid.volumes[:, None] + A.beta * np.eye(n)
+    return D if dt == 0 else np.eye(n) + dt * D
+
+
+def apply_full(A, v):
+    """A v with its cross block, which the stepper lags explicitly."""
+    out = A.apply_implicit(v)
+    if A.cross is not None:
+        out += A.apply_explicit(_gradients(A.grid, v))
+    return out
 
 
 def test_radial_direct_solve_matches_dense_solve():
-    # the family's eigenbasis solve against a dense solve of the assembled operator
+    # the eigenbasis solve against a dense solve of the assembled operator
     p = ball_shrink_problem(beta=0.5)
     g = RadialGrid(3, 64)
-    fam = operator_family(p, g)
     rng = np.random.default_rng(23)
     rhs = rng.normal(size=64)
     for t, dt in ((0.7, 0.0), (-0.2, 0.01)):
-        A = fam.at(t, p.beta)
+        A = operator_at(p, g, t)
         exact = np.linalg.solve(dense_shifted(assemble_A(p, g, t), dt), rhs)
         x, iters = _solve(A.shifted(dt) if dt else A, rhs, tol=1e-10)
         assert iters == 0
@@ -151,8 +161,7 @@ def test_radial_direct_solve_matches_dense_solve():
 
 def test_radial_direct_solve_rejects_indefinite_operator():
     g = RadialGrid(3, 64)
-    bad = dataclasses.replace(operator_family(ball_shrink_problem(), g).at(0.0, 1.0),
-                              beta=-10.0)
+    bad = dataclasses.replace(operator_at(ball_shrink_problem(), g, 0.0), beta=-10.0)
     with pytest.raises(CgError, match="not positive definite"):
         _solve(bad, np.ones(64), tol=1e-10)
 
@@ -168,12 +177,12 @@ def test_radial_runs_solve_directly():
 def test_kronecker_solve_matches_dense_solve():
     p = stretch_problem((1.0, 1.3, 0.7))
     g = BoxGrid((1.0, 1.3, 0.7), (6, 5, 4))
-    fam = operator_family(p, g)
-    assert fam.lam is not None and len(fam.vecs) == 3
+    A0, _ = operator_family(p, g)
+    assert A0.lam is not None and len(A0.vecs) == 3
     rng = np.random.default_rng(29)
     rhs = rng.normal(size=g.m)
     for t, dt in ((0.4, 0.0), (-0.9, 0.02)):
-        A = fam.at(t, p.beta)
+        A = operator_at(p, g, t)
         exact = np.linalg.solve(dense_shifted(assemble_A(p, g, t), dt), rhs)
         x, iters = _solve(A.shifted(dt) if dt else A, rhs, tol=1e-10)
         assert iters == 0
@@ -184,8 +193,7 @@ def test_non_kronecker_boxes_fall_back_to_cg():
     cases = [(coupled_problem(), BoxGrid((1.0, 1.0), (8, 8))),
              (shear_problem(), BoxGrid((1.0, 1.0), (8, 8)))]
     for p, g in cases:
-        fam = operator_family(p, g)
-        assert fam is None or fam.lam is None
+        assert operator_at(p, g, 0.0).lam is None
         v0 = np.cos(np.pi * g.centers[:, 0]) + g.centers[:, 1]
         traj = run(p, g, StepperConfig(dt=0.05, scheme="crank-nicolson"),
                    0.0, 0.2, v0)
@@ -194,9 +202,8 @@ def test_non_kronecker_boxes_fall_back_to_cg():
 
 def test_kronecker_solve_rejects_indefinite_operator():
     g = BoxGrid((1.0, 1.0, 1.0), (5, 4, 3))
-    bad = dataclasses.replace(operator_family(stretch_problem(), g).at(0.0, 1.0),
-                              beta=-10.0)
-    assert bad.family.vecs is not None
+    bad = dataclasses.replace(operator_at(stretch_problem(), g, 0.0), beta=-10.0)
+    assert bad.vecs is not None
     with pytest.raises(CgError, match="not positive definite"):
         _solve(bad, np.ones(g.m), tol=1e-10)
 
@@ -212,7 +219,7 @@ def test_direct_box_runs_report_zero_iterations():
 
 
 def test_drift_norm_direct_solves_match_cg():
-    # drift_norm inverts A(r) through the family's direct solves; at the
+    # drift_norm inverts A(r) through the eigenbasis solves; at the
     # drift times those solves agree with CG on the assembled operators
     sin_t = assemble(_spec(load_config(fixture_path("sin_t"))), beta=1.0)
     cases = [(sin_t, RadialGrid(3, 24), (0.0, -1.0, -4.0)),
@@ -220,9 +227,8 @@ def test_drift_norm_direct_solves_match_cg():
     rhs = np.cos(np.arange(120.0))
     for p, g, times in cases:
         assert pullback.drift_norm(p, g, times) > 0.0
-        fam = operator_family(p, g)
         for t in times:
-            direct, iters = _solve(fam.at(t, p.beta), rhs[:g.m], tol=1e-12)
+            direct, iters = _solve(operator_at(p, g, t), rhs[:g.m], tol=1e-12)
             reference, _ = _cg(assemble_A(p, g, t), rhs[:g.m], tol=1e-13)
             assert iters == 0
             assert np.abs(direct - reference).max() <= 1e-10 * np.abs(reference).max()
@@ -234,15 +240,42 @@ def test_family_operators_match_the_assembled_ones():
              (shear_stretch_problem(), BoxGrid((1.0, 1.0), (8, 8)))]
     rng = np.random.default_rng(31)
     for (p, g), kind in zip(cases, ("radial", "kronecker", "cg")):
-        fam = operator_family(p, g)
-        assert (fam.lam is None) == (kind == "cg")
-        assert (fam.base.cross is not None) == (kind == "cg")
+        A0, _ = operator_family(p, g)
+        assert (A0.lam is None) == (kind == "cg")
+        assert (A0.cross is not None) == (kind == "cg")
         v = rng.normal(size=g.m)
         for t in (-3.0, -0.5, 0.0, 0.7, 2.0):
-            A, F = assemble_A(p, g, t), fam.at(t, p.beta)
-            want = A.apply(v)
-            assert np.abs(F.apply(v) - want).max() <= 1e-13 * np.abs(want).max()
+            A, F = assemble_A(p, g, t), operator_at(p, g, t)
+            want = apply_full(A, v)
+            assert np.abs(apply_full(F, v) - want).max() <= 1e-13 * np.abs(want).max()
             assert np.abs(F.scale * F.a - A.a).max() <= 1e-13 * np.abs(A.a).max()
+
+
+def test_explicit_rhs_takes_one_gradient(monkeypatch):
+    # the drift and the cross block share one gradient of the state, on
+    # forced and on homogeneous steps
+    from movingdom import grid as grid_module, solver
+    p, g, t = shear_problem(), BoxGrid((1.0, 1.0), (8, 8)), 0.3
+    A = operator_at(p, g, t)
+    assert A.cross is not None
+    v = np.cos(np.pi * g.centers[:, 0]) + g.centers[:, 1] ** 2
+    grads = _gradients(g, v)
+    b, _ = forcing = solver._forcing(p, g, t)
+    drift = np.einsum("mk,mk->m", b, np.column_stack(grads))
+    calls = []
+
+    def counting(grid, vals):
+        calls.append(grid)
+        return _gradients(grid, vals)
+
+    monkeypatch.setattr(grid_module, "_gradients", counting)
+    monkeypatch.setattr(solver, "_gradients", counting)
+    for f, want in ((forcing, p.f_values(t, v) - drift - A.apply_explicit(grads)),
+                    (None, -A.apply_explicit(grads))):
+        calls.clear()
+        out = solver._explicit_rhs(p, g, t, v, A, f)
+        assert len(calls) == 1
+        assert np.array_equal(out, want)
 
 
 def test_non_separable_metrics_assemble_every_step(monkeypatch):
@@ -265,8 +298,7 @@ def test_non_separable_metrics_assemble_every_step(monkeypatch):
     for _ in range(10):
         A0, A1 = assemble_A(p, g, t), assemble_A(p, g, t + cfg.dt)
         rhs = v + cfg.dt * _explicit_rhs(p, g, t, v, A0, None)
-        left = SparseOperator(g, A1.weights, A1.volumes, 1.0 + cfg.dt * A1.beta,
-                              scale=cfg.dt)
+        left = SparseOperator(g, A1.weights, 1.0 + cfg.dt * A1.beta, scale=cfg.dt)
         v, _ = _cg(left, rhs, cfg.cg_tol, x0=v)
         t += cfg.dt
     assert np.array_equal(traj.final.values, v)
@@ -350,7 +382,6 @@ def test_metrics_reuse_the_assembled_coefficients():
     cases = [(ball_shrink_problem(f="sin(t)"), RadialGrid(3, 16)),
              (shear_problem(), BoxGrid((1.0, 1.0), (6, 6)))]
     for p, g in cases:
-        fam = operator_family(p, g)
         for scheme in SCHEMES:
             cfg = StepperConfig(dt=0.05, scheme=scheme, snapshot_every=1)
             traj = run(p, g, cfg, 0.3, 0.6, np.linspace(0.0, 1.0, g.m))
@@ -358,7 +389,7 @@ def test_metrics_reuse_the_assembled_coefficients():
             for t, snap, row in zip(traj.times, traj.snapshots, traj.metrics):
                 assert row.t == t
                 # the stepper's coefficients h2(t) a0, against a fresh evaluation
-                op = fam.at(t, p.beta)
+                op = operator_at(p, g, t)
                 assert row.boundary_residual == \
                     op.scale * boundary_residual(p, g, t, snap, a=op.a)
                 assert row.boundary_residual == \
