@@ -172,11 +172,13 @@ def _domain(rc):
 
 
 def _grid(rc, n=None):
+    axes = 1 if rc.domain_kind == "ball" else rc.dim
+    counts = (n,) * axes if n is not None else rc.grid
+    if len(counts) != axes:
+        raise ConfigError(f"bad [numerics] value: grid needs one cell count per "
+                          f"axis ({axes} here), got {counts}")
     if rc.domain_kind == "ball":
-        return RadialGrid(rc.dim, n if n is not None else rc.grid[0])
-    counts = (n,) * rc.dim if n is not None else rc.grid
-    if len(counts) != rc.dim:
-        raise ConfigError(f"grid needs {rc.dim} entries, got {counts}")
+        return RadialGrid(rc.dim, counts[0])
     return BoxGrid(rc.extents, counts)
 
 
@@ -369,6 +371,8 @@ def cmd_solve(rc, out, seed=None):
     g = _grid(rc)
     tau = _exp(rc, "tau", 0.0)
     T = _exp(rc, "t", 1.0)
+    if not tau <= T:
+        raise ConfigError(f"[experiment] needs tau <= t, got tau = {tau}, t = {T}")
     operator_family(p, g)   # built once before the march, which then does per-step work only
     traj = run(p, g, cfg, tau, T)
     _write_metrics(out, traj)
@@ -377,10 +381,8 @@ def cmd_solve(rc, out, seed=None):
     centers = g.embed()[:, :rc.dim]
     for idx, (t, snap) in enumerate(zip(traj.times, traj.snapshots)):
         write_snapshot(out / f"fixed_{idx:03d}.snap", snap, t)
-        env = {"t": np.full(g.m, t)}
-        for i in range(rc.dim):
-            env[f"y{i + 1}"] = centers[:, i]
-        xs = [np.broadcast_to(f(env), (g.m,)) for f in fwd] + [snap.values]
+        env, shape = ex.bind(t, centers)
+        xs = [np.broadcast_to(f(env), shape) for f in fwd] + [snap.values]
         # floats formatted as write_table's _cell would, the constant t once; a
         # memoryview yields one Python float at a time, so no column is held
         # as a list of objects and the rows stream
@@ -428,6 +430,13 @@ def cmd_pullback(rc, out, seed=None):
     if horizon < 10.0 / p.beta:
         raise ConfigError(f"experiment horizon {horizon} too short for the "
                           f"decay fit; need >= 10/beta = {10.0 / p.beta}")
+    # the ladder truncates itself to the cap; these runs would only overrun it
+    planned = (("decay fit", n_seeds * horizon / cfg.dt),
+               ("absorbing radius", n_seeds * len(radii) * 2.0 ** radius_k / cfg.dt))
+    for phase, steps in planned:
+        if steps > cap:
+            raise PullbackError(f"the {phase} plans {steps:.0f} steps, above "
+                                f"max_total_steps = {cap}")
 
     operator_family(p, g)   # built once before the runs below, which share it
     rng = np.random.default_rng(rng_seed)

@@ -16,13 +16,15 @@ The transformed flux boundary condition is the conormal n . (M grad v) = 0.
 
 All derivations are symbolic over movingdom.expr trees, so the results can be
 printed, re-parsed and differentiated again (the finite-volume assembly and
-the manufactured-source harness both rely on that).
+the manufactured-source harness both rely on that).  MetricBundle compiles
+each entry once and evaluates it on the bindings of expr.bind.
 
 check_H1 tests the separable structure T(t,y) = h(t) P(y) with the gauge
 h(t0) = 1 at the sampled point of largest Frobenius norm, fits h by Frobenius
-projection and reports a scale-invariant residual.  check_H4 tabulates
-sup |h(t) - h(tau)| over a geometric gap ladder; it reports sampled behaviour
-only and never certifies the infinite-gap limit.
+projection (its h_fn reads T at the gauge point through the bundle) and
+reports a scale-invariant residual.  check_H4 tabulates sup |h(t) - h(tau)|
+over a geometric gap ladder; it reports sampled behaviour only and never
+certifies the infinite-gap limit.
 """
 
 from __future__ import annotations
@@ -65,9 +67,8 @@ class BoxDomain:
 
 @dataclass(frozen=True)
 class BallDomain:
-    """Unit ball; radial=True marks problems posed with radial symmetry."""
+    """Unit ball."""
     dim: int
-    radial: bool = True
 
 
 @dataclass(frozen=True)
@@ -194,28 +195,13 @@ class MetricBundle:
             self._fns[key] = ex.compiled(e)
         return self._fns[key]
 
-    def _env(self, t, pts):
-        pts = np.asarray(pts, dtype=float)
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            env = {"t": float(t)}
-            shape = (len(pts),)
-        else:
-            # broadcast a time grid against the point set: (nt, m)
-            env = {"t": t[:, None]}
-            shape = (len(t), len(pts))
-        for i, name in enumerate(_yvars(self.dim)):
-            env[name] = pts[None, :, i] if t.ndim else pts[:, i]
-        return env, shape
-
     def _eval_matrix(self, which, exprs, t, pts):
-        env, shape = self._env(t, pts)
+        env, shape = ex.bind(t, pts)
         d = self.dim
         out = np.empty(shape + (d, d))
         for j in range(d):
             for k in range(d):
-                val = self._fn((which, j, k), exprs[j][k])(env)
-                out[..., j, k] = np.broadcast_to(val, shape)
+                out[..., j, k] = self._fn((which, j, k), exprs[j][k])(env)
         return out
 
     def eval_T(self, t, pts):
@@ -225,11 +211,10 @@ class MetricBundle:
         return self._eval_matrix("a", self.a, t, pts)
 
     def eval_b(self, t, pts):
-        env, shape = self._env(t, pts)
+        env, shape = ex.bind(t, pts)
         out = np.empty(shape + (self.dim,))
         for k in range(self.dim):
-            val = self._fn(("b", k), self.b[k])(env)
-            out[..., k] = np.broadcast_to(val, shape)
+            out[..., k] = self._fn(("b", k), self.b[k])(env)
         return out
 
     def eval_K(self, t, pts, normals):
@@ -312,21 +297,14 @@ def validate_inverse(spec: DiffeoSpec, tgrid=None, pts=None):
     tgrid = time_grid() if tgrid is None else np.asarray(tgrid, dtype=float)
     if pts is None:
         pts = interior_points(spec.domain, spec.dim)
-    d = spec.dim
-    fwd = [ex.compiled(c) for c in spec.forward]
-    inv = [ex.compiled(c) for c in spec.inverse]
-    env = {"t": tgrid[:, None]}
-    for i, name in enumerate(_yvars(d)):
-        env[name] = pts[None, :, i]
-    shape = (len(tgrid), len(pts))
-    xs = [np.broadcast_to(f(env), shape) for f in fwd]
-    env_x = {"t": tgrid[:, None]}
-    for i, name in enumerate(_xvars(d)):
-        env_x[name] = xs[i]
+    env, shape = ex.bind(tgrid, pts)
+    env_x = {"t": env["t"]}
+    for name, c in zip(_xvars(spec.dim), spec.forward):
+        env_x[name] = np.broadcast_to(ex.compiled(c)(env), shape)
     worst = 0.0
     worst_at = (float(tgrid[0]), pts[0].copy())
-    for k in range(d):
-        back = np.broadcast_to(inv[k](env_x), shape)
+    for k, c in enumerate(spec.inverse):
+        back = np.broadcast_to(ex.compiled(c)(env_x), shape)
         err = np.abs(back - pts[None, :, k])
         idx = np.unravel_index(np.argmax(err), err.shape)
         if err[idx] > worst:
@@ -419,17 +397,13 @@ def check_H1(m: MetricBundle, tgrid=None, pts=None) -> SeparabilityReport:
 
     t0 = float(tgrid[i0])
     y0 = pts[j0].copy()
-    fns = [[ex.compiled(m.T[i][k]) for k in range(m.dim)] for i in range(m.dim)]
 
     def h_fn(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        env = {"t": ts}
-        for i, name in enumerate(_yvars(m.dim)):
-            env[name] = np.full_like(ts, y0[i])
-        acc = np.zeros_like(ts)
+        Ts = m.eval_T(np.atleast_1d(ts), y0[None])[:, 0]
+        acc = np.zeros(len(Ts))
         for i in range(m.dim):
             for k in range(m.dim):
-                acc += np.broadcast_to(fns[i][k](env), ts.shape) * P0[i, k]
+                acc += Ts[:, i, k] * P0[i, k]
         return acc / denom
 
     return SeparabilityReport(passed, residual, float(h.min()), float(h.max()),

@@ -26,6 +26,7 @@ negative power, overflow, non-finite bindings) raise EvalError rather than
 returning NaN or Inf, both in pointwise and in vectorised evaluation.
 evaluate() checks each node; compiled() runs the whole vectorised
 evaluation in one floating-point errstate scope and checks the result once.
+bind() binds t and y1..yd from a time (or time grid) and a point set.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ __all__ = [
     "Expr", "Const", "Var", "Unary", "Binary",
     "ExprError", "ParseError", "EvalError",
     "parse", "evaluate", "diff", "simplify", "substitute",
-    "free_vars", "to_string", "compiled",
+    "free_vars", "to_string", "compiled", "bind",
 ]
 
 VARIABLES = ("t", "u", "y1", "y2", "y3", "x1", "x2", "x3")
@@ -401,6 +402,24 @@ def compiled(e: Expr, names=None):
             raise EvalError(f"non-finite value of {e}")
         return r
     return fn
+
+
+def bind(t, pts):
+    """(bindings, shape) of t and y1..yd, y_i from column i of pts (m, d).
+
+    A scalar t (a float binding) or None (no t) gives shape (m,); a 1-D array
+    of nt times, broadcast against the points, gives (nt, m).
+    """
+    pts = np.asarray(pts, dtype=float)
+    if t is None or np.ndim(t) == 0:
+        env = {} if t is None else {"t": float(t)}
+        cols, shape = pts.T, (len(pts),)
+    else:
+        t = np.asarray(t, dtype=float)
+        env = {"t": t[:, None]}
+        cols, shape = pts.T[:, None], (len(t), len(pts))
+    env.update((f"y{i + 1}", col) for i, col in enumerate(cols))
+    return env, shape
 
 
 # ---------------------------------------------------------------------------

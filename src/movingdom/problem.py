@@ -71,25 +71,18 @@ class TransformedProblem:
         return np.broadcast_to(fn({"t": t, "u": np.asarray(u, dtype=float)}),
                                np.shape(u)).copy()
 
-    def source_values(self, t, pts):
-        pts = np.asarray(pts, dtype=float)
-        if self.source is None:
+    def _at(self, key, e, t, pts):
+        """e at time t (None: e has no t) over pts, one value per point."""
+        if e is None:
             return np.zeros(len(pts))
-        names = ("t",) + tuple(f"y{i + 1}" for i in range(self.dim))
-        env = {"t": t}
-        for i in range(self.dim):
-            env[f"y{i + 1}"] = pts[:, i]
-        fn = self._fn("source", self.source, names)
-        return np.broadcast_to(fn(env), (len(pts),)).copy()
+        env, shape = ex.bind(t, pts)
+        return np.broadcast_to(self._fn(key, e, tuple(env))(env), shape).copy()
+
+    def source_values(self, t, pts):
+        return self._at("source", self.source, t, pts)
 
     def initial_values(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        if self.initial is None:
-            return np.zeros(len(pts))
-        names = tuple(f"y{i + 1}" for i in range(self.dim))
-        env = {f"y{i + 1}": pts[:, i] for i in range(self.dim)}
-        fn = self._fn("initial", self.initial, names)
-        return np.broadcast_to(fn(env), (len(pts),)).copy()
+        return self._at("initial", self.initial, None, pts)
 
     def lipschitz_sup(self, u_window=DEFAULT_U_WINDOW, t_window=DEFAULT_T_WINDOW):
         """Sampled sup |d_u f| over the default window; 0 without f.

@@ -348,14 +348,11 @@ def _b(op, a, c):
 
 
 def _exact_fn(e, dim):
-    names = ("t",) + tuple(f"y{i + 1}" for i in range(dim))
-    fn = ex.compiled(e, names)
+    fn = ex.compiled(e, ("t",) + tuple(f"y{i + 1}" for i in range(dim)))
 
     def at(t, pts):
-        env = {"t": t}
-        for i in range(dim):
-            env[f"y{i + 1}"] = pts[:, i]
-        return np.broadcast_to(fn(env), (len(pts),)).copy()
+        env, shape = ex.bind(t, pts)
+        return np.broadcast_to(fn(env), shape).copy()
 
     return at
 
@@ -431,7 +428,10 @@ def mms_convergence(p, exact, grids, dts, scheme="backward-euler", tau=0.0,
         traj = run(pm, g, cfgS, tau, T, at(tau, g.embed()))
         err = norm_L2(g, traj.final.values - at(T, g.embed()))
         spatial.append((g.m, err))
-    spatial_orders = _orders([e for _, e in spatial], 2.0)
+    # mesh ratio of each rung: its cell-count ratio, per axis
+    spatial_orders = _orders([e for _, e in spatial],
+                             [(g1.m / g0.m) ** (1 / len(g0.counts))
+                              for g0, g1 in zip(grids, grids[1:])])
 
     tg = grids[-1]
     v0 = at(tau, tg.embed())
@@ -452,8 +452,7 @@ def mms_convergence(p, exact, grids, dts, scheme="backward-euler", tau=0.0,
     return MmsReport(spatial, spatial_orders, temporal, temporal_orders)
 
 
-def _orders(errors, ratio):
-    ratios = [ratio] * (len(errors) - 1) if np.isscalar(ratio) else ratio
+def _orders(errors, ratios):
     out = []
     for e0, e1, r in zip(errors, errors[1:], ratios):
         if min(e0, e1) <= 1e-14:

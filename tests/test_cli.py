@@ -232,8 +232,9 @@ def test_malformed_expression_exits_2(tmp_path, capsys, command, change, message
     ("pullback", {"drift_gaps": ""}, "drift_gaps = ''"),
     ("pullback", {"t_star": "inf"}, "t_star = 'inf' is not finite"),
     ("pullback", {"horizon": "nan"}, "horizon = 'nan' is not finite"),
+    ("solve", {"tau": "2", "t": "1"}, "needs tau <= t, got tau = 2.0, t = 1.0"),
 ], ids=["k_max_text", "radii_empty", "t_star_text", "solve_t_text", "k_max_zero",
-        "seeds_zero", "drift_gaps_empty", "t_star_inf", "horizon_nan"])
+        "seeds_zero", "drift_gaps_empty", "t_star_inf", "horizon_nan", "solve_tau_after_t"])
 def test_bad_experiment_value_exits_2(tmp_path, capsys, command, change, message):
     experiment = {"horizon": "10.0", "seeds": "1"} | change
     p = tmp_path / "bad.cfg"
@@ -255,14 +256,18 @@ def test_bad_experiment_value_exits_2(tmp_path, capsys, command, change, message
     ("pullback", {"dt": "-1"}, "dt must be positive, got -1.0"),
     ("mms", {"scheme": "leapfrog"}, "unknown scheme 'leapfrog'"),
     ("mms", {"dts": "0.02, -0.01"}, "dt must be positive, got -0.01"),
+    # "domain" goes to [problem]: a radial grid has one axis
+    ("solve", {"domain": "ball", "grid": "8, 8"},
+     "grid needs one cell count per axis (1 here), got (8, 8)"),
 ], ids=["solve_dt_nan", "solve_dt_negative", "solve_cg_tol_zero", "solve_scheme",
         "solve_snapshot_every_negative", "pullback_dt_negative", "mms_scheme",
-        "mms_dts_negative"])
+        "mms_dts_negative", "solve_ball_grid_two_counts"])
 def test_bad_numerics_value_exits_2(tmp_path, capsys, command, change, message):
     numerics = {"grid": "8", "dt": "0.05", "dts": "0.02, 0.01"} | change
+    domain = numerics.pop("domain", "box")
     p = tmp_path / "bad.cfg"
-    p.write_text('[problem]\ndim = 1\nextents = 1.0\nforward = "y1"\ninverse = "x1"\n'
-                 'beta = 1.0\ninitial = "1 + y1"\n'
+    p.write_text(f'[problem]\ndim = 1\ndomain = {domain}\nextents = 1.0\n'
+                 'forward = "y1"\ninverse = "x1"\nbeta = 1.0\ninitial = "1 + y1"\n'
                  'exact = "exp(0 - t) * cos(3.141592653589793 * y1)"\n[numerics]\n'
                  + "".join(f"{k} = {v}\n" for k, v in numerics.items())
                  + '[experiment]\ntau = 0.0\nt = 0.1\nhorizon = 10.0\nseeds = 1\n')
@@ -511,13 +516,39 @@ def test_pullback_step_cap_exits_4(tmp_path, capsys):
         'forward = "y1"\ninverse = "x1"\nbeta = 1.0\n'
         '[numerics]\ngrid = 16\ndt = 0.01\n'
         '[experiment]\nt_star = 0.0\nk_max = 6\nhorizon = 10.0\nseeds = 1\n'
-        'radii = 1.0\nradius_k = 1\nmax_total_steps = 400\n')
+        'radii = 1.0\nradius_k = 1\nmax_total_steps = 1000\n')
+    # the ladder plans 12,700 steps and is cut to k <= 2 (700); the decay
+    # fit (1,000) and the absorbing radius (200) fit under the cap
     code = run_cli(["pullback", "--config", cfg, "--out", tmp_path])
     assert code == 4
     # the shortened report is still written before the resource exit
     _, _, rows = read_rows(tmp_path / "pullback_report.csv")
     by = {(r[0], r[1]): r[2] for r in rows}
     assert float(by[("gaps", "truncated")]) == 1.0
+
+
+@pytest.mark.parametrize("key, value, phase", [
+    ("radius_k", "40", "absorbing radius"),
+    ("horizon", "1e12", "decay fit"),
+])
+def test_pullback_overlong_run_exits_4_before_marching(tmp_path, key, value, phase):
+    # each of these marches runs for hours; the cap must stop it up front
+    text = fixture_path("sin_t").read_text()
+    lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+             for line in text.splitlines()]
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    # MOVINGDOM_LOG=error hides sin_t's H4 advisory, which `check` also prints
+    env = dict(os.environ, PYTHONPATH=str(Path(movingdom.__file__).parents[1]),
+               MOVINGDOM_LOG="error")
+    r = subprocess.run([sys.executable, "-m", "movingdom", "pullback", "--config", str(cfg),
+                        "--out", str(tmp_path / "out")],
+                       capture_output=True, text=True, env=env, timeout=60)
+    assert r.returncode == 4, r.stderr
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"movingdom: the {phase} plans "), lines
+    assert "above max_total_steps = 5000000" in lines[0]
+    assert not (tmp_path / "out" / "pullback_report.csv").exists()
 
 
 def test_pullback_short_horizon_is_config_error(tmp_path):

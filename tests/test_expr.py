@@ -118,6 +118,22 @@ def test_compiled_matches_pointwise():
         assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
 
 
+def test_bind_shapes_match_pointwise_evaluation():
+    e = ex.parse("exp(-t^2)*y1^2 + sin(y2)")
+    fn = ex.compiled(e)
+    pts = np.random.default_rng(3).uniform(-1, 1, size=(7, 2))
+    ts = np.array([-1.5, 0.0, 0.25])
+    env, shape = ex.bind(0.25, pts)
+    assert shape == (7,) and env["t"] == 0.25 and np.array_equal(env["y2"], pts[:, 1])
+    assert np.array_equal(fn(env), fn(ex.bind(ts, pts)[0])[2])
+    env, shape = ex.bind(ts, pts)
+    assert shape == (3, 7) and fn(env).shape == shape
+    want = [[ex.evaluate(e, {"t": t, "y1": y[0], "y2": y[1]}) for y in pts] for t in ts]
+    assert np.allclose(fn(env), want, rtol=1e-14, atol=1e-14)
+    env, shape = ex.bind(None, pts)
+    assert shape == (7,) and sorted(env) == ["y1", "y2"]
+
+
 def test_compiled_constant_broadcasts():
     fn = ex.compiled(ex.parse("pi"))
     assert float(fn({})) == pytest.approx(math.pi)

@@ -512,6 +512,15 @@ def test_mms_identity_box_orders():
     assert all(abs(o - 2.0) <= 0.3 for o in rep_cn.temporal_orders)
 
 
+def test_mms_spatial_orders_follow_the_ladder():
+    # a rung that triples the cells: errors 1.6e-3 and 1.8e-4 are order 2,
+    # not the 3.17 an assumed mesh ratio of 2 would report
+    p = identity_problem(1)
+    grids = [BoxGrid((1.0,), (n,)) for n in (16, 48)]
+    rep = mms_convergence(p, "exp(-t) * cos(pi * y1)", grids, dts=(0.02, 0.01))
+    assert rep.spatial_orders == [pytest.approx(2.0, abs=0.1)]
+
+
 def test_mms_radial_orders():
     p = ball_shrink_problem()
     exact = "exp(-t) * (1 - (y1^2 + y2^2 + y3^2))^2"

@@ -4,7 +4,9 @@ The tracer wraps movingdom functions by module and attribute name and
 reports a name it cannot resolve as absent instead of failing, so a
 refactor that renames or drops a traced function (`solver.assemble_A`,
 `solver._advance`, ...) would only show as a missing per-layer metric in a
-traced benchmark run.  This test makes that a test failure.
+traced benchmark run.  The first test makes that a test failure; the second
+runs one command under the tracer and checks that it still counts
+evaluations per step and leaves the outputs byte for byte as they were.
 """
 
 import sys
@@ -12,6 +14,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracer  # noqa: E402
+
+from movingdom.cli import fixture_path, main  # noqa: E402
 
 # targets the program no longer has: the norms and diagnostics the stepper
 # replaced with one metrics kernel, and the CG matrix the stencils replaced
@@ -25,3 +29,21 @@ def test_tracer_resolves_every_traced_function():
     finally:
         t.uninstall()
     assert set(t.absent) <= KNOWN_ABSENT, sorted(set(t.absent) - KNOWN_ABSENT)
+
+
+def test_traced_solve_sees_evaluations_and_keeps_outputs(tmp_path):
+    # the tracer wraps every evaluator `expr.compiled` returns; a run under it
+    # must still see them per step and must write the files an untraced run does
+    cfg = str(fixture_path("sin_u"))
+    plain, traced = tmp_path / "plain", tmp_path / "traced"
+    assert main(["solve", "--config", cfg, "--out", str(plain)]) == 0
+    code, metrics, _, absent, _ = tracer.traced_main(
+        ["solve", "--config", cfg, "--out", str(traced)])
+    assert code == 0
+    assert metrics["expr.eval_calls_per_step"] > 0
+    assert metrics["diffeo.eval_b_calls_per_step"] > 0
+    assert set(absent) <= KNOWN_ABSENT, sorted(set(absent) - KNOWN_ABSENT)
+    names = sorted(f.name for f in plain.iterdir())
+    assert names == sorted(f.name for f in traced.iterdir()) and names
+    for name in names:
+        assert (plain / name).read_bytes() == (traced / name).read_bytes(), name
