@@ -31,8 +31,8 @@ from .grid import BoxGrid, GridError, RadialGrid, operator_family, write_snapsho
 from .problem import ProblemError, assemble, check_H2, check_H3
 from .pullback import (PullbackError, PullbackReport, absorbing_radius,
                        cocycle_check, decay_fit, drift_norm,
-                       factorization_probe, pullback_converge)
-from .solver import SolverError, StepperConfig, mms_convergence, run
+                       factorization_probe, ladder_steps, pullback_converge)
+from .solver import SolverError, StepperConfig, drift_basis, mms_convergence, run
 
 log = logging.getLogger("movingdom.cli")
 
@@ -373,7 +373,9 @@ def cmd_solve(rc, out, seed=None):
     T = _exp(rc, "t", 1.0)
     if not tau <= T:
         raise ConfigError(f"[experiment] needs tau <= t, got tau = {tau}, t = {T}")
-    operator_family(p, g)   # built once before the march, which then does per-step work only
+    # built once before the march, which then does per-step work only
+    operator_family(p, g)
+    drift_basis(p, g)
     traj = run(p, g, cfg, tau, T)
     _write_metrics(out, traj)
 
@@ -432,13 +434,15 @@ def cmd_pullback(rc, out, seed=None):
                           f"decay fit; need >= 10/beta = {10.0 / p.beta}")
     # the ladder truncates itself to the cap; these runs would only overrun it
     planned = (("decay fit", n_seeds * horizon / cfg.dt),
-               ("absorbing radius", n_seeds * len(radii) * 2.0 ** radius_k / cfg.dt))
+               ("absorbing radius", n_seeds * len(radii) * ladder_steps(radius_k, cfg.dt)))
     for phase, steps in planned:
         if steps > cap:
             raise PullbackError(f"the {phase} plans {steps:.0f} steps, above "
                                 f"max_total_steps = {cap}")
 
-    operator_family(p, g)   # built once before the runs below, which share it
+    # built once before the runs below, which share them
+    operator_family(p, g)
+    drift_basis(p, g)
     rng = np.random.default_rng(rng_seed)
     seeds = [rng.normal(size=g.m) for _ in range(n_seeds)]
     u0 = p.initial_values(g.embed()) if rc.initial is not None else np.zeros(g.m)

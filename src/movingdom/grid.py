@@ -25,10 +25,12 @@ inner product of `inner` (scale 1 when assembled).
 There is one operator type, `SparseOperator`.  Under H1, a(t) = h2(t) a0
 and S(t) = h2(t) S0, so A(t) is A(0) with scale h2(t).  `operator_family`
 builds, once per (metric, grid) and only if that holds to 1e-13, A(0) and
-the scalar h2(t); A(0) also carries the eigenpairs of L0 = S0 / vol where
-the grid allows: one eigh of V^-1/2 S0 V^-1/2 on a radial grid, one per
-axis on a box whose axis-k face weights depend on y_k alone (a Kronecker
-sum of 1-D chains).  Its scaled and shifted copies share them.
+the scalar h2(t), one pointwise evaluation of a_00 per time; A(0) also
+carries the eigenpairs of L0 = S0 / vol where the grid allows: one eigh of
+V^-1/2 S0 V^-1/2 on a radial grid, one per axis on a box whose axis-k face
+weights depend on y_k alone (a Kronecker sum of 1-D chains).  Its scaled
+and shifted copies share them.  The explicit drift has the same structure
+and its own basis, `solver.drift_basis`, kept beside the family.
 
 The public norms and diagnostics validate their field through `as_field`.
 The stepper's `_metrics` kernel takes its already checked state and gets
@@ -388,14 +390,14 @@ def operator_family(p, grid):
 
 
 def _build_family(p, grid):
-    def h2(t):
-        return a00({**y_ref, "t": t}) / a0[ref, 0, 0]
+    def h2(t):   # one scalar evaluation of a_00 per time
+        return ex.evaluate(p.metric.a[0][0], {**y_ref, "t": t}) / a0[ref, 0, 0]
 
     def pairs():   # (a, h2 a0) in blocks of times and cells that bound the memory
         pts = interior_points(p.domain, p.dim)
         a0_pts = p.metric.eval_a(0.0, pts)
         for ts in np.array_split(time_grid(), 8):
-            yield p.metric.eval_a(ts, pts), np.multiply.outer(h2(ts), a0_pts)
+            yield p.metric.eval_a(ts, pts), np.multiply.outer([h2(t) for t in ts], a0_pts)
         for t in (-16.0, -4.0, -1.0, 1.0, 4.0):
             for c in np.array_split(np.arange(grid.m), -(-grid.m // 4096)):
                 yield p.metric.eval_a(t, grid.embed()[c]), h2(t) * a0[c]
@@ -405,7 +407,6 @@ def _build_family(p, grid):
         base = assemble_A(p, grid, 0.0)   # GridError for the grids assemble_A rejects
         a0 = base.a
         ref = int(np.argmax(np.abs(a0[:, 0, 0])))
-        a00 = p.metric._fn(("a", 0, 0), p.metric.a[0][0])
         y_ref = {f"y{i + 1}": float(y) for i, y in enumerate(grid.embed()[ref])}
         if not all(np.abs(a - b).max() <= 1e-13 * np.abs(a).max() for a, b in pairs()):
             return None

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,11 @@ class TransformedProblem:
         if key not in self._fns:
             self._fns[key] = ex.compiled(e, names)
         return self._fns[key]
+
+    @cached_property
+    def f_uses_u(self):
+        """Whether f depends on the state; an f of t alone is one value per time."""
+        return self.f is not None and "u" in ex.free_vars(self.f)
 
     def f_values(self, t, u):
         if self.f is None:

@@ -166,6 +166,12 @@ def _require_nonlinearity_bounds(p):
             f"{h3.tail_slope:.3f}")
 
 
+def ladder_steps(k, dt):
+    """Steps of one run over 2^k time units, ceil(2^k / dt), as a float: inf
+    beyond the float range, where 2.0 ** k itself would overflow."""
+    return float(np.ceil(2.0 ** k / dt)) if k < 1024 else math.inf
+
+
 def pullback_converge(p, grid, cfg, t_star, u0, k_max,
                       max_total_steps=5_000_000) -> GapReport:
     """Gap sequence along the pullback ladder tau_k = t* - 2^k.
@@ -178,14 +184,13 @@ def pullback_converge(p, grid, cfg, t_star, u0, k_max,
     if k_max < 1:
         raise PullbackError("k_max must be at least 1")
     _require_nonlinearity_bounds(p)
-    ks = list(range(k_max + 1))
-    truncated = False
-    while ks:
-        total = sum(math.ceil(2.0 ** k / cfg.dt) for k in ks)
-        if total <= max_total_steps:
+    ks, total = [], 0.0
+    for k in range(k_max + 1):
+        total += ladder_steps(k, cfg.dt)
+        if total > max_total_steps:
             break
-        ks.pop()
-        truncated = True
+        ks.append(k)
+    truncated = len(ks) <= k_max
     if len(ks) < 2:
         raise PullbackError(
             f"step cap {max_total_steps} leaves fewer than two ladder runs")

@@ -13,8 +13,15 @@ at the midpoint state (v_n + v*)/2.  When F does not depend on the state
 the corrector right-hand side is identical and v* is kept without a second
 solve, so the scheme degenerates to the plain one-solve form; with
 state-dependent F the correction restores second order in time.  The
-state-independent parts of F (drift field and source) are evaluated once
-per distinct time.
+state-independent parts of F (drift, source and an f of t alone) are
+evaluated once per distinct time.  Under H1 the drift b(t, .) lies in a
+fixed space of at most d + 2 fields of y; `drift_basis` keeps r snapshot
+fields of b on the grid, built once per (metric, grid) next to the
+operator family and checked to 1e-13, so a time costs r scalar
+evaluations of b (expr.evaluate) and one r x r product instead of b over
+the grid.  An f of t alone is one scalar per time, folded into the source.
+Without a family, or where the check fails, b is evaluated over the grid
+at each time.
 
 Every A(t) comes from `operator_at`.  Under H1 it is the metric's operator
 at t = 0 on the grid (grid.py), the fixed flux S0 (and cross block C0),
@@ -45,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .diffeo import boundary_points
+from .diffeo import boundary_points, interior_points, time_grid
 from .grid import (GridField, SparseOperator, _diagonal, _gradients, _metrics, as_field,
                    assemble_A, norm_L2, operator_family)
 
@@ -198,41 +205,148 @@ def operator_at(p, grid, t):
 
 
 # ---------------------------------------------------------------------------
+# the drift as a few fixed fields times per-time scalars
+
+def _by_axis(grid, b):
+    """The drift b, shaped (cells, d), as the stepper uses it: one row per grid
+    axis.  A radial grid keeps only the radial component, which must carry the
+    whole field."""
+    if grid.kind == "radial" and b.shape[1] > 1 and \
+            np.abs(b[:, 1:]).max() > 1e-9 * (1.0 + np.abs(b[:, 0]).max()):
+        raise SolverError("radial grid requires a radial drift field")
+    return b.T[:len(grid.counts)]
+
+
+def _drift_on(p, grid, t):
+    """(cells, drift by axis) of p at time t on grid, in blocks of cells that
+    bound the memory."""
+    pts = grid.embed()
+    for lo in range(0, grid.m, 4096):
+        c = slice(lo, lo + 4096)
+        yield c, _by_axis(grid, p.metric.eval_b(t, pts[c]))
+
+
+def drift_basis(p, grid):
+    """(g, fields) with the drift by axis at time t equal to g(t) @ fields,
+    fields shaped (r, axes, cells); None where b is evaluated per time.
+    Built once and kept on the metric.
+    """
+    cache, key = p.metric._fns, ("drift", grid)
+    if key not in cache:
+        try:
+            cache[key] = _build_drift(p, grid)
+        except ex.EvalError:   # b is undefined at a sampled time
+            cache[key] = None
+    return cache[key]
+
+
+def _build_drift(p, grid):
+    """Under H1, b(t, y) lies in a fixed space of at most d + 2 fields of y.
+
+    The fields are r snapshots b(t_i, .) on the grid, with r and the t_i from
+    b on the H1 lattice, and r DEIM pivot entries (Chaturantabut & Sorensen,
+    SIAM J. Sci. Comput. 32 (2010) 2737-2764): g(t) solves g @ fields at the
+    pivots = b(t) at the pivots, each entry evaluated on scalar bindings.
+    They are kept only if they reconstruct b to 1e-13 at every lattice time
+    and on every grid cell at the probe times, each against that time's
+    max |b|; r = 0 when b is identically zero.  None without an operator
+    family, with more than d + 2 fields, or when the guard fails.
+    """
+    if operator_family(p, grid) is None:
+        return None
+    m, d = p.metric, p.dim
+    ts = time_grid()
+    lattice = m.eval_b(ts, interior_points(p.domain, d)).reshape(len(ts), -1)
+    # rank and sample times: greedy Gram-Schmidt on the lattice rows, until no
+    # residual row keeps 1e-12 of the largest row norm
+    rows, res = [], lattice.copy()
+    sq = np.einsum("ij,ij->i", res, res)
+    floor = 1e-24 * sq.max()
+    while sq.max() > floor:
+        if len(rows) == d + 2:
+            return None
+        i = int(np.argmax(sq))
+        rows.append(i)
+        q = res[i] / np.sqrt(sq[i])
+        res -= np.outer(res @ q, q)
+        sq = np.einsum("ij,ij->i", res, res)
+    del res
+    r, axes = len(rows), len(grid.counts)
+    fields = np.empty((r, axes, grid.m))
+    for i, t in enumerate(ts[rows]):
+        for c, b in _drift_on(p, grid, t):
+            fields[i][:, c] = b
+    flat = fields.reshape(r, axes * grid.m)
+    # DEIM: each pivot where the next field is worst fitted from the earlier pivots
+    pivots = []
+    for i in range(r):
+        miss = np.linalg.solve(flat[:i, pivots].T, flat[i, pivots]) @ flat[:i]
+        miss -= flat[i]
+        pivots.append(int(np.argmax(np.abs(miss, out=miss))))
+    inverse = np.linalg.inv(flat[:, pivots])
+    axis, cell = np.divmod(np.array(pivots, dtype=int), grid.m)
+    pts = grid.embed()[cell]
+    at_pivot = [(m.b[k], {f"y{j + 1}": float(c) for j, c in enumerate(y)})
+                for k, y in zip(axis, pts)]
+
+    def coefficients(t):
+        return np.array([ex.evaluate(e, {**y, "t": t}) for e, y in at_pivot]) @ inverse
+
+    # the lattice check takes the pivot values from one vectorised evaluation
+    gs = m.eval_b(ts, pts)[:, np.arange(r), axis] @ inverse
+    for g, b in zip(gs, lattice):
+        if not np.abs(g @ lattice[rows] - b).max() <= 1e-13 * np.abs(b).max():
+            return None
+    for t in (-1.5, 0.5):   # probe times off the H1 lattice
+        g = coefficients(t)
+        err = top = 0.0
+        for c, b in _drift_on(p, grid, t):
+            err = max(err, float(np.abs(np.tensordot(g, fields[:, :, c], 1) - b).max()))
+            top = max(top, float(np.abs(b).max()))
+        if not err <= 1e-13 * top:
+            return None
+    return coefficients, fields
+
+
+# ---------------------------------------------------------------------------
 # stepping
 
 def _forcing(p, grid, t):
-    """The state-independent parts of F at time t: drift field b and source.
+    """The state-independent parts of F at time t: (drift, source).
 
-    Radial grids keep only the radial drift component.  The source is None
-    when the problem has none.
+    The drift is (g, fields), its field by grid axis being g @ fields: the
+    drift basis and its coefficients at t, or eval_b at t with g = (1,)
+    where there is no basis.  It is None when b is identically zero.  An f
+    of t alone is one value at t, added to the source; the source is None
+    when there is neither.
     """
-    pts = grid.embed()
-    b = p.metric.eval_b(t, pts)
-    if grid.kind == "radial":
-        if b.shape[1] > 1 and \
-                np.abs(b[:, 1:]).max() > 1e-9 * (1.0 + np.abs(b[:, 0]).max()):
-            raise SolverError("radial grid requires a radial drift field")
-        b = b[:, 0]
-    source = p.source_values(t, pts) if p.source is not None else None
-    return b, source
+    basis = drift_basis(p, grid)
+    if basis is None:
+        drift = np.ones(1), _by_axis(grid, p.metric.eval_b(t, grid.embed()))[None]
+    else:
+        coefficients, fields = basis
+        drift = (coefficients(t), fields) if len(fields) else None
+    source = p.source_values(t, grid.embed()) if p.source is not None else None
+    if p.f is not None and not p.f_uses_u:
+        ft = ex.evaluate(p.f, {"t": t})
+        source = ft if source is None else source + ft
+    return drift, source
 
 
 def _explicit_rhs(p, grid, t, v, cross_op, forcing):
     """F(t, v), with forcing = _forcing(p, grid, t); None drops f, drift and
-    source.  The drift and the cross block share one gradient of v."""
-    if forcing is not None or cross_op.cross is not None:
+    source.  The drift and the cross block share one gradient of v; the
+    drift field is formed one axis at a time, which bounds the memory."""
+    drift, source = (None, None) if forcing is None else forcing
+    if drift is not None or cross_op.cross is not None:
         grads = _gradients(grid, v)
-    if forcing is None:
-        out = np.zeros_like(v)
-    else:
-        b, source = forcing
-        if grid.kind == "radial":
-            drift = b * grads[0]
-        else:
-            drift = np.einsum("mk,mk->m", b, np.column_stack(grads))
-        out = p.f_values(t, v) - drift
-        if source is not None:
-            out += source
+    out = p.f_values(t, v) if forcing is not None and p.f_uses_u else np.zeros_like(v)
+    if drift is not None:
+        g, fields = drift
+        for k, gk in enumerate(grads):
+            out -= (g @ fields[:, k]) * gk
+    if source is not None:
+        out += source
     if cross_op.cross is not None:
         out -= cross_op.apply_explicit(grads)
     return out

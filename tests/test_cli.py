@@ -527,12 +527,30 @@ def test_pullback_step_cap_exits_4(tmp_path, capsys):
     assert float(by[("gaps", "truncated")]) == 1.0
 
 
+def test_pullback_ladder_beyond_float_range_is_truncated(tmp_path):
+    # 2.0 ** k overflows for k >= 1024: the ladder is cut to the cap like any other
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(
+        '[problem]\ndim = 1\nextents = 1.0\n'
+        'forward = "y1"\ninverse = "x1"\nbeta = 1.0\n'
+        '[numerics]\ngrid = 16\ndt = 0.01\n'
+        '[experiment]\nt_star = 0.0\nk_max = 1100\nhorizon = 10.0\nseeds = 1\n'
+        'radii = 1.0\nradius_k = 1\nmax_total_steps = 1000\n')
+    assert run_cli(["pullback", "--config", cfg, "--out", tmp_path]) == 4
+    _, _, rows = read_rows(tmp_path / "pullback_report.csv")
+    by = {(r[0], r[1]): r[2] for r in rows}
+    assert float(by[("gaps", "truncated")]) == 1.0
+    assert ("gaps", "k=1") in by and ("gaps", "k=2") not in by   # rungs k <= 2
+
+
 @pytest.mark.parametrize("key, value, phase", [
     ("radius_k", "40", "absorbing radius"),
+    ("radius_k", "1100", "absorbing radius"),
     ("horizon", "1e12", "decay fit"),
 ])
 def test_pullback_overlong_run_exits_4_before_marching(tmp_path, key, value, phase):
-    # each of these marches runs for hours; the cap must stop it up front
+    # each of these marches runs for hours (2.0 ** 1100 overflows a float);
+    # the cap must stop it up front
     text = fixture_path("sin_t").read_text()
     lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
              for line in text.splitlines()]

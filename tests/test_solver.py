@@ -11,11 +11,11 @@ from movingdom.grid import (BoxGrid, GridField, RadialGrid, SparseOperator,
                             _gradients, assemble_A, boundary_residual, mass,
                             norm_L2, operator_family)
 from movingdom import pullback
-from movingdom.cli import _spec, fixture_path, load_config
+from movingdom.cli import _grid, _spec, fixture_path, load_config
 from movingdom.diffeo import build_metric
 from movingdom.problem import assemble
 from movingdom.solver import (SCHEMES, CgError, MmsReport, SolverError,
-                              StepperConfig, _cg, _solve,
+                              StepperConfig, _cg, _solve, drift_basis,
                               mms_convergence, operator_at, run, run_homogeneous)
 
 
@@ -255,13 +255,12 @@ def test_explicit_rhs_takes_one_gradient(monkeypatch):
     # the drift and the cross block share one gradient of the state, on
     # forced and on homogeneous steps
     from movingdom import grid as grid_module, solver
-    p, g, t = shear_problem(), BoxGrid((1.0, 1.0), (8, 8)), 0.3
+    p, g, t = assemble(shear_stretch_problem().metric, beta=1.0), BoxGrid((1.0, 1.0), (8, 8)), 0.3
     A = operator_at(p, g, t)
     assert A.cross is not None
     v = np.cos(np.pi * g.centers[:, 0]) + g.centers[:, 1] ** 2
     grads = _gradients(g, v)
-    b, _ = forcing = solver._forcing(p, g, t)
-    drift = np.einsum("mk,mk->m", b, np.column_stack(grads))
+    (gt, fields), _ = forcing = solver._forcing(p, g, t)
     calls = []
 
     def counting(grid, vals):
@@ -270,7 +269,8 @@ def test_explicit_rhs_takes_one_gradient(monkeypatch):
 
     monkeypatch.setattr(grid_module, "_gradients", counting)
     monkeypatch.setattr(solver, "_gradients", counting)
-    for f, want in ((forcing, p.f_values(t, v) - drift - A.apply_explicit(grads)),
+    for f, want in ((forcing, p.f_values(t, v) - (gt @ fields[:, 0]) * grads[0]
+                     - (gt @ fields[:, 1]) * grads[1] - A.apply_explicit(grads)),
                     (None, -A.apply_explicit(grads))):
         calls.clear()
         out = solver._explicit_rhs(p, g, t, v, A, f)
@@ -319,6 +319,67 @@ def test_coefficients_undefined_at_time_zero_are_assembled_per_step():
     assert operator_family(p, g) is None
     traj = run(p, g, StepperConfig(dt=0.05), 1.0, 1.2, 1.0)
     assert np.allclose(traj.final.values, 1.05 ** -4, rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["identity", "dilation", "ball_shrink", "sin_t", "sin_u",
+                                  "stretch"])
+def test_drift_basis_reconstructs_b(name):
+    # every bundled fixture that passes `check`, and the 3-D stretch map
+    if name == "stretch":
+        p, g = stretch_problem(), BoxGrid((1.0, 1.0, 1.0), (8, 8, 8))
+    else:
+        rc = load_config(fixture_path(name))
+        p, g = assemble(_spec(rc), beta=rc.beta, f=rc.f), _grid(rc)
+    coefficients, fields = drift_basis(p, g)
+    assert (len(fields) == 0) == (name in ("identity", "dilation"))
+    for t in np.linspace(-7.3, 5.1, 9):
+        b = p.metric.eval_b(t, g.embed()).T[:len(g.counts)]   # one row per grid axis
+        got = np.tensordot(coefficients(t), fields, 1)
+        assert np.abs(got - b).max() <= 1e-13 * np.abs(b).max()
+
+
+def test_drift_without_basis_is_evaluated_per_step():
+    # the identity map with b = sin(t y1) put in by hand: its rank in time is
+    # far above the d + 2 fields H1 allows, so there is no drift basis
+    metric = dataclasses.replace(identity_problem(1).metric, b=[ex.parse("sin(t * y1)")], _fns={})
+    p, g = assemble(metric, beta=1.0), BoxGrid((1.0,), (16,))
+    assert operator_family(p, g) is not None and drift_basis(p, g) is None
+    cfg = StepperConfig(dt=0.01)
+    v0 = np.cos(np.pi * g.centers[:, 0])
+    traj = run(p, g, cfg, 0.0, 0.1, v0)
+    # backward Euler as it ran before the drift basis: eval_b at every step
+    v, t = v0, 0.0
+    for _ in range(10):
+        F = np.zeros(g.m)
+        F -= p.metric.eval_b(t, g.embed())[:, 0] * _gradients(g, v)[0]
+        v, _ = _solve(operator_at(p, g, t + cfg.dt).shifted(cfg.dt), v + cfg.dt * F,
+                      cfg.cg_tol, v)
+        t += cfg.dt
+    assert np.array_equal(traj.final.values, v)
+
+
+@pytest.mark.parametrize("f, per_step", [("sin(t)", 0), ("sin(u)", 2)])
+def test_f_values_runs_only_for_state_dependent_f(monkeypatch, f, per_step):
+    from movingdom.problem import TransformedProblem
+    calls = []
+    f_values = TransformedProblem.f_values
+    monkeypatch.setattr(TransformedProblem, "f_values",
+                        lambda self, t, u: calls.append(t) or f_values(self, t, u))
+    p, g = ball_shrink_problem(f=f), RadialGrid(3, 16)
+    traj = run(p, g, StepperConfig(dt=0.01, scheme="crank-nicolson"), 0.0, 0.1, 1.0)
+    assert len(calls) == per_step * (len(traj.metrics) - 1)
+
+
+def test_radial_grid_rejects_a_non_radial_drift():
+    # a translation along y2: a = I, so the family exists, and b = (0, -0.1 cos t)
+    spec = DiffeoSpec(dim=2, domain=BallDomain(2),
+                      forward=(ex.parse("y1"), ex.parse("y2 + 0.1 * sin(t)")),
+                      inverse=(ex.parse("x1"), ex.parse("x2 - 0.1 * sin(t)")))
+    p, g = assemble(spec, beta=1.0), RadialGrid(2, 16)
+    cfg = StepperConfig(dt=0.01)
+    run_homogeneous(p, g, cfg, 0.0, 0.05, 1.0)
+    with pytest.raises(SolverError, match="radial grid requires a radial drift field"):
+        run(p, g, cfg, 0.0, 0.05, 1.0)
 
 
 def test_cg_iteration_cap():

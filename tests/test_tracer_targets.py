@@ -33,7 +33,9 @@ def test_tracer_resolves_every_traced_function():
 
 def test_traced_solve_sees_evaluations_and_keeps_outputs(tmp_path):
     # the tracer wraps every evaluator `expr.compiled` returns; a run under it
-    # must still see them per step and must write the files an untraced run does
+    # must still see them per step (sin(u) is evaluated over the grid) and must
+    # write the files an untraced run does.  The drift comes from its basis,
+    # built before the march, so the march evaluates no b.
     cfg = str(fixture_path("sin_u"))
     plain, traced = tmp_path / "plain", tmp_path / "traced"
     assert main(["solve", "--config", cfg, "--out", str(plain)]) == 0
@@ -41,7 +43,7 @@ def test_traced_solve_sees_evaluations_and_keeps_outputs(tmp_path):
         ["solve", "--config", cfg, "--out", str(traced)])
     assert code == 0
     assert metrics["expr.eval_calls_per_step"] > 0
-    assert metrics["diffeo.eval_b_calls_per_step"] > 0
+    assert metrics["diffeo.eval_b_calls_per_step"] == 0
     assert set(absent) <= KNOWN_ABSENT, sorted(set(absent) - KNOWN_ABSENT)
     names = sorted(f.name for f in plain.iterdir())
     assert names == sorted(f.name for f in traced.iterdir()) and names
