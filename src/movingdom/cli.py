@@ -97,8 +97,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        cp.read(path)
-    except configparser.Error as e:
+        cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot parse config: {e}") from None
     if "problem" not in cp:
         raise ConfigError("config needs a [problem] section")
@@ -521,7 +521,10 @@ def main(argv=None) -> int:
         _setup_logging()
         rc = load_config(args.config)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot create --out directory: {e}") from None
         return _COMMANDS[args.command](rc, out, seed=args.seed)
     except _HypothesisFailure as e:
         print(f"movingdom: {e}", file=sys.stderr)

@@ -53,6 +53,8 @@ DEFAULT_TIME_WINDOW = (-20.0, 20.0)
 DEFAULT_TIME_SAMPLES = 201
 # per-axis interior lattice sizes keeping the probe grids around 100 points
 _SPACE_PER_AXIS = {1: 101, 2: 11, 3: 5}
+_MAX_LAG_RATIO = 4.0                  # _holder_fit: lags within 4 first gaps
+_H4_HORIZON, _H4_SAMPLES = 20.0, 400  # check_H4: largest gap, taus per gap
 
 
 @dataclass(frozen=True)
@@ -117,9 +119,9 @@ def time_grid(window=DEFAULT_TIME_WINDOW, n=DEFAULT_TIME_SAMPLES):
     return np.linspace(window[0], window[1], n)
 
 
-def interior_points(domain, dim, per_axis=None):
+def interior_points(domain, dim):
     """Deterministic interior lattice used by the probe routines."""
-    n = per_axis or _SPACE_PER_AXIS[dim]
+    n = _SPACE_PER_AXIS[dim]
     if isinstance(domain, BoxDomain):
         axes = [np.linspace(L / (2 * n), L - L / (2 * n), n)
                 for L in domain.extents]
@@ -287,16 +289,14 @@ def build_metric(spec: DiffeoSpec) -> MetricBundle:
     return MetricBundle(spec, T, a, b, K_faces)
 
 
-def validate_inverse(spec: DiffeoSpec, tgrid=None, pts=None):
+def validate_inverse(spec: DiffeoSpec):
     """Max |rinv(t, r(t,y)) - y|_inf over the sample set.
 
     Returns (residual, worst) where worst = (t, y) attaining it.
     """
     if spec.inverse is None:
         raise MissingInverseError("no inverse map declared")
-    tgrid = time_grid() if tgrid is None else np.asarray(tgrid, dtype=float)
-    if pts is None:
-        pts = interior_points(spec.domain, spec.dim)
+    tgrid, pts = time_grid(), interior_points(spec.domain, spec.dim)
     env, shape = ex.bind(tgrid, pts)
     env_x = {"t": env["t"]}
     for name, c in zip(_xvars(spec.dim), spec.forward):
@@ -316,7 +316,7 @@ def validate_inverse(spec: DiffeoSpec, tgrid=None, pts=None):
 # ---------------------------------------------------------------------------
 # hypothesis probes
 
-def _holder_fit(tgrid, samples, max_lag_ratio=4.0):
+def _holder_fit(tgrid, samples):
     """Fit sup-diff ~ c gap^theta over the smallest grid gaps.
 
     samples has shape (nt, ...); the sup is over everything but time.
@@ -326,7 +326,7 @@ def _holder_fit(tgrid, samples, max_lag_ratio=4.0):
     tgrid = np.asarray(tgrid, dtype=float)
     flat = samples.reshape(len(tgrid), -1)
     lags = [ell for ell in range(1, len(tgrid))
-            if (tgrid[ell] - tgrid[0]) <= max_lag_ratio * (tgrid[1] - tgrid[0]) + 1e-12]
+            if (tgrid[ell] - tgrid[0]) <= _MAX_LAG_RATIO * (tgrid[1] - tgrid[0]) + 1e-12]
     if len(lags) < 3:
         lags = [ell for ell in (1, 2, 3) if ell < len(tgrid)]
     gaps, sups = [], []
@@ -360,7 +360,7 @@ class SeparabilityReport:
     h_fn: object = field(repr=False, default=None)
 
 
-def check_H1(m: MetricBundle, tgrid=None, pts=None) -> SeparabilityReport:
+def check_H1(m: MetricBundle, tgrid=None) -> SeparabilityReport:
     """Test separability of T and fit h, P, the Holder exponent of h.
 
     Gauge: h(t0) = 1 at the sampled (t0, y0) of maximal Frobenius norm, and
@@ -368,8 +368,7 @@ def check_H1(m: MetricBundle, tgrid=None, pts=None) -> SeparabilityReport:
     scale-invariant; pass means residual <= 1e-6 and min h > 0.
     """
     tgrid = time_grid() if tgrid is None else np.asarray(tgrid, dtype=float)
-    if pts is None:
-        pts = interior_points(m.spec.domain, m.dim)
+    pts = interior_points(m.spec.domain, m.dim)
     T = m.eval_T(tgrid, pts)                      # (nt, m, d, d)
     frob = np.sqrt((T ** 2).sum(axis=(2, 3)))
     i0, j0 = np.unravel_index(np.argmax(frob), frob.shape)
@@ -418,20 +417,21 @@ class H4Report:
     flag: str      # "consistent" or "inconsistent at sampled horizon"
 
 
-def check_H4(report: SeparabilityReport, horizon=20.0, samples=400) -> H4Report:
+def check_H4(report: SeparabilityReport) -> H4Report:
     """Tabulate sup |h(t) - h(tau)| over gaps 1, 2, 4, ... <= horizon.
 
-    tau ranges over [-2 horizon, -g] with t = tau + g, so both arguments stay
-    in the sampled past.  Report-only: the flag never gates anything.
+    horizon = _H4_HORIZON; tau ranges over [-2 horizon, -g] with t = tau + g,
+    so both arguments stay in the sampled past.  Report-only: the flag never
+    gates anything.
     """
     gaps = []
     g = 1.0
-    while g <= horizon:
+    while g <= _H4_HORIZON:
         gaps.append(g)
         g *= 2
     sups = []
     for g in gaps:
-        tau = np.linspace(-2 * horizon, -g, samples)
+        tau = np.linspace(-2 * _H4_HORIZON, -g, _H4_SAMPLES)
         sups.append(float(np.abs(report.h_fn(tau + g) - report.h_fn(tau)).max()))
     gaps = np.asarray(gaps)
     sups = np.asarray(sups)
@@ -442,11 +442,10 @@ def check_H4(report: SeparabilityReport, horizon=20.0, samples=400) -> H4Report:
     return H4Report(gaps, sups, flag)
 
 
-def ellipticity_probe(m: MetricBundle, tgrid=None, pts=None):
+def ellipticity_probe(m: MetricBundle, tgrid=None):
     """Smallest eigenvalue of M(t,y) over the sample set; must be positive."""
     tgrid = time_grid() if tgrid is None else np.asarray(tgrid, dtype=float)
-    if pts is None:
-        pts = interior_points(m.spec.domain, m.dim)
+    pts = interior_points(m.spec.domain, m.dim)
     A = m.eval_a(tgrid, pts)
     eig = np.linalg.eigvalsh(A)
     C = float(eig.min())
@@ -458,10 +457,8 @@ def ellipticity_probe(m: MetricBundle, tgrid=None, pts=None):
     return C
 
 
-def hoelder_probe(m: MetricBundle, tgrid=None, pts=None):
+def hoelder_probe(m: MetricBundle, tgrid=None):
     """(theta, c) from log-log regression of sup_y |a(s,y) - a(t,y)| vs |s-t|."""
     tgrid = time_grid() if tgrid is None else np.asarray(tgrid, dtype=float)
-    if pts is None:
-        pts = interior_points(m.spec.domain, m.dim)
-    A = m.eval_a(tgrid, pts)
+    A = m.eval_a(tgrid, interior_points(m.spec.domain, m.dim))
     return _holder_fit(tgrid, A)

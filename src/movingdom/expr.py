@@ -1,8 +1,10 @@
 """Closed-form expression trees for coefficients, nonlinearities and maps.
 
-Expressions are parsed from text with a small recursive-descent parser,
+Expressions are parsed from text by a small recursive-descent parser,
 differentiated symbolically, simplified, printed back to parseable text and
-evaluated either pointwise (floats) or vectorised over numpy arrays.
+evaluated either pointwise (floats) or vectorised over numpy arrays.  The
+parser's scanner is one regular expression; a NUMBER is an ASCII decimal
+literal such as 2, 0.5, 1. or 2.5E-3.
 
 Grammar (one token of lookahead):
 
@@ -32,6 +34,7 @@ bind() binds t and y1..yd from a time (or time grid) and a point set.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -120,114 +123,82 @@ class Binary(Expr):
 # ---------------------------------------------------------------------------
 # parsing
 
-class _Tokenizer:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.tok = None      # (kind, value, offset)
-        self.advance()
-
-    def advance(self):
-        text, n = self.text, len(self.text)
-        i = self.pos
-        while i < n and text[i] in " \t\r\n":
-            i += 1
-        if i >= n:
-            self.tok = ("end", "", i)
-            self.pos = i
-            return
-        c = text[i]
-        if c in "+-*/^()":
-            self.tok = (c, c, i)
-            self.pos = i + 1
-            return
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            self.tok = ("number", text[i:j], i)
-            self.pos = j
-            return
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            self.tok = ("ident", text[i:j], i)
-            self.pos = j
-            return
-        raise ParseError(f"unexpected character {c!r}", i)
+# one token after optional whitespace: an ASCII number, an identifier, an
+# operator (a kind of its own), the end of input, or any other character,
+# which is an error.  Every offset matches, so finditer yields the tokens
+# back to back; the parser holds one, (kind, value, offset), as lookahead.
+_TOKEN = re.compile(r"""[ \t\r\n]*(?:
+      (?P<number>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)
+    | (?P<ident>[^\W\d]\w*)
+    | (?P<op>[-+*/^()])
+    | (?P<end>\Z)
+    | (?P<bad>.))""", re.VERBOSE | re.DOTALL)
 
 
 class _Parser:
     def __init__(self, text):
-        self.toks = _Tokenizer(text)
+        self.tokens = _TOKEN.finditer(text)
+        self.advance()
 
-    def peek(self):
-        return self.toks.tok
+    def advance(self):
+        m = next(self.tokens)
+        kind = m.lastgroup
+        value, offset = m[kind], m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", offset)
+        self.tok = (value if kind == "op" else kind, value, offset)
 
     def take(self, kind):
-        tok = self.toks.tok
+        tok = self.tok
         if tok[0] != kind:
             raise ParseError(f"unexpected token {tok[1]!r}" if tok[0] != "end"
                              else "unexpected end of input", tok[2], (kind,))
-        self.toks.advance()
+        self.advance()
         return tok
 
     def parse(self):
         node = self.expr()
-        tok = self.peek()
+        tok = self.tok
         if tok[0] != "end":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2], ("end",))
         return node
 
     def expr(self):
         node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take(self.peek()[0])[0]
+        while self.tok[0] in ("+", "-"):
+            op = self.take(self.tok[0])[0]
             rhs = self.term()
             node = Binary("add" if op == "+" else "sub", node, rhs)
         return node
 
     def term(self):
         node = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.take(self.peek()[0])[0]
+        while self.tok[0] in ("*", "/"):
+            op = self.take(self.tok[0])[0]
             rhs = self.factor()
             node = Binary("mul" if op == "*" else "div", node, rhs)
         return node
 
     def factor(self):
-        if self.peek()[0] == "-":
+        if self.tok[0] == "-":
             self.take("-")
             return Unary("neg", self.factor())
         node = self.base()
-        if self.peek()[0] == "^":
+        if self.tok[0] == "^":
             self.take("^")
             node = Binary("pow", node, Const(self.exponent()))
         return node
 
     def exponent(self):
         sign = 1.0
-        if self.peek()[0] == "-":
+        if self.tok[0] == "-":
             self.take("-")
             sign = -1.0
         tok = self.take("number")
         return sign * float(tok[1])
 
     def base(self):
-        tok = self.peek()
+        tok = self.tok
         if tok[0] == "number":
             self.take("number")
             return Const(float(tok[1]))
@@ -239,7 +210,7 @@ class _Parser:
         if tok[0] == "ident":
             self.take("ident")
             name = tok[1]
-            if self.peek()[0] == "(":
+            if self.tok[0] == "(":
                 if name not in FUNCTIONS:
                     raise ParseError(f"unknown function {name!r}", tok[2], FUNCTIONS)
                 self.take("(")

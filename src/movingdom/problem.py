@@ -90,7 +90,7 @@ class TransformedProblem:
     def initial_values(self, pts):
         return self._at("initial", self.initial, None, pts)
 
-    def lipschitz_sup(self, u_window=DEFAULT_U_WINDOW, t_window=DEFAULT_T_WINDOW):
+    def lipschitz_sup(self):
         """Sampled sup |d_u f| over the default window; 0 without f.
 
         Used by the time stepper to guard dt against the measured stiffness
@@ -100,8 +100,8 @@ class TransformedProblem:
             return 0.0
         if "lip" not in self._fns:
             fu = ex.compiled(ex.diff(self.f, "u"), ("t", "u"))
-            ts = np.linspace(*t_window, 101)
-            us = np.linspace(*u_window, 101)
+            ts = np.linspace(*DEFAULT_T_WINDOW, 101)
+            us = np.linspace(*DEFAULT_U_WINDOW, 101)
             vals = np.abs(fu({"t": ts[:, None], "u": us[None, :]}))
             self._fns["lip"] = float(np.max(vals))
         return self._fns["lip"]
@@ -149,12 +149,12 @@ def assemble(geometry, beta, f=None, source=None, initial=None,
 # ---------------------------------------------------------------------------
 # growth checks
 
-def _sample_sup_over_t(e, t_window, u_window, nt, nu):
-    ts = np.linspace(*t_window, nt)
-    us = np.linspace(*u_window, nu)
+def _sample_sup_over_t(e):
+    ts = np.linspace(*DEFAULT_T_WINDOW, DEFAULT_SAMPLES)
+    us = np.linspace(*DEFAULT_U_WINDOW, DEFAULT_SAMPLES)
     fn = ex.compiled(e, ("t", "u"))
     vals = np.abs(np.broadcast_to(fn({"t": ts[:, None], "u": us[None, :]}),
-                                  (nt, nu)))
+                                  (len(ts), len(us))))
     return us, vals.max(axis=0)
 
 
@@ -189,16 +189,14 @@ class GrowthReport:
     witness: float | None
 
 
-def check_H2(f, alpha=0.5, n=3, t_window=DEFAULT_T_WINDOW,
-             u_window=DEFAULT_U_WINDOW, nt=DEFAULT_SAMPLES,
-             nu=DEFAULT_SAMPLES) -> GrowthReport:
+def check_H2(f, alpha=0.5, n=3) -> GrowthReport:
     if not 0.5 <= alpha < 1:
         raise ProblemError(f"alpha must lie in [1/2, 1), got {alpha}")
     cap = math.inf if n <= 4 * alpha else 4 * alpha / (n - 4 * alpha)
     f = _as_expr(f)
     if f is None:
         return GrowthReport(True, 0.0, 0.0, cap, 0.0, None)
-    us, sup = _sample_sup_over_t(ex.diff(f, "u"), t_window, u_window, nt, nu)
+    us, sup = _sample_sup_over_t(ex.diff(f, "u"))
     slope, witness = _tail_slope(us, sup)
     rho_needed = max(0.0, slope)
     passed = rho_needed <= cap + 0.1
@@ -219,12 +217,11 @@ class SignReport:
     witness: float | None
 
 
-def check_H3(f, t_window=DEFAULT_T_WINDOW, u_window=DEFAULT_U_WINDOW,
-             nt=DEFAULT_SAMPLES, nu=DEFAULT_SAMPLES) -> SignReport:
+def check_H3(f) -> SignReport:
     f = _as_expr(f)
     if f is None:
         return SignReport(True, 0.0, 0.0, 0.0, 0.0, None)
-    us, sup = _sample_sup_over_t(f, t_window, u_window, nt, nu)
+    us, sup = _sample_sup_over_t(f)
     slope, witness = _tail_slope(us, sup)
     passed = slope <= 1.1
     if not passed:

@@ -277,6 +277,25 @@ def test_bad_numerics_value_exits_2(tmp_path, capsys, command, change, message):
     assert message in last
 
 
+@pytest.mark.parametrize("case", ["superscript_in_f", "config_not_utf8", "out_is_a_file"])
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
+    cfg, out = tmp_path / "bad.cfg", tmp_path / "out"
+    text = ('[problem]\ndim = 1\nextents = 1.0\nforward = "y1"\ninverse = "x1"\n'
+            'beta = 1.0\n')
+    if case == "superscript_in_f":
+        cfg.write_text(text + 'f = "2 + \u00b3 * u"\n', encoding="utf-8")
+    elif case == "config_not_utf8":
+        cfg.write_bytes(b"\xff\xfe" + text.encode())
+    else:
+        cfg.write_text(text)
+        out.write_text("a file, not a directory\n")
+    assert run_cli(["check", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("movingdom: config error: "), lines
+
+
 def test_missing_config_exits_2(tmp_path):
     assert run_cli(["check", "--config", tmp_path / "nope.cfg",
                     "--out", tmp_path]) == 2

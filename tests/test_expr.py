@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -161,6 +162,25 @@ def test_parse_error_nonconstant_exponent():
         ex.parse("t^u")
 
 
+@pytest.mark.parametrize("text", ["\u00b2", "2 + \u00b3", "\u0661", "1 + \u0663"],
+                         ids=["superscript", "superscript_term", "arabic_indic",
+                              "arabic_indic_term"])
+def test_non_ascii_digits_are_a_parse_error(text):
+    # numbers are ASCII: a superscript is not float() text, and another
+    # script's decimal digits must not read as a number
+    with pytest.raises(ex.ParseError):
+        ex.parse(text)
+
+
+def test_no_non_ascii_numeric_character_parses_or_escapes_parse_error():
+    numeric = [c for c in map(chr, range(0x80, sys.maxunicode + 1)) if c.isnumeric()]
+    assert len(numeric) > 1000
+    for c in numeric:
+        for text in (c, f"1{c}", f"{c}1", f"t*{c}", f"y{c}"):
+            with pytest.raises(ex.ParseError):
+                ex.parse(text)
+
+
 def test_eval_domain_guards():
     cases = [
         ("1/t", {"t": 0.0}),
@@ -303,3 +323,91 @@ def test_diff_of_random_smooth_trees_matches_central_differences(e, points, var)
         if abs(fd - fd2) > 1e-6 * (1.0 + abs(fd)):
             continue
         assert abs(want - fd) <= 1e-6 * (1.0 + abs(want)), (ex.to_string(e), var, env)
+
+
+# ---------------------------------------------------------------------------
+# property test: the regular-expression scanner against the hand-written one
+# it replaced, which stays here as the oracle
+
+class _Tokenizer:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+        self.tok = None      # (kind, value, offset)
+        self.advance()
+
+    def advance(self):
+        text, n = self.text, len(self.text)
+        i = self.pos
+        while i < n and text[i] in " \t\r\n":
+            i += 1
+        if i >= n:
+            self.tok = ("end", "", i)
+            self.pos = i
+            return
+        c = text[i]
+        if c in "+-*/^()":
+            self.tok = (c, c, i)
+            self.pos = i + 1
+            return
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            if j < n and text[j] == ".":
+                j += 1
+                while j < n and text[j].isdigit():
+                    j += 1
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and text[k].isdigit():
+                    j = k
+                    while j < n and text[j].isdigit():
+                        j += 1
+            self.tok = ("number", text[i:j], i)
+            self.pos = j
+            return
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            self.tok = ("ident", text[i:j], i)
+            self.pos = j
+            return
+        raise ex.ParseError(f"unexpected character {c!r}", i)
+
+
+class _OracleParser(ex._Parser):
+    """The same grammar methods, fed by the oracle scanner."""
+
+    def __init__(self, text):
+        self.toks = _Tokenizer(text)
+        self.tok = self.toks.tok
+
+    def advance(self):
+        self.toks.advance()
+        self.tok = self.toks.tok
+
+
+def _outcome(parser, text):
+    try:
+        return "tree", ex.to_string(parser(text).parse())
+    except Exception as err:   # the exception type is part of the outcome
+        return type(err).__name__, str(err), getattr(err, "offset", None)
+
+
+# the grammar's ASCII alphabet in whole words and single characters, partial
+# exponents, an underscore (an identifier character) and a few junk
+# characters, among them a form feed, which is not whitespace here
+_CHUNKS = ("0", "1", "7", "12", ".", "e", "E", "1e", "1e+", "1e-", "2.5E-3", "1.",
+           "3.e2", "t", "u", "y", "x", "2", "3", "y1", "x3", "pi", "sin", "sqrt",
+           "foo", "_", "+", "-", "*", "/", "^", "(", ")", " ", " ", "\t", "\r",
+           "\n", "\x0c", "@", "\\")
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(text=st.lists(st.sampled_from(_CHUNKS), max_size=12).map("".join))
+def test_regex_scanner_matches_the_hand_written_oracle(text):
+    assert _outcome(ex._Parser, text) == _outcome(_OracleParser, text), repr(text)
