@@ -17,7 +17,6 @@ import re
 import sys
 from dataclasses import dataclass
 from importlib import resources
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,8 @@ from .diffeo import (BallDomain, BoxDomain, DegenerateDiffeoError,
                      DiffeoError, boundary_points, build_metric,
                      check_H1, check_H4, ellipticity_probe, hoelder_probe,
                      parse_diffeo, validate_inverse)
-from .grid import BoxGrid, GridError, RadialGrid, operator_family, write_snapshot
+from .grid import (BoxGrid, GridError, RadialGrid, _csv_blocks, operator_family,
+                   write_snapshot)
 from .problem import ProblemError, assemble, check_H2, check_H3
 from .pullback import (PullbackError, PullbackReport, absorbing_radius,
                        cocycle_check, decay_fit, drift_norm,
@@ -210,18 +210,17 @@ def _cell(v):
     return str(v)
 
 
-def write_table(path, name, header, rows):
+def write_table(path, name, header, rows=(), columns=None):
     """Write a schema-tagged CSV; rows may be any iterable of sequences and
-    are streamed.  A row of strings is written as it is."""
+    are streamed.  columns, if given, follow the rows: equal-length columns,
+    each a cell string repeated on every row or a float64 array, written in
+    blocks by grid._csv_blocks with the floats as _cell formats them."""
     with open(path, "w") as fh:
         fh.write(f"schema,{name},{SCHEMA_VERSION}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            try:
-                line = ",".join(row)
-            except TypeError:   # not every cell is formatted yet
-                line = ",".join(map(_cell, row))
-            fh.write(line + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+        if columns is not None:
+            fh.writelines(_csv_blocks(columns))
 
 
 def read_table(path):
@@ -384,13 +383,10 @@ def cmd_solve(rc, out, seed=None):
     for idx, (t, snap) in enumerate(zip(traj.times, traj.snapshots)):
         write_snapshot(out / f"fixed_{idx:03d}.snap", snap, t)
         env, shape = ex.bind(t, centers)
-        xs = [np.broadcast_to(f(env), shape) for f in fwd] + [snap.values]
-        # floats formatted as write_table's _cell would, the constant t once; a
-        # memoryview yields one Python float at a time, so no column is held
-        # as a list of objects and the rows stream
-        cols = [repeat(repr(float(t)), g.m)] + [map(repr, memoryview(x)) for x in xs]
+        xs = [np.broadcast_to(f(env), shape) for f in fwd]
         write_table(out / f"moving_{idx:03d}.csv", "moving_snapshot",
-                    ["t"] + [f"x{i + 1}" for i in range(rc.dim)] + ["u"], zip(*cols))
+                    ["t"] + [f"x{i + 1}" for i in range(rc.dim)] + ["u"],
+                    columns=[repr(float(t))] + xs + [snap.values])
     return EXIT_OK
 
 

@@ -14,6 +14,9 @@ Grammar (one token of lookahead):
     base     := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
     exponent := '-'? NUMBER
 
+A tree deeper than MAX_DEPTH (64) levels, or input nested deeper, is a
+ParseError, so the recursive tree walkers below never exhaust the stack.
+
 Unary minus binds looser than '^', so -t^2 parses as -(t^2).  Exponents are
 numeric literals only, which keeps differentiation closed over the node set
 (the power rule never needs logarithms).
@@ -135,7 +138,18 @@ _TOKEN = re.compile(r"""[ \t\r\n]*(?:
     | (?P<bad>.))""", re.VERBOSE | re.DOTALL)
 
 
+# deepest tree parse() accepts, leaves at depth 1: the recursive walkers
+# (diff, simplify, evaluate, to_string) take one or two frames a level, and a
+# derived tree, such as a second derivative, is a few times deeper than its
+# source.  The bundled fixtures and benchmark configs reach depth 10.
+MAX_DEPTH = 64
+
+
 class _Parser:
+    """Recursive descent; each rule returns (node, depth of its tree)."""
+
+    nesting = 0   # open factor() calls, which bound the recursion
+
     def __init__(self, text):
         self.tokens = _TOKEN.finditer(text)
         self.advance()
@@ -156,38 +170,53 @@ class _Parser:
         self.advance()
         return tok
 
+    def deeper(self, depth):
+        """depth + 1, the depth of a node over a subtree of depth `depth`."""
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels",
+                             self.tok[2])
+        return depth + 1
+
     def parse(self):
-        node = self.expr()
+        node, _ = self.expr()
         tok = self.tok
         if tok[0] != "end":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2], ("end",))
         return node
 
     def expr(self):
-        node = self.term()
+        node, depth = self.term()
         while self.tok[0] in ("+", "-"):
             op = self.take(self.tok[0])[0]
-            rhs = self.term()
-            node = Binary("add" if op == "+" else "sub", node, rhs)
-        return node
+            rhs, d = self.term()
+            node, depth = (Binary("add" if op == "+" else "sub", node, rhs),
+                           self.deeper(max(depth, d)))
+        return node, depth
 
     def term(self):
-        node = self.factor()
+        node, depth = self.factor()
         while self.tok[0] in ("*", "/"):
             op = self.take(self.tok[0])[0]
-            rhs = self.factor()
-            node = Binary("mul" if op == "*" else "div", node, rhs)
-        return node
+            rhs, d = self.factor()
+            node, depth = (Binary("mul" if op == "*" else "div", node, rhs),
+                           self.deeper(max(depth, d)))
+        return node, depth
 
     def factor(self):
+        # every nested operand passes here, so bounding the open calls bounds
+        # the recursion, redundant parentheses included
+        self.nesting = self.deeper(self.nesting)
         if self.tok[0] == "-":
             self.take("-")
-            return Unary("neg", self.factor())
-        node = self.base()
-        if self.tok[0] == "^":
-            self.take("^")
-            node = Binary("pow", node, Const(self.exponent()))
-        return node
+            node, depth = self.factor()
+            node, depth = Unary("neg", node), self.deeper(depth)
+        else:
+            node, depth = self.base()
+            if self.tok[0] == "^":
+                self.take("^")
+                node, depth = Binary("pow", node, Const(self.exponent())), self.deeper(depth)
+        self.nesting -= 1
+        return node, depth
 
     def exponent(self):
         sign = 1.0
@@ -201,7 +230,7 @@ class _Parser:
         tok = self.tok
         if tok[0] == "number":
             self.take("number")
-            return Const(float(tok[1]))
+            return Const(float(tok[1])), 1
         if tok[0] == "(":
             self.take("(")
             node = self.expr()
@@ -214,13 +243,13 @@ class _Parser:
                 if name not in FUNCTIONS:
                     raise ParseError(f"unknown function {name!r}", tok[2], FUNCTIONS)
                 self.take("(")
-                arg = self.expr()
+                arg, depth = self.expr()
                 self.take(")")
-                return Unary(name, arg)
+                return Unary(name, arg), self.deeper(depth)
             if name in CONSTANTS:
-                return Const(CONSTANTS[name])
+                return Const(CONSTANTS[name]), 1
             if name in VARIABLES:
-                return Var(name)
+                return Var(name), 1
             raise ParseError(f"unknown identifier {name!r}", tok[2],
                              VARIABLES + tuple(CONSTANTS))
         kind = "end of input" if tok[0] == "end" else repr(tok[1])
@@ -229,7 +258,8 @@ class _Parser:
 
 
 def parse(text: str) -> Expr:
-    """Parse source text into an Expr.  Raises ParseError with .offset."""
+    """Parse source text into an Expr.  Raises ParseError with .offset, also
+    for input nested deeper than MAX_DEPTH."""
     return _Parser(text).parse()
 
 

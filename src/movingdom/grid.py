@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -455,6 +456,28 @@ def boundary_residual(p, grid, t, v, a=None):
 # ---------------------------------------------------------------------------
 # snapshots
 
+_BLOCK = 512   # rows formatted at a time, which bounds the strings held
+
+
+def _csv_blocks(cols):
+    """CSV text of equal-length columns in blocks of _BLOCK rows, each block
+    ending in a newline.  A column is a str, the same cell on every row, or a
+    float64 array; each distinct value of a block is formatted once, by repr,
+    and values are told apart by bit pattern, so -0.0 and 0.0 stay apart."""
+    n = min(len(c) for c in cols if not isinstance(c, str))
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        cells = []
+        for c in cols:
+            if isinstance(c, str):
+                cells.append(repeat(c, hi - lo))
+                continue
+            bits, inv = np.unique(c[lo:hi].view(np.int64), return_inverse=True)
+            text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            cells.append(text[inv].tolist())
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
 def write_snapshot(path, field: GridField, time):
     g = field.grid
     extents = g.extents if g.kind == "box" else (1.0,)
@@ -466,26 +489,30 @@ def write_snapshot(path, field: GridField, time):
         "extents " + " ".join(repr(float(e)) for e in extents),
         f"time {float(time)!r}",
     ]
-    with open(path, "w") as fh:   # values stream out one Python float at a time
+    with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-        fh.writelines(f"{v!r}\n" for v in memoryview(field.values))
+        fh.writelines(_csv_blocks([field.values]))
 
 
 def read_snapshot(path):
+    """(GridField, time) from a write_snapshot file; GridError, naming the
+    file, when it is not one or its header or values are malformed."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != "movingdom-snapshot 1":
         raise GridError(f"{path} is not a snapshot file")
-    head = {}
-    for line in lines[1:6]:
-        key, _, rest = line.partition(" ")
-        head[key] = rest
-    counts = tuple(int(c) for c in head["counts"].split())
-    extents = tuple(float(e) for e in head["extents"].split())
-    if head["kind"] == "box":
-        grid = BoxGrid(extents, counts)
-    elif head["kind"] == "radial":
-        grid = RadialGrid(int(head["dim"]), counts[0])
-    else:
-        raise GridError(f"unknown grid kind {head['kind']!r}")
-    values = np.array([float(s) for s in lines[6:] if s],)
-    return GridField(grid, values), float(head["time"])
+    head = dict(line.partition(" ")[::2] for line in lines[1:6])
+    try:
+        counts = tuple(int(c) for c in head["counts"].split())
+        extents = tuple(float(e) for e in head["extents"].split())
+        if head["kind"] == "box":
+            grid = BoxGrid(extents, counts)
+        elif head["kind"] == "radial":
+            grid = RadialGrid(int(head["dim"]), counts[0])
+        else:
+            raise GridError(f"unknown grid kind {head['kind']!r}")
+        values = np.array([float(s) for s in lines[6:] if s])
+        return GridField(grid, values), float(head["time"])
+    except KeyError as e:
+        raise GridError(f"{path}: snapshot header has no {e.args[0]!r} line") from None
+    except (ValueError, IndexError, GridError) as e:
+        raise GridError(f"{path}: malformed snapshot: {e}") from None

@@ -102,17 +102,17 @@ def test_streamed_table_matches_the_joined_form(tmp_path):
     assert p.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
-def test_formatted_rows_skip_per_cell_formatting(tmp_path, monkeypatch):
-    # rows of strings (as `solve` streams its moving-frame tables) are joined
-    # as they are; rows with other cells still go through _cell
-    from movingdom import cli
-    calls = []
-    cell = cli._cell
-    monkeypatch.setattr(cli, "_cell", lambda v: calls.append(v) or cell(v))
-    p = tmp_path / "s.csv"
-    write_table(p, "demo", ("t", "u"), [("0.5", "-1e-300"), ("1.0", "2.5"), (2, 0.25)])
-    assert p.read_text().splitlines()[2:] == ["0.5,-1e-300", "1.0,2.5", "2,0.25"]
-    assert calls == [2, 0.25]
+def test_table_columns_match_the_rows_form(tmp_path):
+    # columns (as `solve` writes its moving-frame tables) give the bytes that
+    # the same values give as rows through _cell
+    rng = np.random.default_rng(4)
+    x = np.repeat(rng.normal(size=5), 179)   # 895 rows: a full block and a partial one
+    u = np.concatenate([rng.normal(size=890), [0.0, -0.0, 5e-324, -1e300, 1e-300]])
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_table(a, "demo", ("t", "x", "u"), columns=["0.5", x, u])
+    write_table(b, "demo", ("t", "x", "u"), [(0.5, float(xi), float(ui)) for xi, ui in zip(x, u)])
+    # line by line: pytest's diff of two whole files would take minutes
+    assert a.read_text().splitlines() == b.read_text().splitlines()
 
 
 def test_cli_loads_no_scipy(tmp_path):
@@ -277,13 +277,18 @@ def test_bad_numerics_value_exits_2(tmp_path, capsys, command, change, message):
     assert message in last
 
 
-@pytest.mark.parametrize("case", ["superscript_in_f", "config_not_utf8", "out_is_a_file"])
+@pytest.mark.parametrize("case", ["superscript_in_f", "config_not_utf8", "out_is_a_file",
+                                  "deep_parentheses_in_f", "long_sum_in_f"])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
     cfg, out = tmp_path / "bad.cfg", tmp_path / "out"
     text = ('[problem]\ndim = 1\nextents = 1.0\nforward = "y1"\ninverse = "x1"\n'
             'beta = 1.0\n')
     if case == "superscript_in_f":
         cfg.write_text(text + 'f = "2 + \u00b3 * u"\n', encoding="utf-8")
+    elif case == "deep_parentheses_in_f":   # overflowed the parser's recursion
+        cfg.write_text(text + 'f = "' + "(" * 300 + "0 - u" + ")" * 300 + '"\n')
+    elif case == "long_sum_in_f":   # parsed, then overflowed diff under check_H2
+        cfg.write_text(text + 'f = "0 - ' + " - ".join(["u"] * 1500) + '"\n')
     elif case == "config_not_utf8":
         cfg.write_bytes(b"\xff\xfe" + text.encode())
     else:

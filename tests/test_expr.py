@@ -181,6 +181,39 @@ def test_no_non_ascii_numeric_character_parses_or_escapes_parse_error():
                 ex.parse(text)
 
 
+def _tree_depth(e):
+    if isinstance(e, ex.Unary):
+        return 1 + _tree_depth(e.arg)
+    if isinstance(e, ex.Binary):
+        return 1 + max(_tree_depth(e.left), _tree_depth(e.right))
+    return 1
+
+
+@pytest.mark.parametrize("shape", ["sum", "product", "functions", "negations",
+                                   "parentheses"])
+def test_parse_caps_the_depth(shape):
+    # each text(k) nests k levels; a tree or a nesting of MAX_DEPTH levels
+    # parses, one more is a ParseError and not a RecursionError
+    text = {
+        "sum": lambda k: " + ".join(["u"] * k),                 # left-nested tree
+        "product": lambda k: "u" + " * 2" * (k - 1),
+        "functions": lambda k: "sin(" * (k - 1) + "u" + ")" * (k - 1),
+        "negations": lambda k: "-" * (k - 1) + "u",
+        "parentheses": lambda k: "(" * (k - 1) + "u" + ")" * (k - 1),
+    }[shape]
+    cap = ex.MAX_DEPTH
+    e = ex.parse(text(cap))
+    if shape == "parentheses":
+        assert _tree_depth(e) == 1
+    else:
+        assert _tree_depth(e) == cap
+        # the walkers run on a tree at the cap, and on its derivatives
+        ex.to_string(ex.simplify(ex.diff(ex.diff(e, "u"), "u")))
+    for k in (cap + 1, 10 * cap):
+        with pytest.raises(ex.ParseError, match=f"deeper than {cap} levels"):
+            ex.parse(text(k))
+
+
 def test_eval_domain_guards():
     cases = [
         ("1/t", {"t": 0.0}),

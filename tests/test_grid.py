@@ -420,6 +420,28 @@ def test_snapshot_roundtrip_radial(tmp_path):
     assert np.array_equal(f2.values, f.values)
 
 
+@pytest.mark.parametrize("case", ["magic_line_only", "no_counts_line", "non_integer_count",
+                                  "no_counts", "garbled_extents", "garbled_time",
+                                  "garbled_value", "too_few_values"])
+def test_snapshot_with_a_malformed_header_is_a_grid_error(tmp_path, case):
+    path = tmp_path / "snap.txt"
+    write_snapshot(path, GridField(BoxGrid((1.0,), (4,)), [1.0, 2.0, 3.0, 4.0]), 0.5)
+    lines = path.read_text().splitlines()
+    assert lines[3] == "counts 4" and lines[4] == "extents 1.0" and lines[5] == "time 0.5"
+    lines = {"magic_line_only": lines[:1],
+             "no_counts_line": lines[:3] + lines[4:],
+             "non_integer_count": lines[:3] + ["counts four"] + lines[4:],
+             "no_counts": lines[:3] + ["counts"] + lines[4:],
+             "garbled_extents": lines[:4] + ["extents 1.0.0"] + lines[5:],
+             "garbled_time": lines[:5] + ["time soon"] + lines[6:],
+             "garbled_value": lines[:7] + ["two"] + lines[8:],
+             "too_few_values": lines[:-1]}[case]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(GridError) as err:
+        read_snapshot(path)
+    assert str(path) in str(err.value)
+
+
 def test_snapshot_rejects_other_files(tmp_path):
     path = tmp_path / "other.txt"
     path.write_text("hello\n")

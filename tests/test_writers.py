@@ -1,0 +1,176 @@
+"""Byte oracles and a memory bound for the snapshot and moving-table writers.
+
+The oracles are the per-value writers the package used before block
+formatting: `f"{v!r}\\n"` per snapshot value and one `repr` per cell joined
+row by row.  The block writer must give the same bytes.
+"""
+
+import tracemalloc
+from itertools import repeat
+
+import numpy as np
+import pytest
+
+from movingdom import cli
+from movingdom import expr as ex
+from movingdom.grid import (_BLOCK, BoxGrid, GridField, _csv_blocks, read_snapshot,
+                            write_snapshot)
+
+
+def first_difference(new, old):
+    """None, or (line number, new line, old line) of the first line that
+    differs; asserting on it keeps a failure readable (and fast: pytest's
+    diff of two whole files of this size takes minutes)."""
+    new, old = new.splitlines(), old.splitlines()
+    for i, (a, b) in enumerate(zip(new, old)):
+        if a != b:
+            return i, a, b
+    return None if len(new) == len(old) else (min(len(new), len(old)), "", "")
+
+
+def oracle_rows(cols):
+    """CSV text of the columns, one repr per cell and one join per row."""
+    n = min(len(c) for c in cols if not isinstance(c, str))
+    cells = [repeat(c, n) if isinstance(c, str) else map(repr, memoryview(np.asarray(c)))
+             for c in cols]
+    return "".join(",".join(row) + "\n" for row in zip(*cells))
+
+
+def oracle_write_snapshot(path, field, time):
+    g = field.grid
+    extents = g.extents if g.kind == "box" else (1.0,)
+    lines = [
+        "movingdom-snapshot 1",
+        f"kind {g.kind}",
+        f"dim {g.dim}",
+        "counts " + " ".join(str(c) for c in g.counts),
+        "extents " + " ".join(repr(float(e)) for e in extents),
+        f"time {float(time)!r}",
+    ]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"{v!r}\n" for v in memoryview(field.values))
+
+
+def oracle_write_moving(path, t, xs, u):
+    header = ["t"] + [f"x{i + 1}" for i in range(len(xs))] + ["u"]
+    with open(path, "w") as fh:
+        fh.write("schema,moving_snapshot,1\n")
+        fh.write(",".join(header) + "\n")
+        fh.write(oracle_rows([repr(float(t))] + list(xs) + [u]))
+
+
+SPECIALS = [5e-324, -5e-324, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0),
+            1e300, -1e300, 1e-300, -1e-300, 0.0, -0.0, 0.1 + 0.2, 1.0, -2.5]
+
+
+def block_cases():
+    rng = np.random.default_rng(7)
+    B = _BLOCK
+    yield "repeated", [rng.choice(rng.normal(size=5), size=3 * B + 7),
+                       np.repeat(rng.random(7), B // 2)[:3 * B + 7], "0.25"]
+    yield "signed_zeros", [np.array([0.0, -0.0, 0.0, -0.0, 1.0, -0.0])]
+    yield "specials", [np.array(SPECIALS * 40), np.array(SPECIALS[::-1] * 40)]
+    for n in (0, 1, B - 1, B, B + 1):
+        yield f"length_{n}", ["-1.5", rng.normal(size=n), rng.integers(-3, 3, n) / 4.0]
+
+
+@pytest.mark.parametrize("name, cols", list(block_cases()),
+                         ids=[name for name, _ in block_cases()])
+def test_block_writer_matches_the_per_row_oracle(name, cols):
+    assert first_difference("".join(_csv_blocks(cols)), oracle_rows(cols)) is None
+
+
+@pytest.mark.parametrize("n", [3, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_snapshot_matches_the_per_value_oracle(tmp_path, n):
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, n)
+    values[::2] = rng.choice([0.0, -0.0, 5e-324, 1e300, -1e-300], size=values[::2].shape)
+    field = GridField(BoxGrid((2.0,), (n,)), values)
+    write_snapshot(tmp_path / "new.snap", field, 0.1 + 0.2)
+    oracle_write_snapshot(tmp_path / "old.snap", field, 0.1 + 0.2)
+    assert first_difference((tmp_path / "new.snap").read_text(),
+                            (tmp_path / "old.snap").read_text()) is None
+    back, t = read_snapshot(tmp_path / "new.snap")
+    assert t == 0.1 + 0.2 and np.array_equal(back.values, field.values)
+
+
+BOX3D = """[problem]
+dim = 3
+domain = box
+extents = 1.0, 1.0, 1.0
+forward = "(y1 + 0.25 * y1^2) / (exp(0 - t^2) + 1)", "(y2 + 0.25 * y2^2) / (exp(0 - t^2) + 1)", "(y3 + 0.25 * y3^2) / (exp(0 - t^2) + 1)"
+inverse = "2 * (sqrt(1 + x1 * (exp(0 - t^2) + 1)) - 1)", "2 * (sqrt(1 + x2 * (exp(0 - t^2) + 1)) - 1)", "2 * (sqrt(1 + x3 * (exp(0 - t^2) + 1)) - 1)"
+beta = 1.0
+f = "sin(u)"
+initial = "0.5 + 0.75 * cos(3.141592653589793 * y1) * cos(3.141592653589793 * y2) + 0.25 * cos(6.283185307179586 * y3)"
+
+[numerics]
+grid = 10, 9, 8
+scheme = crank-nicolson
+dt = 0.01
+snapshot_every = 4
+
+[experiment]
+tau = 0.0
+t = 0.08
+"""
+
+
+@pytest.mark.parametrize("case", ["box3d", "ball_shrink"])
+def test_solve_outputs_match_the_oracle_writers(tmp_path, monkeypatch, case):
+    # the oracle files are written from the march `solve` ran, as the
+    # per-value writers wrote them; every snapshot file must match
+    if case == "box3d":
+        cfg = tmp_path / "box3d.cfg"
+        cfg.write_text(BOX3D)   # 720 cells: a full block and a partial one
+    else:
+        cfg = cli.fixture_path("ball_shrink")   # radial, 64 cells
+    seen = {}
+    run = cli.run
+
+    def march(p, g, *args):
+        seen["p"], seen["g"] = p, g
+        seen["traj"] = run(p, g, *args)
+        return seen["traj"]
+
+    monkeypatch.setattr(cli, "run", march)
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+
+    p, g, traj = seen["p"], seen["g"], seen["traj"]
+    dim = p.metric.spec.dim
+    fwd = [ex.compiled(c) for c in p.metric.spec.forward]
+    centers = g.embed()[:, :dim]
+    oracle = tmp_path / "oracle"
+    oracle.mkdir()
+    for idx, (t, snap) in enumerate(zip(traj.times, traj.snapshots)):
+        oracle_write_snapshot(oracle / f"fixed_{idx:03d}.snap", snap, t)
+        env, shape = ex.bind(t, centers)
+        xs = [np.broadcast_to(f(env), shape) for f in fwd]
+        oracle_write_moving(oracle / f"moving_{idx:03d}.csv", t, xs, snap.values)
+    names = sorted(q.name for q in oracle.iterdir())
+    assert len(names) >= 4
+    assert sorted(q.name for q in out.glob("*_*.*") if q.name != "metrics.csv") == names
+    for name in names:
+        assert first_difference((out / name).read_text(),
+                                (oracle / name).read_text()) is None, name
+
+
+def test_writing_a_32_cubed_snapshot_pair_stays_below_3_mib(tmp_path):
+    # the writers hold one block of strings at a time; a file built as one
+    # string (about 2.6 MB of text for the moving table) would not fit
+    g = BoxGrid((1.0, 1.0, 1.0), (32, 32, 32))
+    field = GridField(g, np.random.default_rng(3).normal(size=g.m))
+    xs = [np.ascontiguousarray(c * (1.0 + 0.25 * c) / 1.5) for c in g.centers.T]
+    header = ["t", "x1", "x2", "x3", "u"]
+    tracemalloc.start()
+    try:
+        write_snapshot(tmp_path / "fixed.snap", field, 0.08)
+        cli.write_table(tmp_path / "moving.csv", "moving_snapshot", header,
+                        columns=[repr(0.08)] + xs + [field.values])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "moving.csv").stat().st_size > 2_000_000
+    assert peak <= 3 * 2**20, peak
