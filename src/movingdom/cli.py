@@ -26,8 +26,7 @@ from .diffeo import (BallDomain, BoxDomain, DegenerateDiffeoError,
                      DiffeoError, boundary_points, build_metric,
                      check_H1, check_H4, ellipticity_probe, hoelder_probe,
                      parse_diffeo, validate_inverse)
-from .grid import (BoxGrid, GridError, RadialGrid, _csv_blocks, operator_family,
-                   write_snapshot)
+from .grid import BoxGrid, GridError, RadialGrid, _csv_blocks, write_snapshot
 from .problem import ProblemError, assemble, check_H2, check_H3
 from .pullback import (PullbackError, PullbackReport, absorbing_radius,
                        cocycle_check, decay_fit, drift_norm,
@@ -372,8 +371,7 @@ def cmd_solve(rc, out, seed=None):
     T = _exp(rc, "t", 1.0)
     if not tau <= T:
         raise ConfigError(f"[experiment] needs tau <= t, got tau = {tau}, t = {T}")
-    # built once before the march, which then does per-step work only
-    operator_family(p, g)
+    # the drift basis and the operator family it needs, built before the march
     drift_basis(p, g)
     traj = run(p, g, cfg, tau, T)
     _write_metrics(out, traj)
@@ -422,9 +420,13 @@ def cmd_pullback(rc, out, seed=None):
     radius_k = _exp(rc, "radius_k", 4, int)
     cap = _exp(rc, "max_total_steps", 5_000_000, int)
     rng_seed = seed if seed is not None else _exp(rc, "rng_seed", 0, int)
-    for key, count in (("k_max", k_max), ("seeds", n_seeds)):
-        if count < 1:
-            raise ConfigError(f"{key} must be at least 1, got {count}")
+    for key, count, least in (("k_max", k_max, 1), ("seeds", n_seeds, 1),
+                              ("radius_k", radius_k, 0), ("max_total_steps", cap, 1)):
+        if count < least:
+            raise ConfigError(f"{key} must be at least {least}, got {count}")
+    for key, values in (("radii", radii), ("drift_gaps", gaps_ladder)):
+        if min(values) <= 0:
+            raise ConfigError(f"{key} entries must be positive, got {min(values)}")
     if horizon < 10.0 / p.beta:
         raise ConfigError(f"experiment horizon {horizon} too short for the "
                           f"decay fit; need >= 10/beta = {10.0 / p.beta}")
@@ -436,8 +438,7 @@ def cmd_pullback(rc, out, seed=None):
             raise PullbackError(f"the {phase} plans {steps:.0f} steps, above "
                                 f"max_total_steps = {cap}")
 
-    # built once before the runs below, which share them
-    operator_family(p, g)
+    # the drift basis and the operator family it needs, shared by the runs below
     drift_basis(p, g)
     rng = np.random.default_rng(rng_seed)
     seeds = [rng.normal(size=g.m) for _ in range(n_seeds)]

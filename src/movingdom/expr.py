@@ -2,9 +2,9 @@
 
 Expressions are parsed from text by a small recursive-descent parser,
 differentiated symbolically, simplified, printed back to parseable text and
-evaluated either pointwise (floats) or vectorised over numpy arrays.  The
-parser's scanner is one regular expression; a NUMBER is an ASCII decimal
-literal such as 2, 0.5, 1. or 2.5E-3.
+evaluated by one vectorised evaluator over numpy arrays, where a float
+binding is one value.  The parser's scanner is one regular expression; a
+NUMBER is an ASCII decimal literal such as 2, 0.5, 1. or 2.5E-3.
 
 Grammar (one token of lookahead):
 
@@ -28,10 +28,13 @@ sign(0) = 0); its own derivative is taken as 0.
 
 Domain guards (division by zero, sqrt/log out of range, 0 raised to a
 negative power, overflow, non-finite bindings) raise EvalError rather than
-returning NaN or Inf, both in pointwise and in vectorised evaluation.
-evaluate() checks each node; compiled() runs the whole vectorised
-evaluation in one floating-point errstate scope and checks the result once.
-bind() binds t and y1..yd from a time (or time grid) and a point set.
+returning NaN or Inf: compiled() runs the whole evaluation in one
+floating-point errstate scope and checks the result once.  Each element is
+computed by the same elementwise numpy loops whatever the array around it,
+so a value at a time does not depend on which or how many other times are
+evaluated with it.  simplify() folds constant subtrees through the same
+evaluator.  bind() binds t and y1..yd from a time (or time grid) and a
+point set.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Var", "Unary", "Binary",
     "ExprError", "ParseError", "EvalError",
-    "parse", "evaluate", "diff", "simplify", "substitute",
+    "parse", "diff", "simplify", "substitute",
     "free_vars", "to_string", "compiled", "bind",
 ]
 
@@ -139,7 +142,7 @@ _TOKEN = re.compile(r"""[ \t\r\n]*(?:
 
 
 # deepest tree parse() accepts, leaves at depth 1: the recursive walkers
-# (diff, simplify, evaluate, to_string) take one or two frames a level, and a
+# (diff, simplify, compiled, to_string) take one or two frames a level, and a
 # derived tree, such as a second derivative, is a few times deeper than its
 # source.  The bundled fixtures and benchmark configs reach depth 10.
 MAX_DEPTH = 64
@@ -266,78 +269,6 @@ def parse(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _check_pow(base, expo):
-    if not float(expo).is_integer():
-        if base < 0:
-            raise EvalError(f"negative base {base!r} under fractional exponent {expo!r}")
-        if base == 0 and expo < 0:
-            raise EvalError("zero base under negative exponent")
-    elif expo < 0 and base == 0:
-        raise EvalError("zero base under negative exponent")
-
-
-_UNARY_FNS = {
-    "neg": lambda x: -x,
-    "sin": math.sin, "cos": math.cos, "exp": math.exp, "tanh": math.tanh,
-    "abs": abs,
-}
-
-
-def evaluate(e: Expr, bindings: dict) -> float:
-    """Pointwise evaluation with scalar bindings, e.g. evaluate(e, {"t": 0.0})."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            v = float(bindings[e.name])
-        except KeyError:
-            raise EvalError(f"unbound variable {e.name!r}") from None
-        if not math.isfinite(v):
-            raise EvalError(f"non-finite binding for {e.name!r}")
-        return v
-    if isinstance(e, Unary):
-        x = evaluate(e.arg, bindings)
-        if e.op == "sqrt":
-            if x < 0:
-                raise EvalError(f"sqrt of negative value {x!r}")
-            return math.sqrt(x)
-        if e.op == "log":
-            if x <= 0:
-                raise EvalError(f"log of non-positive value {x!r}")
-            return math.log(x)
-        if e.op == "sign":
-            return 0.0 if x == 0 else math.copysign(1.0, x)
-        try:
-            return _UNARY_FNS[e.op](x)
-        except OverflowError:
-            raise EvalError(f"overflow in {e.op}({x!r})") from None
-    a = evaluate(e.left, bindings)
-    if e.op == "pow":
-        expo = e.right.value
-        _check_pow(a, expo)
-        try:
-            r = a ** expo
-        except OverflowError:
-            raise EvalError(f"overflow in {a!r}^{expo!r}") from None
-        if isinstance(r, complex) or not math.isfinite(r):
-            raise EvalError(f"non-finite result in {a!r}^{expo!r}")
-        return r
-    b = evaluate(e.right, bindings)
-    if e.op == "add":
-        r = a + b
-    elif e.op == "sub":
-        r = a - b
-    elif e.op == "mul":
-        r = a * b
-    else:
-        if b == 0:
-            raise EvalError("division by zero")
-        r = a / b
-    if not math.isfinite(r):
-        raise EvalError(f"non-finite result in {e.op}")
-    return r
-
-
 _NP_UNARY = {
     "neg": np.negative, "sin": np.sin, "cos": np.cos, "exp": np.exp,
     "tanh": np.tanh, "sqrt": np.sqrt, "abs": np.abs, "log": np.log,
@@ -352,11 +283,12 @@ def compiled(e: Expr, names=None):
 
     env maps variable names to arrays or scalars; arrays must broadcast
     against each other.  `names` restricts which variables may appear.
-    Bindings of the variables used must be finite, as in evaluate().  Each
-    node is a bare numpy call, and the whole evaluation runs in one errstate
-    scope that raises on division by zero, invalid values and overflow, so
-    the domain guards of evaluate() hold over every element; the result is
-    checked once for finiteness.  Every guard raises EvalError.
+    Bindings of the variables used must be finite.  Each node is a bare
+    numpy call, and the whole evaluation runs in one errstate scope that
+    raises on division by zero, invalid values (sqrt or log out of range, a
+    negative base under a fractional exponent) and overflow, so the domain
+    guards hold over every element; the result is checked once for
+    finiteness.  Every guard raises EvalError.
     """
     allowed = set(VARIABLES if names is None else names)
     used = sorted(free_vars(e))
@@ -459,19 +391,15 @@ def _add(a, b):
         return b
     if _is_const(b, 0.0):
         return a
-    if _is_const(a) and _is_const(b):
-        return Const(a.value + b.value)
-    return Binary("add", a, b)
+    return _fold(Binary("add", a, b))
 
 
 def _sub(a, b):
     if _is_const(b, 0.0):
         return a
-    if _is_const(a) and _is_const(b):
-        return Const(a.value - b.value)
     if _is_const(a, 0.0):
         return _neg(b)
-    return Binary("sub", a, b)
+    return _fold(Binary("sub", a, b))
 
 
 def _mul(a, b):
@@ -481,9 +409,7 @@ def _mul(a, b):
         return b
     if _is_const(b, 1.0):
         return a
-    if _is_const(a) and _is_const(b):
-        return Const(a.value * b.value)
-    return Binary("mul", a, b)
+    return _fold(Binary("mul", a, b))
 
 
 def _div(a, b):
@@ -491,9 +417,7 @@ def _div(a, b):
         return a
     if _is_const(a, 0.0) and not _is_const(b, 0.0):
         return Const(0.0)
-    if _is_const(a) and _is_const(b) and b.value != 0:
-        return Const(a.value / b.value)
-    return Binary("div", a, b)
+    return _fold(Binary("div", a, b))
 
 
 def _neg(a):
@@ -509,13 +433,19 @@ def _pow(a, c):
         return Const(1.0)
     if c.value == 1:
         return a
-    if _is_const(a):
-        try:
-            _check_pow(a.value, c.value)
-            return Const(a.value ** c.value)
-        except (EvalError, OverflowError):
-            pass
-    return Binary("pow", a, c)
+    return _fold(Binary("pow", a, c))
+
+
+def _fold(e):
+    """e as one Const where its operands are constants and its value is
+    defined, through the one evaluator; e itself otherwise."""
+    operands = (e.arg,) if isinstance(e, Unary) else (e.left, e.right)
+    if not all(isinstance(x, Const) for x in operands):
+        return e
+    try:
+        return Const(float(compiled(e)({})))
+    except EvalError:
+        return e
 
 
 def diff(e: Expr, var: str) -> Expr:
@@ -570,12 +500,7 @@ def simplify(e: Expr) -> Expr:
         a = simplify(e.arg)
         if e.op == "neg":
             return _neg(a)
-        if isinstance(a, Const):
-            try:
-                return Const(evaluate(Unary(e.op, a), {}))
-            except EvalError:
-                pass
-        return Unary(e.op, a)
+        return _fold(Unary(e.op, a))
     a = simplify(e.left)
     if e.op == "pow":
         return _pow(a, e.right)

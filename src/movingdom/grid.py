@@ -25,7 +25,7 @@ inner product of `inner` (scale 1 when assembled).
 There is one operator type, `SparseOperator`.  Under H1, a(t) = h2(t) a0
 and S(t) = h2(t) S0, so A(t) is A(0) with scale h2(t).  `operator_family`
 builds, once per (metric, grid) and only if that holds to 1e-13, A(0) and
-the scalar h2(t), one pointwise evaluation of a_00 per time; A(0) also
+h2, a_00 at one cell evaluated over an array of times at once; A(0) also
 carries the eigenpairs of L0 = S0 / vol where the grid allows: one eigh of
 V^-1/2 S0 V^-1/2 on a radial grid, one per axis on a box whose axis-k face
 weights depend on y_k alone (a Kronecker sum of 1-D chains).  Its scaled
@@ -381,8 +381,9 @@ def operator_family(p, grid):
     """(A0, h2) with A(t) = A0 scaled by h2(t) for p's metric on grid, None
     when a(t) is not h2(t) a0 to rounding; built once and kept on the metric.
 
-    A0 is A at t = 0, with its eigenpairs where the grid allows; h2(t) =
-    a_00(t, y*) / a0_00(y*) at the cell y* of largest |a0_00|.
+    A0 is A at t = 0, with its eigenpairs where the grid allows; h2 maps a
+    1-D array of times to h2(t) = a_00(t, y*) / a0_00(y*) at each, y* the
+    cell of largest |a0_00|.
     """
     cache, key = p.metric._fns, ("family", grid)
     if key not in cache:
@@ -391,24 +392,26 @@ def operator_family(p, grid):
 
 
 def _build_family(p, grid):
-    def h2(t):   # one scalar evaluation of a_00 per time
-        return ex.evaluate(p.metric.a[0][0], {**y_ref, "t": t}) / a0[ref, 0, 0]
+    def h2(ts):   # one evaluation of a_00 at y* over the array of times
+        env, shape = ex.bind(ts, grid.embed()[ref:ref + 1])
+        return np.broadcast_to(a00(env), shape)[:, 0] / a0[ref, 0, 0]
 
     def pairs():   # (a, h2 a0) in blocks of times and cells that bound the memory
         pts = interior_points(p.domain, p.dim)
         a0_pts = p.metric.eval_a(0.0, pts)
         for ts in np.array_split(time_grid(), 8):
-            yield p.metric.eval_a(ts, pts), np.multiply.outer([h2(t) for t in ts], a0_pts)
-        for t in (-16.0, -4.0, -1.0, 1.0, 4.0):
+            yield p.metric.eval_a(ts, pts), np.multiply.outer(h2(ts), a0_pts)
+        probes = np.array([-16.0, -4.0, -1.0, 1.0, 4.0])
+        for t, h in zip(probes, h2(probes)):
             for c in np.array_split(np.arange(grid.m), -(-grid.m // 4096)):
-                yield p.metric.eval_a(t, grid.embed()[c]), h2(t) * a0[c]
+                yield p.metric.eval_a(t, grid.embed()[c]), h * a0[c]
 
     # a family only if a(t) = h2(t) a0 to 1e-13 on the H1 samples and on the grid
     try:
         base = assemble_A(p, grid, 0.0)   # GridError for the grids assemble_A rejects
         a0 = base.a
         ref = int(np.argmax(np.abs(a0[:, 0, 0])))
-        y_ref = {f"y{i + 1}": float(y) for i, y in enumerate(grid.embed()[ref])}
+        a00 = p.metric._fn(("a", 0, 0), p.metric.a[0][0])
         if not all(np.abs(a - b).max() <= 1e-13 * np.abs(a).max() for a, b in pairs()):
             return None
     except ex.EvalError:   # a is undefined at t = 0 or at a sampled time

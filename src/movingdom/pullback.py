@@ -15,7 +15,7 @@ import numpy as np
 
 from .grid import as_field, norm_H1, norm_L2
 from .problem import check_H2, check_H3
-from .solver import _solve, operator_at, run, run_homogeneous
+from .solver import _lattice, _solve, operator_at, run, run_homogeneous
 
 log = logging.getLogger("movingdom.pullback")
 
@@ -240,12 +240,7 @@ def cocycle_check(p, grid, cfg, tau, s, t, u0) -> float:
     """
     if not tau <= s <= t:
         raise PullbackError("need tau <= s <= t")
-    n = round((s - tau) / cfg.dt)
-    s_eff = tau
-    for _ in range(max(0, n)):
-        s_eff += cfg.dt
-    if abs(s_eff - s) > 1e-9 * cfg.dt:
-        s_eff = s
+    s_eff = next((r for r, _, _ in _lattice(tau, t, cfg.dt) if abs(r - s) <= 1e-9 * cfg.dt), s)
     leg1 = run(p, grid, cfg, tau, s_eff, u0)
     leg2 = run(p, grid, cfg, s_eff, t, leg1.final)
     full = run(p, grid, cfg, tau, t, u0)

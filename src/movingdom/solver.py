@@ -12,16 +12,16 @@ followed, for crank-nicolson, by one corrector solve with F re-evaluated
 at the midpoint state (v_n + v*)/2.  When F does not depend on the state
 the corrector right-hand side is identical and v* is kept without a second
 solve, so the scheme degenerates to the plain one-solve form; with
-state-dependent F the correction restores second order in time.  The
-state-independent parts of F (drift, source and an f of t alone) are
-evaluated once per distinct time.  Under H1 the drift b(t, .) lies in a
-fixed space of at most d + 2 fields of y; `drift_basis` keeps r snapshot
-fields of b on the grid, built once per (metric, grid) next to the
-operator family and checked to 1e-13, so a time costs r scalar
-evaluations of b (expr.evaluate) and one r x r product instead of b over
-the grid.  An f of t alone is one scalar per time, folded into the source.
-Without a family, or where the check fails, b is evaluated over the grid
-at each time.
+state-dependent F the correction restores second order in time.  Under
+H1 the scalars of a step depend on t alone: h2(t), the drift coefficients
+below and an f of t alone, folded into the source.  `run` evaluates each
+once per chunk of _CHUNK steps, by expr.compiled over the chunk's times
+its steps take it at.  The drift b(t, .) lies in a fixed space of at most
+d + 2 fields of y; `drift_basis` keeps r snapshot fields of b on the grid,
+built once per (metric, grid) next to the operator family and checked to
+1e-13, so a time costs b at r pivots and one r x r product instead of b
+over the grid.  Without a family, or where the check fails, b is evaluated
+over the grid at each time, as is a source s(t, y).
 
 Every A(t) comes from `operator_at`.  Under H1 it is the metric's operator
 at t = 0 on the grid (grid.py), the fixed flux S0 (and cross block C0),
@@ -35,9 +35,10 @@ weights, to the relative tolerance cg_tol.
 
 Time marches by accumulation (t_{n+1} = t_n + dt).  Each operator is made
 from its exact time value (the H1 scaling from time 0, never from a run's
-start) and kept for the current step only, so a run restarted from a
-stored state on the step lattice reproduces the uninterrupted run bit for
-bit, and memory stays flat in the step count.  The final step is
+start) and kept for the current step only, and a value at a time does not
+depend on the chunk it is evaluated with, so a run restarted from a stored
+state on the step lattice reproduces the uninterrupted run bit for bit,
+and memory stays flat in the step count.  The final step is
 shortened to land exactly on the requested end time.
 
 `run` validates the initial state once and checks each new state for finite
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -197,11 +199,23 @@ def operator_at(p, grid, t):
     """A(t) of problem p on grid: the metric's H1 operator scaled by h2(t)
     where it has one, assembled at t otherwise."""
     family = operator_family(p, grid)
-    if family is None:
+    return _operator(p, grid, t, None if family is None else _tabulate(family[1], [t]))
+
+
+def _operator(p, grid, t, h2):
+    """A(t): the family's A0 scaled by h2[t], with h2 the family's h2 tabulated
+    at times that hold t; assembled at t where h2 is None."""
+    if h2 is None:
         return assemble_A(p, grid, t)
-    A0, h2 = family
-    return SparseOperator(A0.grid, A0.weights, p.beta, A0.cross, a=A0.a, scale=float(h2(t)),
+    A0, _ = operator_family(p, grid)
+    return SparseOperator(A0.grid, A0.weights, p.beta, A0.cross, a=A0.a, scale=float(h2[t]),
                           vecs=A0.vecs, lam=A0.lam, root_vol=A0.root_vol)
+
+
+def _tabulate(fn, times):
+    """{t: value at t} from one call of fn on the array of the distinct times."""
+    ts = list(dict.fromkeys(times))
+    return dict(zip(ts, fn(np.array(ts))))
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +242,9 @@ def _drift_on(p, grid, t):
 
 def drift_basis(p, grid):
     """(g, fields) with the drift by axis at time t equal to g(t) @ fields,
-    fields shaped (r, axes, cells); None where b is evaluated per time.
-    Built once and kept on the metric.
+    fields shaped (r, axes, cells) and g mapping a 1-D array of times to one
+    row of r coefficients each; None where b is evaluated per time.  Built
+    once and kept on the metric.
     """
     cache, key = p.metric._fns, ("drift", grid)
     if key not in cache:
@@ -246,10 +261,10 @@ def _build_drift(p, grid):
     The fields are r snapshots b(t_i, .) on the grid, with r and the t_i from
     b on the H1 lattice, and r DEIM pivot entries (Chaturantabut & Sorensen,
     SIAM J. Sci. Comput. 32 (2010) 2737-2764): g(t) solves g @ fields at the
-    pivots = b(t) at the pivots, each entry evaluated on scalar bindings.
-    They are kept only if they reconstruct b to 1e-13 at every lattice time
-    and on every grid cell at the probe times, each against that time's
-    max |b|; r = 0 when b is identically zero.  None without an operator
+    pivots = b(t) at the pivots, for an array of times at once.  They are
+    kept only if they reconstruct b to 1e-13 at every lattice time and on
+    every grid cell at the probe times, each against that time's max |b|;
+    r = 0 when b is identically zero.  None without an operator
     family, with more than d + 2 fields, or when the guard fails.
     """
     if operator_family(p, grid) is None:
@@ -286,19 +301,17 @@ def _build_drift(p, grid):
     inverse = np.linalg.inv(flat[:, pivots])
     axis, cell = np.divmod(np.array(pivots, dtype=int), grid.m)
     pts = grid.embed()[cell]
-    at_pivot = [(m.b[k], {f"y{j + 1}": float(c) for j, c in enumerate(y)})
-                for k, y in zip(axis, pts)]
 
-    def coefficients(t):
-        return np.array([ex.evaluate(e, {**y, "t": t}) for e, y in at_pivot]) @ inverse
+    def coefficients(ts):   # b at the pivots, each b_k over the array of times
+        env, shape = ex.bind(ts, pts)
+        b = [np.broadcast_to(m._fn(("b", k), m.b[k])(env), shape) for k in range(axes)]
+        return np.stack(b, axis=-1)[:, np.arange(r), axis] @ inverse
 
-    # the lattice check takes the pivot values from one vectorised evaluation
-    gs = m.eval_b(ts, pts)[:, np.arange(r), axis] @ inverse
-    for g, b in zip(gs, lattice):
+    for g, b in zip(coefficients(ts), lattice):
         if not np.abs(g @ lattice[rows] - b).max() <= 1e-13 * np.abs(b).max():
             return None
-    for t in (-1.5, 0.5):   # probe times off the H1 lattice
-        g = coefficients(t)
+    probes = np.array([-1.5, 0.5])   # times off the H1 lattice
+    for t, g in zip(probes, coefficients(probes)):
         err = top = 0.0
         for c, b in _drift_on(p, grid, t):
             err = max(err, float(np.abs(np.tensordot(g, fields[:, :, c], 1) - b).max()))
@@ -311,32 +324,41 @@ def _build_drift(p, grid):
 # ---------------------------------------------------------------------------
 # stepping
 
-def _forcing(p, grid, t):
-    """The state-independent parts of F at time t: (drift, source).
+def _forcing(p, grid, times):
+    """fn(t) giving the state-independent parts of F, (drift, source), at
+    each t of times.
 
     The drift is (g, fields), its field by grid axis being g @ fields: the
     drift basis and its coefficients at t, or eval_b at t with g = (1,)
     where there is no basis.  It is None when b is identically zero.  An f
     of t alone is one value at t, added to the source; the source is None
-    when there is neither.
+    when there is neither.  The coefficients and an f of t alone are
+    tabulated over times, the rest is evaluated at t when fn is called.
     """
     basis = drift_basis(p, grid)
-    if basis is None:
-        drift = np.ones(1), _by_axis(grid, p.metric.eval_b(t, grid.embed()))[None]
-    else:
-        coefficients, fields = basis
-        drift = (coefficients(t), fields) if len(fields) else None
-    source = p.source_values(t, grid.embed()) if p.source is not None else None
+    g = _tabulate(basis[0], times) if basis is not None and len(basis[1]) else None
+    f_t = None
     if p.f is not None and not p.f_uses_u:
-        ft = ex.evaluate(p.f, {"t": t})
-        source = ft if source is None else source + ft
-    return drift, source
+        f = p._fn("f", p.f, ("t", "u"))
+        f_t = _tabulate(lambda ts: np.broadcast_to(f({"t": ts}), ts.shape), times)
+
+    def at(t):
+        if basis is None:
+            drift = np.ones(1), _by_axis(grid, p.metric.eval_b(t, grid.embed()))[None]
+        else:
+            drift = None if g is None else (g[t], basis[1])
+        source = p.source_values(t, grid.embed()) if p.source is not None else None
+        if f_t is not None:
+            source = f_t[t] if source is None else source + f_t[t]
+        return drift, source
+
+    return at
 
 
 def _explicit_rhs(p, grid, t, v, cross_op, forcing):
-    """F(t, v), with forcing = _forcing(p, grid, t); None drops f, drift and
-    source.  The drift and the cross block share one gradient of v; the
-    drift field is formed one axis at a time, which bounds the memory."""
+    """F(t, v), with forcing the (drift, source) of _forcing at t; None drops
+    f, drift and source.  The drift and the cross block share one gradient of
+    v; the drift field is formed one axis at a time, which bounds the memory."""
     drift, source = (None, None) if forcing is None else forcing
     if drift is not None or cross_op.cross is not None:
         grads = _gradients(grid, v)
@@ -352,26 +374,45 @@ def _explicit_rhs(p, grid, t, v, cross_op, forcing):
     return out
 
 
-def _advance(p, grid, cfg, t, v, dt, get_op, homogeneous):
+def _advance(p, grid, cfg, t, v, dt, get_op, forcing):
+    """One step from t by dt: (state, CG iterations); forcing is a _forcing
+    holding the step's explicit time, None drops f, drift and source."""
     t1 = t + dt
     A1 = get_op(t1)
     A0 = get_op(t)
     if cfg.scheme == "backward-euler":
-        forcing = None if homogeneous else _forcing(p, grid, t)
-        rhs = v + dt * _explicit_rhs(p, grid, t, v, A0, forcing)
-        return _solve(A1.shifted(dt), rhs, cfg.cg_tol, v)
+        F = _explicit_rhs(p, grid, t, v, A0, None if forcing is None else forcing(t))
+        return _solve(A1.shifted(dt), v + dt * F, cfg.cg_tol, v)
     tm = t + 0.5 * dt
     cross_op = get_op(tm) if A0.cross is not None else A0
-    forcing = None if homogeneous else _forcing(p, grid, tm)
+    at_tm = None if forcing is None else forcing(tm)
     base = v - (0.5 * dt) * A0.apply_implicit(v)
     left = A1.shifted(0.5 * dt)
-    F0 = _explicit_rhs(p, grid, tm, v, cross_op, forcing)
+    F0 = _explicit_rhs(p, grid, tm, v, cross_op, at_tm)
     v_star, it1 = _solve(left, base + dt * F0, cfg.cg_tol, v)
-    Fm = _explicit_rhs(p, grid, tm, 0.5 * (v + v_star), cross_op, forcing)
+    Fm = _explicit_rhs(p, grid, tm, 0.5 * (v + v_star), cross_op, at_tm)
     if np.array_equal(Fm, F0):
         return v_star, it1
     v_next, it2 = _solve(left, base + dt * Fm, cfg.cg_tol, v_star)
     return v_next, it1 + it2
+
+
+_CHUNK = 512   # steps whose per-time terms are evaluated together
+
+
+def _lattice(tau, T, dt):
+    """(t_n, dt_n, t_{n+1}) of each step from tau to T, t_{n+1} = t_n + dt by
+    accumulation.  The last step ends on T: it is shortened to T - t_n,
+    unless t_n + dt lands within 1e-9 dt of T, where dt_n stays dt."""
+    tol_t = 1e-9 * dt
+    t = tau
+    while t < T - tol_t:
+        t_next = t + dt
+        if T - t_next <= tol_t:
+            yield t, (dt if abs(T - t_next) <= tol_t else T - t), T
+            return
+        yield t, dt, t_next
+        t = t_next
 
 
 def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False) -> Trajectory:
@@ -394,13 +435,15 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False) -> Traj
                 f"dt too large for the explicit nonlinearity: dt * sup|f_u| = "
                 f"{cfg.dt * lip:.3g} > 0.5; shrink dt below {0.5 / lip:.3g}")
 
-    ops = {}
+    cn = cfg.scheme == "crank-nicolson"
+    family = operator_family(p, grid)
+    ops, h2 = {tau: operator_at(p, grid, tau)}, None
 
     def get_op(t):
-        # made once per time value; earlier steps drop
+        # made once per time value from the chunk's h2; earlier steps drop
         op = ops.get(t)
         if op is None:
-            op = ops[t] = operator_at(p, grid, t)
+            op = ops[t] = _operator(p, grid, t, h2)
         return op
 
     def metrics_row(n, t, vals, iters):
@@ -410,34 +453,36 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False) -> Traj
     times = [tau]
     snapshots = [GridField(grid, v)]
     metrics = [metrics_row(0, tau, v, 0)]
-    tol_t = 1e-9 * cfg.dt
-    t = tau
     n = 0
-    while t < T - tol_t:
-        t_next = t + cfg.dt
-        if T - t_next <= tol_t:
-            dt_step = cfg.dt if abs(T - t_next) <= tol_t else T - t
-            t_next = T
-        else:
-            dt_step = cfg.dt
-        # keep only this step's operators: the one at t is reused from the last step
-        ops = {t: ops[t]}
-        v, iters = _advance(p, grid, cfg, t, v, dt_step, get_op, homogeneous)
-        if not np.all(np.isfinite(v)):
-            raise SolverError(f"non-finite state at t = {t_next}; "
-                              "the explicit terms likely outran dt")
-        n += 1
-        row = metrics_row(n, t_next, v, iters)
-        if homogeneous and cfg.scheme == "backward-euler" \
-                and get_op(t_next).cross is None \
-                and row.L2 > metrics[-1].L2 * (1.0 + 10 * cfg.cg_tol) + 1e-300:
-            raise SolverError(f"homogeneous backward-Euler norm grew at t = {t_next}: "
-                              f"{metrics[-1].L2} -> {row.L2}")
-        metrics.append(row)
-        t = t_next
-        if t == T or (cfg.snapshot_every and n % cfg.snapshot_every == 0):
-            times.append(t)
-            snapshots.append(GridField(grid, v))
+    lattice = _lattice(tau, T, cfg.dt)
+    while steps := list(islice(lattice, _CHUNK)):
+        # each per-time term once over the chunk's times it is taken at: h2 at
+        # the step ends (and the midpoints, where crank-nicolson takes the
+        # cross block there), the forcing at t_n or the crank-nicolson midpoint
+        mids = [t + 0.5 * dt for t, dt, _ in steps]
+        ends = [s for t, dt, t_next in steps for s in (t + dt, t_next)]
+        if family is not None:
+            h2 = _tabulate(family[1], ends + (mids if cn and family[0].cross is not None else []))
+        forcing = None if homogeneous else \
+            _forcing(p, grid, mids if cn else [t for t, _, _ in steps])
+        for t, dt_step, t_next in steps:
+            # keep only this step's operators: the one at t is reused from the last step
+            ops = {t: ops[t]}
+            v, iters = _advance(p, grid, cfg, t, v, dt_step, get_op, forcing)
+            if not np.all(np.isfinite(v)):
+                raise SolverError(f"non-finite state at t = {t_next}; "
+                                  "the explicit terms likely outran dt")
+            n += 1
+            row = metrics_row(n, t_next, v, iters)
+            if homogeneous and cfg.scheme == "backward-euler" \
+                    and get_op(t_next).cross is None \
+                    and row.L2 > metrics[-1].L2 * (1.0 + 10 * cfg.cg_tol) + 1e-300:
+                raise SolverError(f"homogeneous backward-Euler norm grew at t = {t_next}: "
+                                  f"{metrics[-1].L2} -> {row.L2}")
+            metrics.append(row)
+            if t_next == T or (cfg.snapshot_every and n % cfg.snapshot_every == 0):
+                times.append(t_next)
+                snapshots.append(GridField(grid, v))
     return Trajectory(grid, times, snapshots, metrics)
 
 

@@ -233,8 +233,14 @@ def test_malformed_expression_exits_2(tmp_path, capsys, command, change, message
     ("pullback", {"t_star": "inf"}, "t_star = 'inf' is not finite"),
     ("pullback", {"horizon": "nan"}, "horizon = 'nan' is not finite"),
     ("solve", {"tau": "2", "t": "1"}, "needs tau <= t, got tau = 2.0, t = 1.0"),
+    ("pullback", {"radii": "-1.0, 100.0"}, "radii entries must be positive, got -1.0"),
+    ("pullback", {"drift_gaps": "-1.0"}, "drift_gaps entries must be positive, got -1.0"),
+    ("pullback", {"radius_k": "-3"}, "radius_k must be at least 0, got -3"),
+    ("pullback", {"max_total_steps": "-1"}, "max_total_steps must be at least 1, got -1"),
 ], ids=["k_max_text", "radii_empty", "t_star_text", "solve_t_text", "k_max_zero",
-        "seeds_zero", "drift_gaps_empty", "t_star_inf", "horizon_nan", "solve_tau_after_t"])
+        "seeds_zero", "drift_gaps_empty", "t_star_inf", "horizon_nan", "solve_tau_after_t",
+        "radii_negative", "drift_gaps_negative", "radius_k_negative",
+        "max_total_steps_negative"])
 def test_bad_experiment_value_exits_2(tmp_path, capsys, command, change, message):
     experiment = {"horizon": "10.0", "seeds": "1"} | change
     p = tmp_path / "bad.cfg"

@@ -7,6 +7,83 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from movingdom import expr as ex
+from movingdom.expr import Const, EvalError, Expr, Unary, Var
+
+# ---------------------------------------------------------------------------
+# the scalar tree-walking evaluator the program used to keep beside
+# `compiled`, kept here as an independent oracle: it evaluates one point with
+# Python floats and the math module, and checks each node's domain itself
+
+def _check_pow(base, expo):
+    if not float(expo).is_integer():
+        if base < 0:
+            raise EvalError(f"negative base {base!r} under fractional exponent {expo!r}")
+        if base == 0 and expo < 0:
+            raise EvalError("zero base under negative exponent")
+    elif expo < 0 and base == 0:
+        raise EvalError("zero base under negative exponent")
+
+
+_UNARY_FNS = {
+    "neg": lambda x: -x,
+    "sin": math.sin, "cos": math.cos, "exp": math.exp, "tanh": math.tanh,
+    "abs": abs,
+}
+
+
+def evaluate(e: Expr, bindings: dict) -> float:
+    """Pointwise evaluation with scalar bindings, e.g. evaluate(e, {"t": 0.0})."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        try:
+            v = float(bindings[e.name])
+        except KeyError:
+            raise EvalError(f"unbound variable {e.name!r}") from None
+        if not math.isfinite(v):
+            raise EvalError(f"non-finite binding for {e.name!r}")
+        return v
+    if isinstance(e, Unary):
+        x = evaluate(e.arg, bindings)
+        if e.op == "sqrt":
+            if x < 0:
+                raise EvalError(f"sqrt of negative value {x!r}")
+            return math.sqrt(x)
+        if e.op == "log":
+            if x <= 0:
+                raise EvalError(f"log of non-positive value {x!r}")
+            return math.log(x)
+        if e.op == "sign":
+            return 0.0 if x == 0 else math.copysign(1.0, x)
+        try:
+            return _UNARY_FNS[e.op](x)
+        except OverflowError:
+            raise EvalError(f"overflow in {e.op}({x!r})") from None
+    a = evaluate(e.left, bindings)
+    if e.op == "pow":
+        expo = e.right.value
+        _check_pow(a, expo)
+        try:
+            r = a ** expo
+        except OverflowError:
+            raise EvalError(f"overflow in {a!r}^{expo!r}") from None
+        if isinstance(r, complex) or not math.isfinite(r):
+            raise EvalError(f"non-finite result in {a!r}^{expo!r}")
+        return r
+    b = evaluate(e.right, bindings)
+    if e.op == "add":
+        r = a + b
+    elif e.op == "sub":
+        r = a - b
+    elif e.op == "mul":
+        r = a * b
+    else:
+        if b == 0:
+            raise EvalError("division by zero")
+        r = a / b
+    if not math.isfinite(r):
+        raise EvalError(f"non-finite result in {e.op}")
+    return r
 
 
 # expressions free of domain-guard issues on |vars| <= 2, paired with the
@@ -30,28 +107,28 @@ def bindings_for(names, rng):
 def test_parse_reference_value():
     e = ex.parse("1/(exp(-t^2)+1)")
     assert ex.free_vars(e) == {"t"}
-    assert ex.evaluate(e, {"t": 0.0}) == 0.5
+    assert evaluate(e, {"t": 0.0}) == 0.5
 
 
 def test_diff_reference_value():
     e = ex.parse("1/(exp(-t^2)+1)")
     de = ex.diff(e, "t")
     want = 2 * math.exp(-1) / (math.exp(-1) + 1) ** 2   # 0.39322386648296376
-    assert ex.evaluate(de, {"t": 1.0}) == pytest.approx(want, rel=1e-12)
+    assert evaluate(de, {"t": 1.0}) == pytest.approx(want, rel=1e-12)
 
 
 def test_diff_matches_closed_form():
     de = ex.diff(ex.parse("exp(-t^2)"), "t")
     ref = ex.parse("-2*t*exp(-t^2)")
     for t in np.linspace(-3, 3, 25):
-        assert ex.evaluate(de, {"t": t}) == pytest.approx(
-            ex.evaluate(ref, {"t": t}), rel=1e-12, abs=1e-15)
+        assert evaluate(de, {"t": t}) == pytest.approx(
+            evaluate(ref, {"t": t}), rel=1e-12, abs=1e-15)
 
 
 def test_unary_minus_binds_looser_than_power():
     # -t^2 means -(t^2)
-    assert ex.evaluate(ex.parse("-t^2"), {"t": 3.0}) == -9.0
-    assert ex.evaluate(ex.parse("(-t)^2"), {"t": 3.0}) == 9.0
+    assert evaluate(ex.parse("-t^2"), {"t": 3.0}) == -9.0
+    assert evaluate(ex.parse("(-t)^2"), {"t": 3.0}) == 9.0
 
 
 def test_diff_against_central_differences():
@@ -65,8 +142,8 @@ def test_diff_against_central_differences():
                 b = bindings_for(names, rng)
                 up = dict(b, **{var: b[var] + h})
                 dn = dict(b, **{var: b[var] - h})
-                fd = (ex.evaluate(e, up) - ex.evaluate(e, dn)) / (2 * h)
-                sym = ex.evaluate(de, b)
+                fd = (evaluate(e, up) - evaluate(e, dn)) / (2 * h)
+                sym = evaluate(de, b)
                 assert sym == pytest.approx(fd, rel=1e-6, abs=1e-6), (src, var, b)
 
 
@@ -79,8 +156,8 @@ def test_simplify_preserves_values():
         s = ex.simplify(e)
         for _ in range(100):
             b = bindings_for(names, rng)
-            v0 = ex.evaluate(e, b)
-            v1 = ex.evaluate(s, b)
+            v0 = evaluate(e, b)
+            v1 = evaluate(s, b)
             assert v1 == pytest.approx(v0, rel=1e-12, abs=1e-12)
 
 
@@ -91,19 +168,19 @@ def test_print_parse_round_trip():
             back = ex.parse(ex.to_string(e))
             for _ in range(25):
                 b = bindings_for(names, rng)
-                assert ex.evaluate(back, b) == pytest.approx(
-                    ex.evaluate(e, b), rel=1e-12, abs=1e-14)
+                assert evaluate(back, b) == pytest.approx(
+                    evaluate(e, b), rel=1e-12, abs=1e-14)
 
 
 def test_negative_constant_base_round_trips():
     e = ex.Binary("pow", ex.Const(-2.0), ex.Const(2.0))
-    assert ex.evaluate(ex.parse(ex.to_string(e)), {}) == 4.0
+    assert evaluate(ex.parse(ex.to_string(e)), {}) == 4.0
 
 
 def test_substitute_composes():
     e = ex.parse("x1^2 + t")
     sub = ex.substitute(e, {"x1": ex.parse("2*y1")})
-    assert ex.evaluate(sub, {"y1": 3.0, "t": 1.0}) == 37.0
+    assert evaluate(sub, {"y1": 3.0, "t": 1.0}) == 37.0
     assert ex.free_vars(sub) == {"y1", "t"}
 
 
@@ -114,7 +191,7 @@ def test_compiled_matches_pointwise():
         fn = ex.compiled(e)
         env = {n: rng.uniform(-2, 2, size=40) for n in names}
         got = fn(env)
-        want = np.array([ex.evaluate(e, {n: env[n][i] for n in names})
+        want = np.array([evaluate(e, {n: env[n][i] for n in names})
                          for i in range(40)])
         assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
 
@@ -129,7 +206,7 @@ def test_bind_shapes_match_pointwise_evaluation():
     assert np.array_equal(fn(env), fn(ex.bind(ts, pts)[0])[2])
     env, shape = ex.bind(ts, pts)
     assert shape == (3, 7) and fn(env).shape == shape
-    want = [[ex.evaluate(e, {"t": t, "y1": y[0], "y2": y[1]}) for y in pts] for t in ts]
+    want = [[evaluate(e, {"t": t, "y1": y[0], "y2": y[1]}) for y in pts] for t in ts]
     assert np.allclose(fn(env), want, rtol=1e-14, atol=1e-14)
     env, shape = ex.bind(None, pts)
     assert shape == (7,) and sorted(env) == ["y1", "y2"]
@@ -232,7 +309,7 @@ def test_eval_domain_guards():
     for src, b in cases:
         e = ex.parse(src)
         with pytest.raises(ex.EvalError):
-            ex.evaluate(e, b)
+            evaluate(e, b)
         fn = ex.compiled(e)
         with pytest.raises(ex.EvalError):
             fn({k: np.array([v, 1.0]) for k, v in b.items()})
@@ -240,22 +317,22 @@ def test_eval_domain_guards():
 
 def test_eval_unbound_variable_named():
     with pytest.raises(ex.EvalError, match="y2"):
-        ex.evaluate(ex.parse("y1 + y2"), {"y1": 1.0})
+        ex.compiled(ex.parse("y1 + y2"))({"y1": 1.0})
 
 
 def test_abs_derivative_sign_convention():
     de = ex.diff(ex.parse("abs(t)"), "t")
-    assert ex.evaluate(de, {"t": 0.0}) == 0.0
-    assert ex.evaluate(de, {"t": 2.0}) == 1.0
-    assert ex.evaluate(de, {"t": -2.0}) == -1.0
+    assert evaluate(de, {"t": 0.0}) == 0.0
+    assert evaluate(de, {"t": 2.0}) == 1.0
+    assert evaluate(de, {"t": -2.0}) == -1.0
 
 
 def test_simplify_folds_trivial_structure():
     e = ex.simplify(ex.parse("0*y1 + 1*t + (t - t)*u + 2*3"))
     # value checks rather than shape checks; folding must not change them
-    assert ex.evaluate(e, {"t": 5.0, "y1": 9.0, "u": 4.0}) == 11.0
-    assert ex.evaluate(ex.simplify(ex.parse("t^1")), {"t": 7.0}) == 7.0
-    assert ex.evaluate(ex.simplify(ex.parse("t^0")), {"t": 7.0}) == 1.0
+    assert evaluate(e, {"t": 5.0, "y1": 9.0, "u": 4.0}) == 11.0
+    assert evaluate(ex.simplify(ex.parse("t^1")), {"t": 7.0}) == 7.0
+    assert evaluate(ex.simplify(ex.parse("t^0")), {"t": 7.0}) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +363,7 @@ _POINTS = st.lists(st.tuples(_LEAF_VALUES, _LEAF_VALUES), min_size=1, max_size=6
 
 def _value(e, env):
     try:
-        return ex.evaluate(e, env)
+        return evaluate(e, env)
     except ex.EvalError:
         return None
 
@@ -320,7 +397,7 @@ def test_compiled_is_finite_or_eval_error_and_matches_evaluate(e, points):
     for ti, ui in points:
         env = {"t": ti, "u": ui}
         try:
-            want = ex.evaluate(e, env)
+            want = evaluate(e, env)
         except ex.EvalError:
             want = None
         try:
@@ -331,6 +408,49 @@ def test_compiled_is_finite_or_eval_error_and_matches_evaluate(e, points):
         assert (got is None) == (want is None), (str(e), env, got, want)
         if got is not None:
             assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), (str(e), env)
+
+
+def _lanes(fn, env, shape):
+    """fn(env) broadcast to shape, as bytes; None where a guard raises EvalError."""
+    try:
+        return np.broadcast_to(fn(env), shape).tobytes()
+    except ex.EvalError:
+        return None
+
+
+def _check_lanes(e, points):
+    """Each point's value, bit for bit, and whether a guard fires are the same
+    in the whole array, in every slice of it, in a length-1 array and under
+    Python-float bindings."""
+    fn = ex.compiled(e)
+    t, u = (np.array(c) for c in zip(*points))
+    one = [_lanes(fn, {"t": t[i:i + 1], "u": u[i:i + 1]}, 1) for i in range(len(t))]
+    for i, (ti, ui) in enumerate(points):
+        assert _lanes(fn, {"t": ti, "u": ui}, ()) == one[i], (str(e), ti, ui)
+    for lo in range(len(t)):
+        for hi in range(lo + 1, len(t) + 1):
+            want = None if None in one[lo:hi] else b"".join(one[lo:hi])
+            got = _lanes(fn, {"t": t[lo:hi], "u": u[lo:hi]}, hi - lo)
+            assert got == want, (str(e), lo, hi)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(e=_trees(4), points=st.lists(st.tuples(_LEAF_VALUES, _LEAF_VALUES),
+                                    min_size=8, max_size=24))
+def test_compiled_value_does_not_depend_on_the_array_around_it(e, points):
+    # the stepper evaluates its per-time terms over chunks of times, and its
+    # exact cocycle rests on this
+    _check_lanes(e, points)
+
+
+# every node kind over an array-valued operand, so none is only ever drawn
+# over constants, where numpy sees one value whatever the array length
+@pytest.mark.parametrize("text", [f"{f}(t * u)" for f in ex.FUNCTIONS]
+                         + ["t + u", "t - u", "t * u", "t / u", "-(t * u)"]
+                         + [f"(t * u)^{c}" for c in ("-2", "-1", "-0.5", "0.5", "2", "3",
+                                                     "1.7")])
+def test_every_node_is_lane_independent(text):
+    _check_lanes(ex.parse(text), [(0.1 + 0.08 * i, -1.5 + 0.13 * i) for i in range(24)])
 
 
 _SMOOTH = tuple(f for f in ex.FUNCTIONS if f not in ("abs", "sign"))

@@ -85,7 +85,7 @@ def test_lipschitz_sup_on_default_window():
 
 def _rhs(p, grid, t, v):
     return _explicit_rhs(p, grid, t, v, assemble_A(p, grid, t),
-                         _forcing(p, grid, t))
+                         _forcing(p, grid, [t])(t))
 
 
 def test_eval_F_matches_closed_form_drift():

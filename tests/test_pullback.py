@@ -6,7 +6,7 @@ import pytest
 
 from movingdom import expr as ex
 from movingdom import pullback
-from movingdom.cli import _spec, fixture_path, load_config
+from movingdom.cli import _grid, _spec, fixture_path, load_config
 from movingdom.diffeo import BallDomain, BoxDomain, DiffeoSpec, build_metric, check_H1
 from movingdom.grid import (BoxGrid, RadialGrid, assemble_A, inner, norm_H1,
                             norm_L2, operator_family)
@@ -261,7 +261,7 @@ def test_drift_norm_matches_the_power_iteration_oracle():
         if fam is not None and fam[0].lam is not None:
             # a Rayleigh quotient: at most |h2(t) - h2(tau)| lmax / (h2(r) lmax + beta)
             A0, h2_of = fam
-            h2 = [float(h2_of(s)) for s in times]
+            h2 = h2_of(np.array(times))
             lmax = float(A0.lam.max())
             assert est <= abs(h2[0] - h2[1]) * lmax / (h2[2] * lmax + p.beta) * (1 + 1e-12)
 
@@ -380,6 +380,21 @@ def test_cocycle_on_lattice_is_exact():
     cfg = StepperConfig(dt=0.01, scheme="crank-nicolson")
     assert cocycle_check(p, g, cfg, -2.0, -1.0, 0.0, 1.0) == 0.0
     assert cocycle_check(p, g, cfg, -2.0, -2.0, 0.0, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("name", ["sin_t", "sin_u"])
+def test_cocycle_is_exact_across_chunk_boundaries(monkeypatch, name):
+    # runs evaluate their per-time terms (h2, drift coefficients, an f of t)
+    # over chunks of steps.  With 7 steps a chunk, the leg from s starts a
+    # chunk at a time that sits inside a chunk of the whole run, so both
+    # routes take the same times' terms from different arrays
+    from movingdom import solver
+    monkeypatch.setattr(solver, "_CHUNK", 7)
+    rc = load_config(fixture_path(name))
+    p, g = assemble(_spec(rc), beta=rc.beta, f=rc.f), _grid(rc)
+    cfg = StepperConfig(dt=rc.dt, scheme=rc.scheme, cg_tol=rc.cg_tol)
+    u0 = np.random.default_rng(5).normal(size=g.m)
+    assert cocycle_check(p, g, cfg, 0.0, 10 * rc.dt, 30 * rc.dt, u0) == 0.0
 
 
 def test_cocycle_off_lattice_residual_is_small():

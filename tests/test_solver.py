@@ -260,7 +260,7 @@ def test_explicit_rhs_takes_one_gradient(monkeypatch):
     assert A.cross is not None
     v = np.cos(np.pi * g.centers[:, 0]) + g.centers[:, 1] ** 2
     grads = _gradients(g, v)
-    (gt, fields), _ = forcing = solver._forcing(p, g, t)
+    (gt, fields), _ = forcing = solver._forcing(p, g, [t])(t)
     calls = []
 
     def counting(grid, vals):
@@ -334,7 +334,7 @@ def test_drift_basis_reconstructs_b(name):
     assert (len(fields) == 0) == (name in ("identity", "dilation"))
     for t in np.linspace(-7.3, 5.1, 9):
         b = p.metric.eval_b(t, g.embed()).T[:len(g.counts)]   # one row per grid axis
-        got = np.tensordot(coefficients(t), fields, 1)
+        got = np.tensordot(coefficients(np.array([t]))[0], fields, 1)
         assert np.abs(got - b).max() <= 1e-13 * np.abs(b).max()
 
 
