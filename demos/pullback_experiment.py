@@ -39,7 +39,7 @@ print("\npullback ladder at t* = 0:")
 for k, (tau, gap) in enumerate(zip(rep.taus, rep.gaps)):
     print(f"  k={k}  tau={tau:7.1f}  gap to next {gap:.3e}")
 print(f"cauchy tail: {rep.cauchy}; limit constant mode "
-      f"~ {rep.finals[-1].values[0]:.6f}")
+      f"~ {rep.finals[-1][0]:.6f}")
 
 res = cocycle_check(p, g, cfg, -2.0, -1.0, 0.0, np.zeros(g.m))
 print(f"\ncocycle residual with lattice-aligned restart: {res!r}")

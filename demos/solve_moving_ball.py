@@ -34,7 +34,7 @@ for mm in traj.metrics[::100]:
     print(f"{mm.t:5.2f}  {mm.L2:10.4e} {mm.H1:10.4e} {mm.mass:10.4e}  "
           f"{mm.boundary_residual:10.4e}")
 
-final = traj.final.values
+final = traj.final
 print(f"\nfinal max |v| = {np.abs(final).max():.4e}; "
       f"snapshots kept: {len(traj.snapshots)}")
 
@@ -42,4 +42,4 @@ print(f"\nfinal max |v| = {np.abs(final).max():.4e}; "
 hom = run(p, g, cfg, 0.0, 3.0, homogeneous=True)
 print(f"homogeneous comparison at t=3: "
       f"forced {norm_L2(g, final):.4e} vs "
-      f"decayed {norm_L2(g, hom.final.values):.4e}")
+      f"decayed {norm_L2(g, hom.final):.4e}")

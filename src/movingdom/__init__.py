@@ -14,14 +14,13 @@ from .diffeo import (BallDomain, BoxDomain, DegenerateDiffeoError,
                      MissingInverseError, SeparabilityReport, boundary_points,
                      build_metric, check_H1, check_H4, ellipticity_probe,
                      hoelder_probe, parse_diffeo, validate_inverse)
-from .grid import (BoxGrid, GridError, GridField, RadialGrid, SparseOperator,
-                   as_field, assemble_A, inner, norm_H1, norm_L2,
-                   read_snapshot, write_snapshot)
+from .grid import (BoxGrid, GridError, RadialGrid, SparseOperator, assemble_A,
+                   inner, norm_H1, norm_L2, read_snapshot, write_snapshot)
 from .problem import (GrowthReport, ProblemError, SignReport,
                       TransformedProblem, assemble, check_H2, check_H3)
-from .pullback import (DecayFit, GapReport, PullbackError, PullbackReport,
-                       absorbing_radius, cocycle_check, decay_fit, drift_norm,
-                       factorization_probe, pullback_converge)
+from .pullback import (DecayFit, GapReport, PullbackError, absorbing_radius,
+                       cocycle_check, decay_fit, drift_norm, factorization_probe,
+                       pullback_converge)
 from .solver import (CgError, MmsReport, SolverError, StepperConfig,
                      Trajectory, manufactured_source, mms_convergence, run,
                      run_homogeneous)
@@ -35,14 +34,13 @@ __all__ = [
     "SeparabilityReport", "boundary_points", "build_metric", "check_H1",
     "check_H4", "ellipticity_probe", "hoelder_probe", "parse_diffeo",
     "validate_inverse",
-    "BoxGrid", "GridError", "GridField", "RadialGrid", "SparseOperator",
-    "as_field", "assemble_A", "inner", "norm_H1", "norm_L2",
-    "read_snapshot", "write_snapshot",
+    "BoxGrid", "GridError", "RadialGrid", "SparseOperator", "assemble_A",
+    "inner", "norm_H1", "norm_L2", "read_snapshot", "write_snapshot",
     "GrowthReport", "ProblemError", "SignReport", "TransformedProblem",
     "assemble", "check_H2", "check_H3",
-    "DecayFit", "GapReport", "PullbackError", "PullbackReport",
-    "absorbing_radius", "cocycle_check", "decay_fit", "drift_norm",
-    "factorization_probe", "pullback_converge",
+    "DecayFit", "GapReport", "PullbackError", "absorbing_radius",
+    "cocycle_check", "decay_fit", "drift_norm", "factorization_probe",
+    "pullback_converge",
     "CgError", "MmsReport", "SolverError", "StepperConfig", "Trajectory",
     "manufactured_source", "mms_convergence", "run", "run_homogeneous",
     "__version__",

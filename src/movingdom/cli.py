@@ -28,9 +28,8 @@ from .diffeo import (BallDomain, BoxDomain, DegenerateDiffeoError,
                      parse_diffeo, validate_inverse)
 from .grid import BoxGrid, GridError, RadialGrid, _csv_blocks, write_snapshot
 from .problem import ProblemError, assemble, check_H2, check_H3
-from .pullback import (PullbackError, PullbackReport, absorbing_radius,
-                       cocycle_check, decay_fit, drift_norm,
-                       factorization_probe, ladder_steps, pullback_converge)
+from .pullback import (PullbackError, absorbing_radius, cocycle_check, decay_fit,
+                       drift_norm, factorization_probe, ladder_steps, pullback_converge)
 from .solver import SolverError, StepperConfig, drift_basis, mms_convergence, run
 
 log = logging.getLogger("movingdom.cli")
@@ -316,6 +315,8 @@ def cmd_check(rc, out, seed=None):
 
 
 def cmd_transform(rc, out, seed=None):
+    g = _grid(rc)
+    times = _exp(rc, "sample_times", (0.0, 1.0), _floats)
     metric = _require_checks(rc)
     d = rc.dim
     rows = []
@@ -329,9 +330,7 @@ def cmd_transform(rc, out, seed=None):
     write_table(out / "transform_symbolic.csv", "transform_symbolic",
                 ("entry", "expression"), rows)
 
-    g = _grid(rc)
     pts = g.embed()[:, :d]
-    times = _exp(rc, "sample_times", (0.0, 1.0), _floats)
     header = (["t"] + [f"y{i + 1}" for i in range(d)]
               + [f"a_{j + 1}{k + 1}" for j in range(d) for k in range(d)]
               + [f"b_{k + 1}" for k in range(d)])
@@ -361,16 +360,16 @@ def _write_metrics(out, traj):
 
 
 def cmd_solve(rc, out, seed=None):
-    metric = _require_checks(rc)
     if rc.initial is None:
         raise ConfigError("solve needs `initial` in the [problem] section")
     cfg = _stepper(rc)
-    p = _problem(rc, metric)
     g = _grid(rc)
     tau = _exp(rc, "tau", 0.0)
     T = _exp(rc, "t", 1.0)
     if not tau <= T:
         raise ConfigError(f"[experiment] needs tau <= t, got tau = {tau}, t = {T}")
+    metric = _require_checks(rc)
+    p = _problem(rc, metric)
     # the drift basis and the operator family it needs, built before the march
     drift_basis(p, g)
     traj = run(p, g, cfg, tau, T)
@@ -379,23 +378,22 @@ def cmd_solve(rc, out, seed=None):
     fwd = [ex.compiled(c) for c in metric.spec.forward]
     centers = g.embed()[:, :rc.dim]
     for idx, (t, snap) in enumerate(zip(traj.times, traj.snapshots)):
-        write_snapshot(out / f"fixed_{idx:03d}.snap", snap, t)
+        write_snapshot(out / f"fixed_{idx:03d}.snap", g, snap, t)
         env, shape = ex.bind(t, centers)
         xs = [np.broadcast_to(f(env), shape) for f in fwd]
         write_table(out / f"moving_{idx:03d}.csv", "moving_snapshot",
                     ["t"] + [f"x{i + 1}" for i in range(rc.dim)] + ["u"],
-                    columns=[repr(float(t))] + xs + [snap.values])
+                    columns=[repr(float(t))] + xs + [snap])
     return EXIT_OK
 
 
 def cmd_mms(rc, out, seed=None):
-    metric = _require_checks(rc)
     if rc.exact is None:
         raise ConfigError("mms needs `exact` in the [problem] section")
     for dt in rc.dts:
         _stepper(rc, dt)
-    p = _problem(rc, metric)
     grids = [_grid(rc, n) for n in rc.grid_ladder]
+    p = _problem(rc, _require_checks(rc))
     rep = mms_convergence(p, rc.exact, grids, rc.dts, scheme=rc.scheme,
                           cg_tol=rc.cg_tol)
     rows = [("spatial", m, err) for m, err in rep.spatial]
@@ -407,7 +405,6 @@ def cmd_mms(rc, out, seed=None):
 
 
 def cmd_pullback(rc, out, seed=None):
-    p = _problem(rc, _require_checks(rc))
     g = _grid(rc)
     cfg = _stepper(rc)
     t_star = _exp(rc, "t_star", 0.0)
@@ -427,9 +424,10 @@ def cmd_pullback(rc, out, seed=None):
     for key, values in (("radii", radii), ("drift_gaps", gaps_ladder)):
         if min(values) <= 0:
             raise ConfigError(f"{key} entries must be positive, got {min(values)}")
-    if horizon < 10.0 / p.beta:
+    # a beta that is not positive is a config error when the problem is assembled
+    if rc.beta > 0 and horizon < 10.0 / rc.beta:
         raise ConfigError(f"experiment horizon {horizon} too short for the "
-                          f"decay fit; need >= 10/beta = {10.0 / p.beta}")
+                          f"decay fit; need >= 10/beta = {10.0 / rc.beta}")
     # the ladder truncates itself to the cap; these runs would only overrun it
     planned = (("decay fit", n_seeds * horizon / cfg.dt),
                ("absorbing radius", n_seeds * len(radii) * ladder_steps(radius_k, cfg.dt)))
@@ -437,6 +435,7 @@ def cmd_pullback(rc, out, seed=None):
         if steps > cap:
             raise PullbackError(f"the {phase} plans {steps:.0f} steps, above "
                                 f"max_total_steps = {cap}")
+    p = _problem(rc, _require_checks(rc))
 
     # the drift basis and the operator family it needs, shared by the runs below
     drift_basis(p, g)
@@ -452,32 +451,31 @@ def cmd_pullback(rc, out, seed=None):
     radius = absorbing_radius(p, g, cfg, t_star, seeds, radii, k_max=radius_k)
     coc = cocycle_check(p, g, cfg, t_star - 2.0, t_star - 1.0, t_star, u0)
     factor = factorization_probe(p, g, cfg, t_star - 2.0, t_star, u0)
-    report = PullbackReport(decay=decay, drift_table=tuple(drift_rows),
-                            gaps=gaps, radius=radius, cocycle_residual=coc,
-                            factor_h1=factor)
 
-    rows = [("decay", "K", report.decay.K, f"skipped={report.decay.skipped}"),
-            ("decay", "b", report.decay.b, f"seeds={len(report.decay.per_seed)}")]
+    rows = [("decay", "K", decay.K, f"skipped={decay.skipped}"),
+            ("decay", "b", decay.b, f"seeds={len(decay.per_seed)}")]
     rows += [("drift", f"gap={t - tau!r}", val, f"t={t!r} tau={tau!r} r={r!r}")
-             for t, tau, r, val in report.drift_table]
-    rows += [("gaps", f"k={k}", delta, f"tau={report.gaps.taus[k]!r}")
-             for k, delta in enumerate(report.gaps.gaps)]
-    rows.append(("gaps", "cauchy", float(report.gaps.cauchy), ""))
-    rows.append(("gaps", "truncated", float(report.gaps.truncated), ""))
-    rows.append(("radius", "H1", report.radius,
+             for t, tau, r, val in drift_rows]
+    rows += [("gaps", f"k={k}", delta, f"tau={gaps.taus[k]!r}")
+             for k, delta in enumerate(gaps.gaps)]
+    rows.append(("gaps", "cauchy", float(gaps.cauchy), ""))
+    rows.append(("gaps", "truncated", float(gaps.truncated), ""))
+    rows.append(("radius", "H1", radius,
                  f"radii=({' '.join(repr(r) for r in radii)}) k_max={radius_k}"))
-    rows.append(("cocycle", "residual", report.cocycle_residual,
+    rows.append(("cocycle", "residual", coc,
                  f"tau={t_star - 2.0!r} s={t_star - 1.0!r} t={t_star!r}"))
-    rows.append(("factorization", "H1", report.factor_h1,
+    rows.append(("factorization", "H1", factor,
                  f"window=[{t_star - 2.0!r} {t_star!r}]"))
+    if not all(np.isfinite(value) for _, _, value, _ in rows):
+        raise PullbackError("non-finite entry in pullback report")
     write_table(out / "pullback_report.csv", "pullback_report",
                 ("section", "name", "value", "detail"), rows)
 
     write_table(out / "gaps_plot.csv", "gaps_plot", ("k", "delta"),
-                list(enumerate(report.gaps.gaps)))
+                list(enumerate(gaps.gaps)))
     write_table(out / "drift_plot.csv", "drift_plot", ("gap", "value"),
-                [(t - tau, val) for t, tau, r, val in report.drift_table])
-    if report.gaps.truncated:
+                [(t - tau, val) for t, tau, r, val in drift_rows])
+    if gaps.truncated:
         log.warning("pullback ladder truncated by the step cap; partial report")
         return EXIT_RESOURCE
     return EXIT_OK

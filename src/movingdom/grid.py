@@ -32,7 +32,8 @@ weights depend on y_k alone (a Kronecker sum of 1-D chains).  Its scaled
 and shifted copies share them.  The explicit drift has the same structure
 and its own basis, `solver.drift_basis`, kept beside the family.
 
-The public norms and diagnostics validate their field through `as_field`.
+The public norms validate their field through `_values`, which makes a
+scalar a constant field and checks the shape and finiteness of an array.
 The stepper's `_metrics` kernel takes its already checked state and gets
 L2, H1, mass and boundary flux from one gradient, through the same pieces.
 """
@@ -148,34 +149,17 @@ class RadialGrid:
         return pts
 
 
-@dataclass
-class GridField:
-    grid: object
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.m,):
-            raise GridError(f"field shape {vals.shape} does not match "
-                            f"grid with {self.grid.m} cells")
-        if not np.all(np.isfinite(vals)):
-            raise GridError("field values must be finite")
-        self.values = vals.copy()
-
-
-def as_field(grid, data) -> GridField:
-    """Coerce a scalar, array or GridField onto grid (validating shape)."""
-    if isinstance(data, GridField):
-        if data.grid != grid:
-            raise GridError("field belongs to a different grid")
-        return data
-    if np.ndim(data) == 0:
-        return GridField(grid, np.full(grid.m, float(data)))
-    return GridField(grid, np.asarray(data, dtype=float))
-
-
 def _values(grid, data):
-    return as_field(grid, data).values
+    """A field on grid from data: a fresh float array of one value per cell.
+    A scalar becomes a constant field; a wrong shape or a non-finite value
+    raises GridError."""
+    vals = np.full(grid.m, float(data)) if np.ndim(data) == 0 else np.array(data, dtype=float)
+    if vals.shape != (grid.m,):
+        raise GridError(f"field shape {vals.shape} does not match "
+                        f"grid with {grid.m} cells")
+    if not np.all(np.isfinite(vals)):
+        raise GridError("field values must be finite")
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +433,6 @@ def _boundary_flux(grid, a, grads):
     return worst
 
 
-def boundary_residual(p, grid, t, v, a=None):
-    """Max reconstructed conormal flux |n . (M grad v)| over boundary faces,
-    from the coefficients `a` at time t at the cell centers, evaluated if None."""
-    a = p.metric.eval_a(float(t), grid.embed()) if a is None else a
-    return _boundary_flux(grid, a, _gradients(grid, _values(grid, v)))
-
-
 # ---------------------------------------------------------------------------
 # snapshots
 
@@ -481,24 +458,26 @@ def _csv_blocks(cols):
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def write_snapshot(path, field: GridField, time):
-    g = field.grid
-    extents = g.extents if g.kind == "box" else (1.0,)
+def write_snapshot(path, grid, values, time):
+    """Write the field `values` on grid at `time` as a snapshot file; values
+    are checked as `_values` checks them, before the file is opened."""
+    values = _values(grid, values)
+    extents = grid.extents if grid.kind == "box" else (1.0,)
     lines = [
         "movingdom-snapshot 1",
-        f"kind {g.kind}",
-        f"dim {g.dim}",
-        "counts " + " ".join(str(c) for c in g.counts),
+        f"kind {grid.kind}",
+        f"dim {grid.dim}",
+        "counts " + " ".join(str(c) for c in grid.counts),
         "extents " + " ".join(repr(float(e)) for e in extents),
         f"time {float(time)!r}",
     ]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-        fh.writelines(_csv_blocks([field.values]))
+        fh.writelines(_csv_blocks([values]))
 
 
 def read_snapshot(path):
-    """(GridField, time) from a write_snapshot file; GridError, naming the
+    """(grid, values, time) from a write_snapshot file; GridError, naming the
     file, when it is not one or its header or values are malformed."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != "movingdom-snapshot 1":
@@ -513,8 +492,7 @@ def read_snapshot(path):
             grid = RadialGrid(int(head["dim"]), counts[0])
         else:
             raise GridError(f"unknown grid kind {head['kind']!r}")
-        values = np.array([float(s) for s in lines[6:] if s])
-        return GridField(grid, values), float(head["time"])
+        return grid, _values(grid, [float(s) for s in lines[6:] if s]), float(head["time"])
     except KeyError as e:
         raise GridError(f"{path}: snapshot header has no {e.args[0]!r} line") from None
     except (ValueError, IndexError, GridError) as e:

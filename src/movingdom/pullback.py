@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import as_field, norm_H1, norm_L2
+from .grid import _values, norm_H1, norm_L2
 from .problem import check_H2, check_H3
 from .solver import _lattice, _solve, operator_at, run, run_homogeneous
 
@@ -41,28 +41,11 @@ class GapReport:
     gaps: tuple      # delta_k = ||v(t*, tau_k) - v(t*, tau_{k+1})||_L2
     cauchy: bool     # gaps decreasing beyond k >= 2
     truncated: bool  # resource guard shortened the ladder
-    finals: tuple    # terminal GridField per tau_k
+    finals: tuple    # terminal state per tau_k, an array of one value per cell
 
     def __post_init__(self):
         if not all(math.isfinite(g) for g in self.gaps):
             raise PullbackError("non-finite pullback gap")
-
-
-@dataclass(frozen=True)
-class PullbackReport:
-    decay: DecayFit
-    drift_table: tuple  # rows (t, tau, r, value)
-    gaps: GapReport
-    radius: float
-    cocycle_residual: float
-    factor_h1: float
-
-    def __post_init__(self):
-        entries = [self.decay.K, self.decay.b, self.radius,
-                   self.cocycle_residual, self.factor_h1]
-        entries.extend(v for *_, v in self.drift_table)
-        if not all(math.isfinite(v) for v in entries):
-            raise PullbackError("non-finite entry in pullback report")
 
 
 def decay_fit(p, grid, cfg, tau, horizon, seeds) -> DecayFit:
@@ -77,7 +60,7 @@ def decay_fit(p, grid, cfg, tau, horizon, seeds) -> DecayFit:
         raise PullbackError(
             f"horizon {horizon} too short for a decay fit; need >= 10/beta = "
             f"{10.0 / p.beta}")
-    starts = [as_field(grid, s).values for s in seeds]
+    starts = [_values(grid, s) for s in seeds]
     usable = [v for v in starts if norm_L2(grid, v) > NORM_FLOOR]
     if not usable:
         raise PullbackError("decay_fit needs at least one seed above the norm floor")
@@ -200,7 +183,7 @@ def pullback_converge(p, grid, cfg, t_star, u0, k_max,
     taus = tuple(t_star - 2.0 ** k for k in ks)
 
     finals = tuple(run(p, grid, cfg, tau, t_star, u0).final for tau in taus)
-    gaps = tuple(norm_L2(grid, a.values - b.values)
+    gaps = tuple(norm_L2(grid, a - b)
                  for a, b in zip(finals, finals[1:]))
     tail = gaps[2:]
     cauchy = all(b <= a for a, b in zip(tail, tail[1:]))
@@ -219,14 +202,14 @@ def absorbing_radius(p, grid, cfg, t_star, seeds, radii, k_max=5) -> float:
     tau = t_star - 2.0 ** k_max
     starts = []
     for s in seeds:
-        v = as_field(grid, s).values
+        v = _values(grid, s)
         h1 = norm_H1(grid, v)
         if h1 > NORM_FLOOR:
             starts.extend(v * (r / h1) for r in radii)
     if not starts:
         raise PullbackError("absorbing_radius needs a seed above the norm floor")
 
-    return max(norm_H1(grid, run(p, grid, cfg, tau, t_star, v0).final.values)
+    return max(norm_H1(grid, run(p, grid, cfg, tau, t_star, v0).final)
                for v0 in starts)
 
 
@@ -244,7 +227,7 @@ def cocycle_check(p, grid, cfg, tau, s, t, u0) -> float:
     leg1 = run(p, grid, cfg, tau, s_eff, u0)
     leg2 = run(p, grid, cfg, s_eff, t, leg1.final)
     full = run(p, grid, cfg, tau, t, u0)
-    return norm_L2(grid, leg2.final.values - full.final.values)
+    return norm_L2(grid, leg2.final - full.final)
 
 
 def factorization_probe(p, grid, cfg, tau, t, u0) -> float:
@@ -256,4 +239,4 @@ def factorization_probe(p, grid, cfg, tau, t, u0) -> float:
     """
     full = run(p, grid, cfg, tau, t, u0).final
     hom = run_homogeneous(p, grid, cfg, tau, t, u0).final
-    return norm_H1(grid, full.values - hom.values)
+    return norm_H1(grid, full - hom)

@@ -41,8 +41,10 @@ state on the step lattice reproduces the uninterrupted run bit for bit,
 and memory stays flat in the step count.  The final step is
 shortened to land exactly on the requested end time.
 
-`run` validates the initial state once and checks each new state for finite
-values; in between, the loop and its one-call metrics kernel use plain arrays.
+A state is a float array of one value per cell.  `run` validates and copies
+the initial state once, through grid._values, and checks each new state for
+finite values; the loop, its one-call metrics kernel and the stored snapshots
+use the arrays the steps make, with no second check or copy.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ import numpy as np
 
 from . import expr as ex
 from .diffeo import boundary_points, interior_points, time_grid
-from .grid import (GridField, SparseOperator, _diagonal, _gradients, _metrics, as_field,
-                   assemble_A, norm_L2, operator_family)
+from .grid import (SparseOperator, _diagonal, _gradients, _metrics, _values, assemble_A,
+                   norm_L2, operator_family)
 
 
 class SolverError(Exception):
@@ -111,7 +113,7 @@ class Trajectory:
             raise SolverError("snapshot times must be strictly increasing")
 
     @property
-    def final(self) -> GridField:
+    def final(self) -> np.ndarray:
         return self.snapshots[-1]
 
 
@@ -418,16 +420,14 @@ def _lattice(tau, T, dt):
 def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False) -> Trajectory:
     """March the problem from tau to T; ceil((T-tau)/dt) steps, last one short.
 
-    v0 may be a GridField, array, scalar, or None (evaluates the problem's
-    initial-data expression at the cell centers).
+    v0 may be an array of one value per cell, a scalar (a constant state),
+    or None (evaluates the problem's initial-data expression at the cell
+    centers).  The snapshots are arrays, none of them shared with v0.
     """
     tau, T = float(tau), float(T)
     if not tau <= T:
         raise SolverError(f"need tau <= T, got [{tau}, {T}]")
-    if v0 is None:
-        v = p.initial_values(grid.embed())
-    else:
-        v = as_field(grid, v0).values
+    v = _values(grid, p.initial_values(grid.embed()) if v0 is None else v0)
     if not homogeneous:
         lip = p.lipschitz_sup()
         if cfg.dt * lip > 0.5:
@@ -451,7 +451,7 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False) -> Traj
         return StepMetrics(n, t, *_metrics(grid, vals, get_op(t)), iters)
 
     times = [tau]
-    snapshots = [GridField(grid, v)]
+    snapshots = [v]
     metrics = [metrics_row(0, tau, v, 0)]
     n = 0
     lattice = _lattice(tau, T, cfg.dt)
@@ -482,7 +482,7 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False) -> Traj
             metrics.append(row)
             if t_next == T or (cfg.snapshot_every and n % cfg.snapshot_every == 0):
                 times.append(t_next)
-                snapshots.append(GridField(grid, v))
+                snapshots.append(v)
     return Trajectory(grid, times, snapshots, metrics)
 
 
@@ -585,7 +585,7 @@ def mms_convergence(p, exact, grids, dts, scheme="backward-euler", tau=0.0,
         cfgS = StepperConfig(dt=dt_spatial, scheme="crank-nicolson",
                              cg_tol=cg_tol)
         traj = run(pm, g, cfgS, tau, T, at(tau, g.embed()))
-        err = norm_L2(g, traj.final.values - at(T, g.embed()))
+        err = norm_L2(g, traj.final - at(T, g.embed()))
         spatial.append((g.m, err))
     # mesh ratio of each rung: its cell-count ratio, per axis
     spatial_orders = _orders([e for _, e in spatial],
@@ -600,11 +600,11 @@ def mms_convergence(p, exact, grids, dts, scheme="backward-euler", tau=0.0,
     eff = [span / max(1, round(span / dt)) for dt in dts]
     ref_cfg = StepperConfig(dt=min(eff) / 20.0, scheme="crank-nicolson",
                             cg_tol=cg_tol)
-    ref = run(pm, tg, ref_cfg, tau, T, v0).final.values
+    ref = run(pm, tg, ref_cfg, tau, T, v0).final
     temporal = []
     for dt in eff:
         cfgT = StepperConfig(dt=dt, scheme=scheme, cg_tol=cg_tol)
-        err = norm_L2(tg, run(pm, tg, cfgT, tau, T, v0).final.values - ref)
+        err = norm_L2(tg, run(pm, tg, cfgT, tau, T, v0).final - ref)
         temporal.append((dt, err))
     ratios = [eff[i] / eff[i + 1] for i in range(len(eff) - 1)]
     temporal_orders = _orders([e for _, e in temporal], ratios)

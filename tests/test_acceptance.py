@@ -321,7 +321,7 @@ def test_08_pullback_attraction():
     w = rng.normal(size=g.m)
     u100 = w * (100.0 / norm_L2(g, w))
     deep = run(p, g, cfg, rep.taus[-1], 0.0, u100).final
-    seed_dist = norm_L2(g, rep.finals[-1].values - deep.values)
+    seed_dist = norm_L2(g, rep.finals[-1] - deep)
     assert seed_dist <= 2.0 * gaps[5]
 
     # constant-mode oracle: v' = -beta v + sin(t) from v(tau) = 0, classic
@@ -337,7 +337,7 @@ def test_08_pullback_attraction():
         k3 = -p.beta * (v + 0.5 * hh * k2) + math.sin(t + 0.5 * hh)
         k4 = -p.beta * (v + hh * k3) + math.sin(t + hh)
         v += (hh / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    oracle_err = np.abs(rep.finals[-1].values - v).max()
+    oracle_err = np.abs(rep.finals[-1] - v).max()
     assert oracle_err <= 1e-5
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line front end and its file formats."""
 
+import configparser
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import movingdom
+from movingdom import cli
 from movingdom.cli import (SCHEMA_VERSION, ConfigError, fixture_path,
                            load_config, main, read_table, write_table)
 
@@ -17,6 +19,10 @@ BALL_SHRINK_A11_AT_T1 = 1.8710941655794973  # (exp(-1) + 1)^2
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def hypothesis_checks_must_not_run(rc):
+    raise AssertionError("the hypothesis checks ran before the config was checked")
 
 
 def read_rows(path):
@@ -237,11 +243,15 @@ def test_malformed_expression_exits_2(tmp_path, capsys, command, change, message
     ("pullback", {"drift_gaps": "-1.0"}, "drift_gaps entries must be positive, got -1.0"),
     ("pullback", {"radius_k": "-3"}, "radius_k must be at least 0, got -3"),
     ("pullback", {"max_total_steps": "-1"}, "max_total_steps must be at least 1, got -1"),
+    ("pullback", {"horizon": "5.0"}, "horizon 5.0 too short for the decay fit"),
 ], ids=["k_max_text", "radii_empty", "t_star_text", "solve_t_text", "k_max_zero",
         "seeds_zero", "drift_gaps_empty", "t_star_inf", "horizon_nan", "solve_tau_after_t",
         "radii_negative", "drift_gaps_negative", "radius_k_negative",
-        "max_total_steps_negative"])
-def test_bad_experiment_value_exits_2(tmp_path, capsys, command, change, message):
+        "max_total_steps_negative", "horizon_short"])
+def test_bad_experiment_value_exits_2(tmp_path, capsys, monkeypatch, command, change,
+                                      message):
+    # the config is read and range-checked before any hypothesis check runs
+    monkeypatch.setattr(cli, "_hypothesis_rows", hypothesis_checks_must_not_run)
     experiment = {"horizon": "10.0", "seeds": "1"} | change
     p = tmp_path / "bad.cfg"
     p.write_text('[problem]\ndim = 1\nextents = 1.0\nforward = "y1"\ninverse = "x1"\n'
@@ -268,7 +278,8 @@ def test_bad_experiment_value_exits_2(tmp_path, capsys, command, change, message
 ], ids=["solve_dt_nan", "solve_dt_negative", "solve_cg_tol_zero", "solve_scheme",
         "solve_snapshot_every_negative", "pullback_dt_negative", "mms_scheme",
         "mms_dts_negative", "solve_ball_grid_two_counts"])
-def test_bad_numerics_value_exits_2(tmp_path, capsys, command, change, message):
+def test_bad_numerics_value_exits_2(tmp_path, capsys, monkeypatch, command, change, message):
+    monkeypatch.setattr(cli, "_hypothesis_rows", hypothesis_checks_must_not_run)
     numerics = {"grid": "8", "dt": "0.05", "dts": "0.02, 0.01"} | change
     domain = numerics.pop("domain", "box")
     p = tmp_path / "bad.cfg"
@@ -599,6 +610,42 @@ def test_pullback_overlong_run_exits_4_before_marching(tmp_path, key, value, pha
     assert not (tmp_path / "out" / "pullback_report.csv").exists()
 
 
+@pytest.mark.parametrize("command, extra, code, message", [
+    ("solve", "[numerics]\ndt = -1\n", 2, "config error: bad [numerics] value: dt must"),
+    ("mms", "", 2, "config error: mms needs `exact`"),
+    ("pullback", "[experiment]\nmax_total_steps = 1\n", 4,
+     "the decay fit plans 5000 steps, above max_total_steps = 1"),
+], ids=["solve_bad_dt", "mms_without_exact", "pullback_over_cap"])
+def test_config_errors_come_before_failing_hypotheses(tmp_path, capsys, command, extra, code,
+                                                      message):
+    # rotation fails H1 (exit 1 from every command); a config that also has a
+    # bad or missing value reports that value instead, before any check runs
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read(fixture_path("rotation"))
+    cp.read_string(extra)
+    cfg = tmp_path / "rotation.cfg"
+    with open(cfg, "w") as fh:
+        cp.write(fh)
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "out"]) == code
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and message in lines[0], lines
+
+
+def test_non_finite_pullback_entry_exits_4_without_a_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "drift_norm", lambda p, g, times: float("nan"))
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(
+        '[problem]\ndim = 1\nextents = 1.0\n'
+        'forward = "y1"\ninverse = "x1"\nbeta = 1.0\n'
+        '[numerics]\ngrid = 16\ndt = 0.05\n'
+        '[experiment]\nt_star = 0.0\nk_max = 2\nhorizon = 10.0\nseeds = 1\n'
+        'radii = 1.0\nradius_k = 1\n')
+    assert run_cli(["pullback", "--config", cfg, "--out", tmp_path]) == 4
+    assert capsys.readouterr().err.strip().splitlines()[-1] == \
+        "movingdom: non-finite entry in pullback report"
+    assert not (tmp_path / "pullback_report.csv").exists()
+
+
 def test_pullback_short_horizon_is_config_error(tmp_path):
     cfg = tmp_path / "short.cfg"
     cfg.write_text(
@@ -611,6 +658,17 @@ def test_pullback_short_horizon_is_config_error(tmp_path):
 
 # ---------------------------------------------------------------------------
 # environment plumbing
+
+
+def test_every_export_resolves():
+    for name in movingdom.__all__:
+        getattr(movingdom, name)
+    # the wrapper types and their helpers were deleted; none may come back
+    for module, gone in ((movingdom.grid, "GridField"), (movingdom.grid, "as_field"),
+                         (movingdom.grid, "boundary_residual"),
+                         (movingdom.pullback, "PullbackReport")):
+        assert gone not in movingdom.__all__ and not hasattr(movingdom, gone), gone
+        assert not hasattr(module, gone), gone
 
 
 def test_log_level_env_is_validated(tmp_path, monkeypatch):

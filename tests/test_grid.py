@@ -8,10 +8,9 @@ from hypothesis.extra import numpy as hnp
 
 from movingdom import expr as ex
 from movingdom.diffeo import BallDomain, BoxDomain, DiffeoSpec
-from movingdom.grid import (BoxGrid, GridError, GridField, RadialGrid,
-                            SparseOperator, as_field, assemble_A, boundary_residual,
-                            _gradients, inner, mass, norm_H1, norm_L2,
-                            read_snapshot, write_snapshot)
+from movingdom.grid import (BoxGrid, GridError, RadialGrid, SparseOperator, _boundary_flux,
+                            _gradients, _values, assemble_A, inner, mass, norm_H1,
+                            norm_L2, read_snapshot, write_snapshot)
 from movingdom.problem import assemble
 
 
@@ -101,11 +100,12 @@ def test_radial_volumes_sum_to_ball_volume():
 def test_field_rejects_nonfinite_and_bad_shape():
     g = BoxGrid((1.0,), (4,))
     with pytest.raises(GridError, match="finite"):
-        GridField(g, np.array([1.0, np.nan, 0.0, 0.0]))
+        _values(g, np.array([1.0, np.nan, 0.0, 0.0]))
+    with pytest.raises(GridError, match="finite"):
+        _values(g, math.inf)
     with pytest.raises(GridError, match="shape"):
-        GridField(g, np.zeros(5))
-    f = as_field(g, 2.5)
-    assert np.all(f.values == 2.5)
+        _values(g, np.zeros(5))
+    assert np.all(_values(g, 2.5) == 2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -369,20 +369,25 @@ def test_norms_and_inner():
 def test_inner_rejects_grid_mismatch():
     g1 = BoxGrid((1.0,), (4,))
     g2 = BoxGrid((1.0,), (5,))
-    f = GridField(g2, np.ones(5))
-    with pytest.raises(GridError, match="different grid"):
+    f = np.ones(g2.m)
+    with pytest.raises(GridError, match="shape"):
         inner(g1, f, f)
 
 
 # ---------------------------------------------------------------------------
 # boundary flux diagnostic
 
+def boundary_flux(p, g, t, v):
+    """Max conormal flux |n . (M grad v)| over the boundary faces at time t."""
+    return _boundary_flux(g, p.metric.eval_a(t, g.embed()), _gradients(g, v))
+
+
 def test_boundary_residual_linear_field():
     p = identity_problem(2)
     g = BoxGrid((1.0, 1.0), (16, 16))
     v = g.centers[:, 0]
-    assert boundary_residual(p, g, 0.0, v) == pytest.approx(1.0, abs=1e-10)
-    assert boundary_residual(p, g, 0.0, np.ones(g.m)) <= 1e-13
+    assert boundary_flux(p, g, 0.0, v) == pytest.approx(1.0, abs=1e-10)
+    assert boundary_flux(p, g, 0.0, np.ones(g.m)) <= 1e-13
 
 
 def test_boundary_residual_compatible_radial_profile():
@@ -390,7 +395,7 @@ def test_boundary_residual_compatible_radial_profile():
     g = RadialGrid(3, 64)
     r = g.centers[:, 0]
     v = (1 - r ** 2) ** 2
-    assert boundary_residual(p, g, 0.0, v) <= 5.0 / 64
+    assert boundary_flux(p, g, 0.0, v) <= 5.0 / 64
 
 
 # ---------------------------------------------------------------------------
@@ -399,25 +404,25 @@ def test_boundary_residual_compatible_radial_profile():
 def test_snapshot_roundtrip_box(tmp_path):
     g = BoxGrid((1.0, 2.0), (5, 4))
     rng = np.random.default_rng(31)
-    f = GridField(g, rng.normal(size=g.m) * 1e3)
+    f = rng.normal(size=g.m) * 1e3
     path = tmp_path / "snap.txt"
-    write_snapshot(path, f, time=0.1 + 0.2)
-    f2, t2 = read_snapshot(path)
-    assert f2.grid == g
+    write_snapshot(path, g, f, time=0.1 + 0.2)
+    g2, f2, t2 = read_snapshot(path)
+    assert g2 == g
     assert t2 == 0.1 + 0.2
-    assert np.array_equal(f2.values, f.values)
+    assert np.array_equal(f2, f)
 
 
 def test_snapshot_roundtrip_radial(tmp_path):
     g = RadialGrid(3, 16)
     rng = np.random.default_rng(32)
-    f = GridField(g, rng.normal(size=16))
+    f = rng.normal(size=16)
     path = tmp_path / "snap.txt"
-    write_snapshot(path, f, time=-3.5)
-    f2, t2 = read_snapshot(path)
-    assert f2.grid == g
+    write_snapshot(path, g, f, time=-3.5)
+    g2, f2, t2 = read_snapshot(path)
+    assert g2 == g
     assert t2 == -3.5
-    assert np.array_equal(f2.values, f.values)
+    assert np.array_equal(f2, f)
 
 
 @pytest.mark.parametrize("case", ["magic_line_only", "no_counts_line", "non_integer_count",
@@ -425,7 +430,7 @@ def test_snapshot_roundtrip_radial(tmp_path):
                                   "garbled_value", "too_few_values"])
 def test_snapshot_with_a_malformed_header_is_a_grid_error(tmp_path, case):
     path = tmp_path / "snap.txt"
-    write_snapshot(path, GridField(BoxGrid((1.0,), (4,)), [1.0, 2.0, 3.0, 4.0]), 0.5)
+    write_snapshot(path, BoxGrid((1.0,), (4,)), np.array([1.0, 2.0, 3.0, 4.0]), 0.5)
     lines = path.read_text().splitlines()
     assert lines[3] == "counts 4" and lines[4] == "extents 1.0" and lines[5] == "time 0.5"
     lines = {"magic_line_only": lines[:1],
@@ -440,6 +445,20 @@ def test_snapshot_with_a_malformed_header_is_a_grid_error(tmp_path, case):
     with pytest.raises(GridError) as err:
         read_snapshot(path)
     assert str(path) in str(err.value)
+
+
+def test_snapshot_writer_checks_its_values(tmp_path):
+    # the writer formats float64 bit patterns: other dtypes are converted, and
+    # a wrong length or a non-finite value is refused before any file is made
+    g = BoxGrid((1.0,), (4,))
+    path = tmp_path / "snap.txt"
+    values = np.array([0.1, -2.5, 3e-8, 4.0], dtype=np.float32)
+    write_snapshot(path, g, values, 0.5)
+    assert np.array_equal(read_snapshot(path)[1], values.astype(float))
+    for bad, match in ((np.ones(5), "shape"), (np.array([1.0, np.inf, 0.0, 0.0]), "finite")):
+        with pytest.raises(GridError, match=match):
+            write_snapshot(tmp_path / "bad.txt", g, bad, 0.5)
+        assert not (tmp_path / "bad.txt").exists()
 
 
 def test_snapshot_rejects_other_files(tmp_path):

@@ -300,10 +300,10 @@ def test_pullback_constant_mode_matches_scalar_rk4():
     rhs = lambda t, v: -v + math.sin(t)
     for k, fld in enumerate(rep.finals):
         oracle = rk4_scalar(rhs, 2.0, -2.0 ** k, 0.0, 0.005 / 100)
-        assert np.abs(fld.values - oracle).max() <= 1e-5
+        assert np.abs(fld - oracle).max() <= 1e-5
     assert rep.cauchy
     # pullback limit of v' = -v + sin(t) at t = 0 is -1/2
-    assert np.abs(rep.finals[-1].values + 0.5).max() <= 1e-4
+    assert np.abs(rep.finals[-1] + 0.5).max() <= 1e-4
 
 
 def test_pullback_sections_forget_initial_data():
@@ -313,7 +313,7 @@ def test_pullback_sections_forget_initial_data():
     rng = np.random.default_rng(7)
     ra = pullback_converge(p, g, cfg, 0.0, 0.0, k_max=5)
     rb = pullback_converge(p, g, cfg, 0.0, 100.0 * rng.normal(size=12), k_max=5)
-    diff = norm_L2(g, ra.finals[-1].values - rb.finals[-1].values)
+    diff = norm_L2(g, ra.finals[-1] - rb.finals[-1])
     assert diff <= 2 * max(ra.gaps[-1], rb.gaps[-1]) + 1e-12
 
 

@@ -7,9 +7,9 @@ import pytest
 
 from movingdom import expr as ex
 from movingdom.diffeo import BallDomain, BoxDomain, DiffeoSpec
-from movingdom.grid import (BoxGrid, GridField, RadialGrid, SparseOperator,
-                            _gradients, assemble_A, boundary_residual, mass,
-                            norm_L2, operator_family)
+from movingdom.grid import (BoxGrid, RadialGrid, SparseOperator, _boundary_flux, _gradients,
+                            assemble_A, mass, norm_L2, operator_family, read_snapshot,
+                            write_snapshot)
 from movingdom import pullback
 from movingdom.cli import _grid, _spec, fixture_path, load_config
 from movingdom.diffeo import build_metric
@@ -301,7 +301,7 @@ def test_non_separable_metrics_assemble_every_step(monkeypatch):
         left = SparseOperator(g, A1.weights, 1.0 + cfg.dt * A1.beta, scale=cfg.dt)
         v, _ = _cg(left, rhs, cfg.cg_tol, x0=v)
         t += cfg.dt
-    assert np.array_equal(traj.final.values, v)
+    assert np.array_equal(traj.final, v)
     calls.clear()
     run_homogeneous(p0, g, cfg, -0.5, -0.4, v0)
     assert calls == []
@@ -318,7 +318,7 @@ def test_coefficients_undefined_at_time_zero_are_assembled_per_step():
     g = BoxGrid((1.0,), (8,))
     assert operator_family(p, g) is None
     traj = run(p, g, StepperConfig(dt=0.05), 1.0, 1.2, 1.0)
-    assert np.allclose(traj.final.values, 1.05 ** -4, rtol=1e-12)
+    assert np.allclose(traj.final, 1.05 ** -4, rtol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["identity", "dilation", "ball_shrink", "sin_t", "sin_u",
@@ -355,7 +355,7 @@ def test_drift_without_basis_is_evaluated_per_step():
         v, _ = _solve(operator_at(p, g, t + cfg.dt).shifted(cfg.dt), v + cfg.dt * F,
                       cfg.cg_tol, v)
         t += cfg.dt
-    assert np.array_equal(traj.final.values, v)
+    assert np.array_equal(traj.final, v)
 
 
 @pytest.mark.parametrize("f, per_step", [("sin(t)", 0), ("sin(u)", 2)])
@@ -398,7 +398,7 @@ def test_backward_euler_constant_mode():
     g = BoxGrid((1.0,), (8,))
     cfg = StepperConfig(dt=0.1, cg_tol=1e-13)
     v1 = run(p, g, cfg, 0.0, cfg.dt, 2.0).final
-    assert np.allclose(v1.values, 2.0 / 1.1, rtol=1e-12)
+    assert np.allclose(v1, 2.0 / 1.1, rtol=1e-12)
 
 
 def test_backward_euler_scalar_mode_error_bound():
@@ -407,7 +407,7 @@ def test_backward_euler_scalar_mode_error_bound():
     for dt in (0.05, 0.01):
         cfg = StepperConfig(dt=dt, cg_tol=1e-13)
         traj = run(p, g, cfg, 0.0, 1.0, 1.0)
-        assert np.abs(traj.final.values - math.exp(-1.0)).max() <= 0.6 * dt
+        assert np.abs(traj.final - math.exp(-1.0)).max() <= 0.6 * dt
 
 
 def test_zero_data_stays_zero():
@@ -415,14 +415,14 @@ def test_zero_data_stays_zero():
     g = BoxGrid((1.0, 1.0), (4, 4))
     traj = run(p, g, StepperConfig(dt=0.1), 0.0, 0.5, 0.0)
     assert all(m.L2 == 0.0 for m in traj.metrics)
-    assert np.all(traj.final.values == 0.0)
+    assert np.all(traj.final == 0.0)
 
 
 def test_radial_constant_mode_long_run():
     p = ball_shrink_problem()
     g = RadialGrid(3, 16)
     traj = run(p, g, StepperConfig(dt=1e-3, cg_tol=1e-12), 0.0, 2.0, 1.0)
-    assert np.abs(traj.final.values - math.exp(-2.0)).max() <= 1e-3
+    assert np.abs(traj.final - math.exp(-2.0)).max() <= 1e-3
 
 
 def test_restart_is_bitwise():
@@ -435,8 +435,8 @@ def test_restart_is_bitwise():
         s += 0.01
     leg1 = run(p, g, cfg, 0.0, s, 1.0)
     leg2 = run(p, g, cfg, s, 0.16, leg1.final)
-    assert np.array_equal(leg2.final.values, full.final.values)
-    assert np.array_equal(leg1.snapshots[0].values, np.ones(12))
+    assert np.array_equal(leg2.final, full.final)
+    assert np.array_equal(leg1.snapshots[0], np.ones(12))
 
 
 def test_metrics_reuse_the_assembled_coefficients():
@@ -451,32 +451,58 @@ def test_metrics_reuse_the_assembled_coefficients():
                 assert row.t == t
                 # the stepper's coefficients h2(t) a0, against a fresh evaluation
                 op = operator_at(p, g, t)
-                assert row.boundary_residual == \
-                    op.scale * boundary_residual(p, g, t, snap, a=op.a)
-                assert row.boundary_residual == \
-                    pytest.approx(boundary_residual(p, g, t, snap), rel=1e-12)
+                grads = _gradients(g, snap)
+                assert row.boundary_residual == op.scale * _boundary_flux(g, op.a, grads)
+                assert row.boundary_residual == pytest.approx(
+                    _boundary_flux(g, p.metric.eval_a(t, g.embed()), grads), rel=1e-12)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_run_validates_the_state_once(monkeypatch, scheme):
-    # one GridField for v0 and one per stored snapshot: the step loop and its
-    # metrics work on the already checked array
+    # one validation, of v0: the step loop, its metrics and the stored
+    # snapshots work on the already checked arrays
+    from movingdom import grid as grid_module, solver
     built = []
-    post_init = GridField.__post_init__
+    values = grid_module._values
 
-    def counting(self):
-        built.append(self)
-        post_init(self)
+    def counting(grid, data):
+        built.append(data)
+        return values(grid, data)
 
-    monkeypatch.setattr(GridField, "__post_init__", counting)
+    for module in (grid_module, solver):
+        monkeypatch.setattr(module, "_values", counting)
     p = ball_shrink_problem(f="sin(t)")
     g = RadialGrid(3, 16)
     cfg = StepperConfig(dt=0.01, scheme=scheme)
-    for steps in (10, 40):
+    for steps, v0 in ((10, np.linspace(0.0, 1.0, g.m)), (40, 0.5), (10, None)):
         built.clear()
-        traj = run(p, g, cfg, 0.0, steps * cfg.dt, np.linspace(0.0, 1.0, g.m))
+        traj = run(p, g, cfg, 0.0, steps * cfg.dt, v0)
         assert len(traj.metrics) == steps + 1
-        assert len(built) == 1 + len(traj.snapshots)
+        assert len(built) == 1
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_snapshots_share_no_array_with_v0_or_each_other(tmp_path, scheme):
+    # run copies v0 once and then stores the arrays its steps make: a caller
+    # mutating v0 cannot reach snapshot 0, and no snapshot aliases another
+    rc = load_config(fixture_path("sin_t"))
+    p = assemble(_spec(rc), beta=rc.beta, f=rc.f)
+    g = _grid(rc)
+    cfg = StepperConfig(dt=0.01, scheme=scheme, snapshot_every=3)
+    v0 = np.cos(np.pi * g.centers[:, 0])
+    start = v0.copy()
+    traj = run(p, g, cfg, -1.0, -0.9, v0)
+    v0[:] = 7.0
+    assert np.array_equal(traj.snapshots[0], start)
+    snaps = traj.snapshots
+    assert len(snaps) == 5
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(snaps) for b in snaps[i + 1:])
+    assert not any(np.shares_memory(a, v0) for a in snaps)
+    for i, (t, snap) in enumerate(zip(traj.times, snaps)):
+        write_snapshot(tmp_path / f"fixed_{i:03d}.snap", g, snap, t)
+        back_grid, back, back_t = read_snapshot(tmp_path / f"fixed_{i:03d}.snap")
+        assert back_grid == g and back_t == t
+        assert np.array_equal(back.view(np.int64), snap.view(np.int64))
 
 
 def test_run_memory_is_flat_in_step_count():
@@ -511,7 +537,7 @@ def test_homogeneous_drops_forcing_and_drift():
     g = RadialGrid(3, 12)
     cfg = StepperConfig(dt=1e-3, scheme="crank-nicolson", cg_tol=1e-12)
     traj = run_homogeneous(p, g, cfg, 0.0, 1.0, 3.0)
-    assert np.abs(traj.final.values - 3.0 * math.exp(-1.0)).max() <= 1e-5
+    assert np.abs(traj.final - 3.0 * math.exp(-1.0)).max() <= 1e-5
     l2 = [m.L2 for m in traj.metrics]
     assert all(b <= a for a, b in zip(l2, l2[1:]))
 
@@ -526,7 +552,7 @@ def test_continuous_dependence_bound():
     dist0 = norm_L2(g, x - y)
     tx = run(p, g, cfg, 0.0, 1.0, x)
     ty = run(p, g, cfg, 0.0, 1.0, y)
-    dist1 = norm_L2(g, tx.final.values - ty.final.values)
+    dist1 = norm_L2(g, tx.final - ty.final)
     lip = p.lipschitz_sup()
     assert dist1 <= math.exp(lip * 1.0) * dist0 * (1 + 1e-9)
 
@@ -552,7 +578,7 @@ def test_mass_balance_per_step():
     traj = run(p, g, cfg, 0.0, 0.5, 1.0)
     for i in range(len(traj.times) - 1):
         dt = traj.times[i + 1] - traj.times[i]
-        v0, v1 = traj.snapshots[i].values, traj.snapshots[i + 1].values
+        v0, v1 = traj.snapshots[i], traj.snapshots[i + 1]
         lhs = (mass(g, v1) - mass(g, v0)) / dt
         rhs = -p.beta * mass(g, v1) + math.sin(traj.times[i]) * mass(g, np.ones(g.m))
         assert lhs == pytest.approx(rhs, rel=1e-7, abs=1e-9)

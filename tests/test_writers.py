@@ -13,8 +13,7 @@ import pytest
 
 from movingdom import cli
 from movingdom import expr as ex
-from movingdom.grid import (_BLOCK, BoxGrid, GridField, _csv_blocks, read_snapshot,
-                            write_snapshot)
+from movingdom.grid import _BLOCK, BoxGrid, _csv_blocks, read_snapshot, write_snapshot
 
 
 def first_difference(new, old):
@@ -36,8 +35,7 @@ def oracle_rows(cols):
     return "".join(",".join(row) + "\n" for row in zip(*cells))
 
 
-def oracle_write_snapshot(path, field, time):
-    g = field.grid
+def oracle_write_snapshot(path, g, values, time):
     extents = g.extents if g.kind == "box" else (1.0,)
     lines = [
         "movingdom-snapshot 1",
@@ -49,7 +47,7 @@ def oracle_write_snapshot(path, field, time):
     ]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-        fh.writelines(f"{v!r}\n" for v in memoryview(field.values))
+        fh.writelines(f"{v!r}\n" for v in memoryview(values))
 
 
 def oracle_write_moving(path, t, xs, u):
@@ -86,13 +84,13 @@ def test_snapshot_matches_the_per_value_oracle(tmp_path, n):
     rng = np.random.default_rng(n)
     values = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, n)
     values[::2] = rng.choice([0.0, -0.0, 5e-324, 1e300, -1e-300], size=values[::2].shape)
-    field = GridField(BoxGrid((2.0,), (n,)), values)
-    write_snapshot(tmp_path / "new.snap", field, 0.1 + 0.2)
-    oracle_write_snapshot(tmp_path / "old.snap", field, 0.1 + 0.2)
+    g = BoxGrid((2.0,), (n,))
+    write_snapshot(tmp_path / "new.snap", g, values, 0.1 + 0.2)
+    oracle_write_snapshot(tmp_path / "old.snap", g, values, 0.1 + 0.2)
     assert first_difference((tmp_path / "new.snap").read_text(),
                             (tmp_path / "old.snap").read_text()) is None
-    back, t = read_snapshot(tmp_path / "new.snap")
-    assert t == 0.1 + 0.2 and np.array_equal(back.values, field.values)
+    back_grid, back, t = read_snapshot(tmp_path / "new.snap")
+    assert back_grid == g and t == 0.1 + 0.2 and np.array_equal(back, values)
 
 
 BOX3D = """[problem]
@@ -145,10 +143,10 @@ def test_solve_outputs_match_the_oracle_writers(tmp_path, monkeypatch, case):
     oracle = tmp_path / "oracle"
     oracle.mkdir()
     for idx, (t, snap) in enumerate(zip(traj.times, traj.snapshots)):
-        oracle_write_snapshot(oracle / f"fixed_{idx:03d}.snap", snap, t)
+        oracle_write_snapshot(oracle / f"fixed_{idx:03d}.snap", g, snap, t)
         env, shape = ex.bind(t, centers)
         xs = [np.broadcast_to(f(env), shape) for f in fwd]
-        oracle_write_moving(oracle / f"moving_{idx:03d}.csv", t, xs, snap.values)
+        oracle_write_moving(oracle / f"moving_{idx:03d}.csv", t, xs, snap)
     names = sorted(q.name for q in oracle.iterdir())
     assert len(names) >= 4
     assert sorted(q.name for q in out.glob("*_*.*") if q.name != "metrics.csv") == names
@@ -161,14 +159,14 @@ def test_writing_a_32_cubed_snapshot_pair_stays_below_3_mib(tmp_path):
     # the writers hold one block of strings at a time; a file built as one
     # string (about 2.6 MB of text for the moving table) would not fit
     g = BoxGrid((1.0, 1.0, 1.0), (32, 32, 32))
-    field = GridField(g, np.random.default_rng(3).normal(size=g.m))
+    values = np.random.default_rng(3).normal(size=g.m)
     xs = [np.ascontiguousarray(c * (1.0 + 0.25 * c) / 1.5) for c in g.centers.T]
     header = ["t", "x1", "x2", "x3", "u"]
     tracemalloc.start()
     try:
-        write_snapshot(tmp_path / "fixed.snap", field, 0.08)
+        write_snapshot(tmp_path / "fixed.snap", g, values, 0.08)
         cli.write_table(tmp_path / "moving.csv", "moving_snapshot", header,
-                        columns=[repr(0.08)] + xs + [field.values])
+                        columns=[repr(0.08)] + xs + [values])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
