@@ -211,8 +211,9 @@ def _cell(v):
 def write_table(path, name, header, rows=(), columns=None):
     """Write a schema-tagged CSV; rows may be any iterable of sequences and
     are streamed.  columns, if given, follow the rows: equal-length columns,
-    each a cell string repeated on every row or a float64 array, written in
-    blocks by grid._csv_blocks with the floats as _cell formats them."""
+    each a cell string repeated on every row, a float64 array or the block
+    texts write_snapshot returns, written in blocks by grid._csv_blocks with
+    the floats as _cell formats them."""
     with open(path, "w") as fh:
         fh.write(f"schema,{name},{SCHEMA_VERSION}\n")
         fh.write(",".join(header) + "\n")
@@ -378,12 +379,13 @@ def cmd_solve(rc, out, seed=None):
     fwd = [ex.compiled(c) for c in metric.spec.forward]
     centers = g.embed()[:, :rc.dim]
     for idx, (t, snap) in enumerate(zip(traj.times, traj.snapshots)):
-        write_snapshot(out / f"fixed_{idx:03d}.snap", g, snap, t)
+        # u is formatted once: the moving table reuses the snapshot's text
+        u = write_snapshot(out / f"fixed_{idx:03d}.snap", g, snap, t)
         env, shape = ex.bind(t, centers)
         xs = [np.broadcast_to(f(env), shape) for f in fwd]
         write_table(out / f"moving_{idx:03d}.csv", "moving_snapshot",
                     ["t"] + [f"x{i + 1}" for i in range(rc.dim)] + ["u"],
-                    columns=[repr(float(t))] + xs + [snap])
+                    columns=[repr(float(t))] + xs + [u])
     return EXIT_OK
 
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 
 import numpy as np
 
@@ -274,8 +275,16 @@ _NP_UNARY = {
     "tanh": np.tanh, "sqrt": np.sqrt, "abs": np.abs, "log": np.log,
     "sign": np.sign,
 }
+
+
+def _power(base, expo):
+    # a numpy float base: Python's float pow would return complex or raise
+    # OverflowError, and numpy keeps its square/sqrt fast paths
+    return np.asarray(base, dtype=float) ** expo
+
+
 _NP_BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
-              "div": np.divide}
+              "div": np.divide, "pow": _power}
 
 
 def compiled(e: Expr, names=None):
@@ -283,12 +292,19 @@ def compiled(e: Expr, names=None):
 
     env maps variable names to arrays or scalars; arrays must broadcast
     against each other.  `names` restricts which variables may appear.
-    Bindings of the variables used must be finite.  Each node is a bare
-    numpy call, and the whole evaluation runs in one errstate scope that
-    raises on division by zero, invalid values (sqrt or log out of range, a
-    negative base under a fractional exponent) and overflow, so the domain
-    guards hold over every element; the result is checked once for
-    finiteness.  Every guard raises EvalError.
+    Bindings of the variables used must be finite.
+
+    The tree is hash-consed into a post-order tape with one step per
+    distinct subtree: a constant is keyed by its bit pattern, so -0.0 and
+    0.0 stay apart, and a pow by its base and its exponent's bits.  A call
+    computes each distinct subtree once, by the numpy call a node-by-node
+    walk makes on the same operands, and drops each intermediate after its
+    last use, so every value is bitwise the walk's and the first node to
+    fail is the same.  The tape runs in one errstate scope that raises on
+    division by zero, invalid values (sqrt or log out of range, a negative
+    base under a fractional exponent) and overflow, so the domain guards
+    hold over every element; the result is checked once for finiteness.
+    Every guard raises EvalError.
     """
     allowed = set(VARIABLES if names is None else names)
     used = sorted(free_vars(e))
@@ -296,28 +312,37 @@ def compiled(e: Expr, names=None):
         if name not in allowed:
             raise EvalError(f"variable {e!s} uses {name!r}, not in {sorted(allowed)}")
 
+    slots = {}    # key of a distinct subtree -> its slot
+    init = []     # slot values before a call: the constants
+    loads = []    # (slot, variable name)
+    tape = []     # [numpy call, operand slot, operand slot or None, slot, freed]
+
     def rec(node):
         if isinstance(node, Const):
-            c = node.value
-            return lambda env: c
-        if isinstance(node, Var):
-            name = node.name
-            return lambda env: env[name]
-        if isinstance(node, Unary):
-            argf = rec(node.arg)
-            op = _NP_UNARY[node.op]
-            return lambda env: op(argf(env))
-        lf = rec(node.left)
-        if node.op == "pow":
-            # a numpy float base: Python's float pow would return complex or
-            # raise OverflowError, and numpy keeps its square/sqrt fast paths
-            expo = node.right.value
-            return lambda env: np.asarray(lf(env), dtype=float) ** expo
-        rf = rec(node.right)
-        op = _NP_BINARY[node.op]
-        return lambda env: op(lf(env), rf(env))
+            key = struct.pack("<d", node.value)
+        elif isinstance(node, Var):
+            key = node.name
+        elif isinstance(node, Unary):
+            key = (node.op, rec(node.arg), None)
+        else:
+            key = (node.op, rec(node.left), rec(node.right))
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(init)
+            init.append(node.value if isinstance(node, Const) else None)
+            if isinstance(node, Var):
+                loads.append((slot, node.name))
+            elif isinstance(node, (Unary, Binary)):
+                op = (_NP_UNARY if isinstance(node, Unary) else _NP_BINARY)[node.op]
+                tape.append([op, key[1], key[2], slot, ()])
+        return slot
 
-    body = rec(e)
+    result = rec(e)
+    # each step frees the operands no later step reads
+    read = {None}
+    for step in reversed(tape):
+        step[4] = tuple({step[1], step[2]} - read)
+        read.update(step[1:3])
 
     def fn(env):
         for name in used:
@@ -326,9 +351,16 @@ def compiled(e: Expr, names=None):
             x = env[name]
             if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
                 raise EvalError(f"non-finite binding for {name!r}")
+        vals = init.copy()
+        for slot, name in loads:
+            vals[slot] = env[name]
         try:
             with np.errstate(all="raise", under="ignore"):
-                r = np.asarray(body(env), dtype=float)
+                for op, a, b, out, freed in tape:
+                    vals[out] = op(vals[a]) if b is None else op(vals[a], vals[b])
+                    for s in freed:
+                        vals[s] = None
+                r = np.asarray(vals[result], dtype=float)
         except FloatingPointError as exc:
             raise EvalError(f"{exc} evaluating {e}") from None
         if not np.isfinite(r).all():

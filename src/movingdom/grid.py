@@ -441,16 +441,21 @@ _BLOCK = 512   # rows formatted at a time, which bounds the strings held
 
 def _csv_blocks(cols):
     """CSV text of equal-length columns in blocks of _BLOCK rows, each block
-    ending in a newline.  A column is a str, the same cell on every row, or a
-    float64 array; each distinct value of a block is formatted once, by repr,
-    and values are told apart by bit pattern, so -0.0 and 0.0 stay apart."""
-    n = min(len(c) for c in cols if not isinstance(c, str))
+    ending in a newline.  A column is a str, the same cell on every row; a
+    float64 array; or a list of the texts _csv_blocks gave for one column of
+    the same length, which are reused as they are.  At least one column is an
+    array.  Each distinct value of a block is formatted once, by repr, and
+    values are told apart by bit pattern, so -0.0 and 0.0 stay apart."""
+    n = min(len(c) for c in cols if isinstance(c, np.ndarray))
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         cells = []
         for c in cols:
             if isinstance(c, str):
                 cells.append(repeat(c, hi - lo))
+                continue
+            if isinstance(c, list):
+                cells.append(c[lo // _BLOCK].splitlines())
                 continue
             bits, inv = np.unique(c[lo:hi].view(np.int64), return_inverse=True)
             text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
@@ -460,7 +465,9 @@ def _csv_blocks(cols):
 
 def write_snapshot(path, grid, values, time):
     """Write the field `values` on grid at `time` as a snapshot file; values
-    are checked as `_values` checks them, before the file is opened."""
+    are checked as `_values` checks them, before the file is opened.  Returns
+    the block texts written for the values, a column _csv_blocks takes as it
+    is, so a caller that writes the same values again formats them once."""
     values = _values(grid, values)
     extents = grid.extents if grid.kind == "box" else (1.0,)
     lines = [
@@ -471,9 +478,13 @@ def write_snapshot(path, grid, values, time):
         "extents " + " ".join(repr(float(e)) for e in extents),
         f"time {float(time)!r}",
     ]
+    texts = []
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-        fh.writelines(_csv_blocks([values]))
+        for text in _csv_blocks([values]):
+            fh.write(text)
+            texts.append(text)
+    return texts
 
 
 def read_snapshot(path):

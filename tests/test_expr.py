@@ -453,6 +453,155 @@ def test_every_node_is_lane_independent(text):
     _check_lanes(ex.parse(text), [(0.1 + 0.08 * i, -1.5 + 0.13 * i) for i in range(24)])
 
 
+# ---------------------------------------------------------------------------
+# property tests: the tape `compiled` runs against the nested-lambda
+# evaluator it replaced, which walks every node and stays here as the oracle
+
+def _oracle_compiled(e):
+    used = sorted(ex.free_vars(e))
+
+    def rec(node):
+        if isinstance(node, Const):
+            c = node.value
+            return lambda env: c
+        if isinstance(node, Var):
+            name = node.name
+            return lambda env: env[name]
+        if isinstance(node, Unary):
+            argf = rec(node.arg)
+            op = ex._NP_UNARY[node.op]
+            return lambda env: op(argf(env))
+        lf = rec(node.left)
+        if node.op == "pow":
+            expo = node.right.value
+            return lambda env: np.asarray(lf(env), dtype=float) ** expo
+        rf = rec(node.right)
+        op = ex._NP_BINARY[node.op]
+        return lambda env: op(lf(env), rf(env))
+
+    body = rec(e)
+
+    def fn(env):
+        for name in used:
+            if name not in env:
+                raise EvalError(f"unbound variable {name!r}")
+            x = env[name]
+            if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
+                raise EvalError(f"non-finite binding for {name!r}")
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                r = np.asarray(body(env), dtype=float)
+        except FloatingPointError as exc:
+            raise EvalError(f"{exc} evaluating {e}") from None
+        if not np.isfinite(r).all():
+            raise EvalError(f"non-finite value of {e}")
+        return r
+    return fn
+
+
+def _outcome_of(fn, env):
+    """The value's shape and bytes, or the EvalError message."""
+    try:
+        r = fn(env)
+    except EvalError as err:
+        return "EvalError", str(err)
+    return r.shape, r.tobytes()
+
+
+@st.composite
+def _shared_trees(draw):
+    """A tree whose subtrees recur: each new node takes its operands from a
+    pool of earlier trees, as the same object or as an equal copy."""
+    pool = draw(st.lists(_trees(2), min_size=1, max_size=4))
+
+    def operand():
+        x = draw(st.sampled_from(pool))
+        return ex.substitute(x, {}) if draw(st.booleans()) else x
+
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(("unary", "binary", "pow")))
+        if kind == "unary":
+            node = Unary(draw(st.sampled_from(("neg",) + ex.FUNCTIONS)), operand())
+        elif kind == "binary":
+            node = ex.Binary(draw(st.sampled_from(("add", "sub", "mul", "div"))),
+                             operand(), operand())
+        else:
+            node = ex.Binary("pow", operand(), Const(draw(_EXPONENTS)))
+        pool.append(node)
+    return pool[-1]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(e=_shared_trees(), points=_POINTS,
+       times=st.lists(_LEAF_VALUES, min_size=1, max_size=3))
+def test_tape_matches_the_tree_walk_bit_for_bit(e, points, times):
+    # scalar, (m,) and (nt, m) bindings: the same bytes, or the same message
+    fn, oracle = ex.compiled(e), _oracle_compiled(e)
+    t, u = (np.array(c) for c in zip(*points))
+    envs = [{"t": ti, "u": ui} for ti, ui in points]
+    envs += [{"t": t, "u": u}, {"t": np.array(times)[:, None], "u": u}]
+    for env in envs:
+        assert _outcome_of(fn, env) == _outcome_of(oracle, env), (str(e), env)
+
+
+def test_tape_keeps_signed_zero_constants_apart():
+    # keyed by value, the -0.0 constant would reuse the slot of 0.0 * y1
+    y1 = Var("y1")
+    e = ex.Binary("mul", Unary("exp", ex.Binary("mul", Const(0.0), y1)),
+                  ex.Binary("mul", Const(-0.0), y1))
+    for y in (0.5, np.array([0.5, 2.0])):
+        got = ex.compiled(e)({"y1": y})
+        assert np.all(got == 0.0) and np.all(np.signbit(got))
+        assert got.tobytes() == _oracle_compiled(e)({"y1": y}).tobytes()
+
+
+def _tree_size(e):
+    if isinstance(e, (Const, Var)):
+        return 1
+    if isinstance(e, Unary):
+        return 1 + _tree_size(e.arg)
+    return 1 + _tree_size(e.left) + _tree_size(e.right)
+
+
+def _distinct_operations(e):
+    """Number of distinct non-leaf subtrees, constants told apart by bits."""
+    seen = set()
+
+    def key(node):
+        if isinstance(node, Const):
+            return node.value.hex()
+        if isinstance(node, Var):
+            return node.name
+        k = ((node.op, key(node.arg)) if isinstance(node, Unary)
+             else (node.op, key(node.left), key(node.right)))
+        seen.add(k)
+        return k
+
+    key(e)
+    return len(seen)
+
+
+def test_tape_computes_each_distinct_subtree_once(monkeypatch):
+    # b_1 of the benchmark's 32^3 box map, whose derived tree repeats its
+    # Jacobian subterms: one numpy call (pow included) per distinct subtree
+    from movingdom.diffeo import BoxDomain, build_metric, parse_diffeo
+    from movingdom.grid import BoxGrid
+    fwd = [f"(y{i} + 0.25 * y{i}^2) / (exp(0 - t^2) + 1)" for i in (1, 2, 3)]
+    inv = [f"2 * (sqrt(1 + x{i} * (exp(0 - t^2) + 1)) - 1)" for i in (1, 2, 3)]
+    b1 = build_metric(parse_diffeo(3, BoxDomain((1.0, 1.0, 1.0)), fwd, inv)).b[0]
+    calls = []
+    for table in (ex._NP_UNARY, ex._NP_BINARY):
+        for name, op in list(table.items()):
+            monkeypatch.setitem(table, name,
+                                lambda *args, _op=op: calls.append(_op) or _op(*args))
+    env, _ = ex.bind(0.3, BoxGrid((1.0, 1.0, 1.0), (4, 4, 4)).embed())
+    got = ex.compiled(b1)(env)
+    assert _tree_size(b1) == 430
+    assert len(calls) == _distinct_operations(b1) < 430
+    monkeypatch.undo()
+    assert got.tobytes() == _oracle_compiled(b1)(env).tobytes()
+
+
 _SMOOTH = tuple(f for f in ex.FUNCTIONS if f not in ("abs", "sign"))
 
 

@@ -8,13 +8,12 @@ from movingdom import expr as ex
 from movingdom import pullback
 from movingdom.cli import _grid, _spec, fixture_path, load_config
 from movingdom.diffeo import BallDomain, BoxDomain, DiffeoSpec, build_metric, check_H1
-from movingdom.grid import (BoxGrid, RadialGrid, assemble_A, inner, norm_H1,
-                            norm_L2, operator_family)
+from movingdom.grid import (BoxGrid, RadialGrid, assemble_A, inner, norm_L2,
+                            operator_family)
 from movingdom.problem import assemble
-from movingdom.pullback import (DecayFit, GapReport, PullbackError,
-                                absorbing_radius, cocycle_check, decay_fit,
-                                drift_norm, factorization_probe,
-                                pullback_converge)
+from movingdom.pullback import (GapReport, PullbackError, absorbing_radius,
+                                cocycle_check, decay_fit, drift_norm,
+                                factorization_probe, pullback_converge)
 from movingdom.solver import StepperConfig, _cg, run_homogeneous
 
 

@@ -14,7 +14,7 @@ from movingdom import pullback
 from movingdom.cli import _grid, _spec, fixture_path, load_config
 from movingdom.diffeo import build_metric
 from movingdom.problem import assemble
-from movingdom.solver import (SCHEMES, CgError, MmsReport, SolverError,
+from movingdom.solver import (SCHEMES, CgError, SolverError,
                               StepperConfig, _cg, _solve, drift_basis,
                               mms_convergence, operator_at, run, run_homogeneous)
 

@@ -11,7 +11,7 @@ from itertools import repeat
 import numpy as np
 import pytest
 
-from movingdom import cli
+from movingdom import cli, grid
 from movingdom import expr as ex
 from movingdom.grid import _BLOCK, BoxGrid, _csv_blocks, read_snapshot, write_snapshot
 
@@ -77,6 +77,16 @@ def block_cases():
                          ids=[name for name, _ in block_cases()])
 def test_block_writer_matches_the_per_row_oracle(name, cols):
     assert first_difference("".join(_csv_blocks(cols)), oracle_rows(cols)) is None
+
+
+@pytest.mark.parametrize("name, cols", list(block_cases()),
+                         ids=[name for name, _ in block_cases()])
+def test_block_texts_stand_in_for_their_column(name, cols):
+    # the texts _csv_blocks gave for one column, passed back as that column
+    i = max(i for i, c in enumerate(cols) if not isinstance(c, str))
+    reused = cols[:i] + [list(_csv_blocks([cols[i]]))] + cols[i + 1:] + [cols[i]]
+    assert first_difference("".join(_csv_blocks(reused)),
+                            oracle_rows(cols + [cols[i]])) is None
 
 
 @pytest.mark.parametrize("n", [3, _BLOCK - 1, _BLOCK, _BLOCK + 1])
@@ -153,6 +163,32 @@ def test_solve_outputs_match_the_oracle_writers(tmp_path, monkeypatch, case):
     for name in names:
         assert first_difference((out / name).read_text(),
                                 (oracle / name).read_text()) is None, name
+
+
+def test_solve_formats_each_snapshot_value_once(tmp_path, monkeypatch):
+    # fixed_NNN.snap formats u; moving_NNN.csv reuses that text, so the
+    # block writer sees each snapshot's state among its columns once
+    seen, columns = {}, []
+    run, blocks = cli.run, grid._csv_blocks
+
+    def march(*args):
+        seen["traj"] = run(*args)
+        return seen["traj"]
+
+    def spy(cols):
+        columns.extend(c for c in cols if isinstance(c, np.ndarray))
+        return blocks(cols)
+
+    monkeypatch.setattr(cli, "run", march)
+    monkeypatch.setattr(cli, "_csv_blocks", spy)
+    monkeypatch.setattr(grid, "_csv_blocks", spy)
+    cfg = tmp_path / "box3d.cfg"
+    cfg.write_text(BOX3D)
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    snaps = seen["traj"].snapshots
+    assert len(snaps) >= 2
+    for snap in snaps:
+        assert sum(c.tobytes() == snap.tobytes() for c in columns) == 1
 
 
 def test_writing_a_32_cubed_snapshot_pair_stays_below_3_mib(tmp_path):
