@@ -25,7 +25,7 @@ from . import expr as ex
 from .diffeo import (BallDomain, BoxDomain, DegenerateDiffeoError,
                      DiffeoError, boundary_points, build_metric,
                      check_H1, check_H4, ellipticity_probe, hoelder_probe,
-                     parse_diffeo, validate_inverse)
+                     interior_points, parse_diffeo, time_grid, validate_inverse)
 from .grid import BoxGrid, GridError, RadialGrid, _csv_blocks, write_snapshot
 from .problem import ProblemError, assemble, check_H2, check_H3
 from .pullback import (PullbackError, absorbing_radius, cocycle_check, decay_fit,
@@ -262,10 +262,13 @@ def _hypothesis_rows(rc):
         rows.append(("H1_witness", "info", h1.residual,
                      f"t={t!r} y={_fmt_y(y)} entry=({i} {k})"))
 
-    C = ellipticity_probe(metric)
+    # a on the H1 lattice, evaluated once for both probes and then dropped
+    A = metric.eval_a(time_grid(), interior_points(metric.spec.domain, metric.dim))
+    C = ellipticity_probe(metric, A=A)
     rows.append(("ellipticity", "pass", C, "min eigenvalue of a over samples"))
 
-    theta, hc = hoelder_probe(metric)
+    theta, hc = hoelder_probe(metric, A=A)
+    del A
     rows.append(("hoelder", "info", theta, f"c={hc!r}"))
 
     if h1.passed:

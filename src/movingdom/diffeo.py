@@ -442,11 +442,12 @@ def check_H4(report: SeparabilityReport) -> H4Report:
     return H4Report(gaps, sups, flag)
 
 
-def ellipticity_probe(m: MetricBundle, tgrid=None):
-    """Smallest eigenvalue of M(t,y) over the sample set; must be positive."""
+def ellipticity_probe(m: MetricBundle, tgrid=None, A=None):
+    """Smallest eigenvalue of M(t,y) over the sample set; must be positive.
+    A, when given, is m.eval_a on that set, tgrid x interior_points."""
     tgrid = time_grid() if tgrid is None else np.asarray(tgrid, dtype=float)
     pts = interior_points(m.spec.domain, m.dim)
-    A = m.eval_a(tgrid, pts)
+    A = m.eval_a(tgrid, pts) if A is None else A
     eig = np.linalg.eigvalsh(A)
     C = float(eig.min())
     if C <= 0:
@@ -457,8 +458,10 @@ def ellipticity_probe(m: MetricBundle, tgrid=None):
     return C
 
 
-def hoelder_probe(m: MetricBundle, tgrid=None):
-    """(theta, c) from log-log regression of sup_y |a(s,y) - a(t,y)| vs |s-t|."""
+def hoelder_probe(m: MetricBundle, tgrid=None, A=None):
+    """(theta, c) from log-log regression of sup_y |a(s,y) - a(t,y)| vs |s-t|.
+    A, when given, is m.eval_a on the sample set, tgrid x interior_points."""
     tgrid = time_grid() if tgrid is None else np.asarray(tgrid, dtype=float)
-    A = m.eval_a(tgrid, interior_points(m.spec.domain, m.dim))
+    if A is None:
+        A = m.eval_a(tgrid, interior_points(m.spec.domain, m.dim))
     return _holder_fit(tgrid, A)

@@ -192,7 +192,7 @@ def _gradients(grid, vals):
 
 def _apply_flux(weights, x):
     """S x on the grid-shaped array x, from the per-axis face weights."""
-    out = np.zeros_like(x)
+    out = np.zeros(x.shape)
     for ax, w in enumerate(weights):
         lo, hi = _face_slices(x.ndim, ax)
         f = w * (x[lo] - x[hi])
@@ -225,10 +225,15 @@ def inner(grid, v, w):
     return float(np.dot(grid.volumes, _values(grid, v) * _values(grid, w)))
 
 
+def _sq(grid, v):
+    """Squared L2 norm of an array already checked (or made) as a state."""
+    return float(np.dot(grid.volumes, v * v))
+
+
 def _h1(grid, sq, grads):
     """H1 norm from the squared L2 norm sq and the per-axis gradients."""
     for g in grads:
-        sq += float(np.dot(grid.volumes, g * g))
+        sq += _sq(grid, g)
     return float(np.sqrt(sq))
 
 
@@ -238,7 +243,7 @@ def norm_L2(grid, v):
 
 def norm_H1(grid, v):
     vals = _values(grid, v)
-    return _h1(grid, float(np.dot(grid.volumes, vals * vals)), _gradients(grid, vals))
+    return _h1(grid, _sq(grid, vals), _gradients(grid, vals))
 
 
 def mass(grid, v):
@@ -249,7 +254,7 @@ def _metrics(grid, vals, op):
     """(L2, H1, mass, boundary flux) of a validated array; the boundary flux
     takes the coefficients op.scale * op.a at the cell centers."""
     grads = _gradients(grid, vals)
-    sq = float(np.dot(grid.volumes, vals * vals))
+    sq = _sq(grid, vals)
     return (float(np.sqrt(sq)), _h1(grid, sq, grads), float(np.dot(grid.volumes, vals)),
             op.scale * _boundary_flux(grid, op.a, grads))
 
@@ -300,6 +305,13 @@ class SparseOperator:
             out[lo] -= f
             out[hi] += f
         return self.scale * out.ravel() / self.grid.volumes
+
+    @cached_property
+    def denominator(self):
+        """(beta + scale * lam, its smallest entry): the eigenvalues of the
+        implicit part, made once for every solve with this operator."""
+        d = self.beta + self.scale * self.lam
+        return d, float(d.min())
 
     def shifted(self, dt):
         """Operator I + dt * (implicit part), on the same weights and eigenpairs."""

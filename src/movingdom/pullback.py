@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _values, norm_H1, norm_L2
+from .grid import _sq, _values, norm_H1, norm_L2
 from .problem import check_H2, check_H3
-from .solver import _lattice, _solve, operator_at, run, run_homogeneous
+from .solver import _denominator, _eigen, _lattice, _solve, operator_at, run, run_homogeneous
 
 log = logging.getLogger("movingdom.pullback")
 
@@ -86,52 +86,88 @@ def decay_fit(p, grid, cfg, tau, horizon, seeds) -> DecayFit:
 def drift_norm(p, grid, times) -> float:
     """Spectral-norm estimate of (A_h(t) - A_h(tau)) A_h(r)^-1.
 
-    Power iteration (tol 1e-8) on the normal operator in the vol-weighted
-    inner product.  The operators are the stepper's, from `operator_at`:
-    the metric's H1 operator scaled to each time where it has one,
-    assembled otherwise.  Without a cross block each is its implicit part;
-    the inverse is applied through `_solve`, exact where the operator
-    carries eigenpairs and conjugate gradients (tol 1e-12) otherwise.
-    The estimate is a Rayleigh quotient, so it never exceeds the true
-    norm; operators with clustered top singular values may stop at the
-    iteration cap instead of the tolerance, which is logged, and the
-    stop test is scale-invariant, so ratios of estimates across times
-    stay exact even then.
+    Power iteration (tol 1e-8, at most 200 steps) on the normal operator in
+    the vol-weighted inner product.  The operators are the stepper's, from
+    `operator_at`: the metric's H1 operator scaled to each time where it has
+    one, assembled otherwise.  Without a cross block each is its implicit
+    part.  Where all three carry the family's eigenpairs, the map is the
+    diagonal (h2(t) - h2(tau)) lam / (beta + h2(r) lam) in the eigenbasis,
+    and the iteration runs there on the transformed start; otherwise the
+    operators are applied and A_h(r) is inverted through `_solve`, exact
+    where it carries eigenpairs and conjugate gradients (tol 1e-12) else.
+    Both are the same iteration, so they stop at the same estimate.  It is
+    a Rayleigh quotient, so it never exceeds the true norm; operators with
+    clustered top singular values may stop at the iteration cap instead of
+    the tolerance, which is logged, and the stop test is scale-invariant,
+    so ratios of estimates across times stay exact even then.
     """
     t, tau, r = times
     if t == tau:
         return 0.0
-    op_t, op_tau, op_r = (operator_at(p, grid, s) for s in times)
-    if any(o.cross is not None for o in (op_t, op_tau, op_r)):
+    ops = op_t, op_tau, op_r = [operator_at(p, grid, s) for s in times]
+    if any(o.cross is not None for o in ops):
         raise PullbackError("drift_norm requires diagonal diffusion "
                             "(no explicit cross-derivative block)")
-
-    def norm(v):   # the norm of `inner`, on arrays this loop made itself
-        return math.sqrt(np.dot(grid.volumes, v * v))
-
     # start from the highest-frequency sign pattern: the drift operator
     # annihilates constants, so a flat start would report 0
     x = np.where(np.arange(grid.m) % 2 == 0, 1.0, -1.0)
-    x /= norm(x)
+    if all(o.lam is not None for o in ops):
+        est, done = _power(_eigen(op_r, x), *_eigen_maps(op_t, op_tau, op_r))
+    else:
+        est, done = _power(x, *_operator_maps(grid, op_t, op_tau, op_r))
+    if not done:
+        log.warning("drift_norm power iteration stagnated at %.6e "
+                    "(t=%s, tau=%s, r=%s)", est, t, tau, r)
+    return est
+
+
+def _operator_maps(grid, op_t, op_tau, op_r):
+    """(B, B*, norm) of drift_norm's iteration on the grid: the operators
+    applied and A(r) solved, in the norm of `inner`."""
+    def drift(w):
+        return op_t.apply_implicit(w) - op_tau.apply_implicit(w)
+
+    def inverse(x):
+        return _solve(op_r, x, tol=1e-12)[0]
+
+    def norm(v):   # on arrays the iteration made itself
+        return math.sqrt(_sq(grid, v))
+
+    return lambda x: drift(inverse(x)), lambda bx: inverse(drift(bx)), norm
+
+
+def _eigen_maps(op_t, op_tau, op_r):
+    """(B, B*, norm) of drift_norm's iteration in the family's eigenbasis,
+    where B = B* is the diagonal (h2(t) - h2(tau)) lam / (beta + h2(r) lam)."""
+    d = (op_t.scale - op_tau.scale) * op_t.lam / _denominator(op_r)
+
+    def apply(z):
+        return d * z
+
+    return apply, apply, lambda z: math.sqrt(z.dot(z))
+
+
+def _power(x, apply, adjoint, norm):
+    """(estimate, converged) of the power iteration on B*B from x, with B =
+    apply and B* = adjoint: stops when the estimate |B x| moves by at most
+    1e-8 of itself, at 0 when B x or B*B x is 0, and unconverged after 200
+    steps."""
+    x = x / norm(x)
     est = 0.0
     for it in range(200):
-        w, _ = _solve(op_r, x, tol=1e-12)
-        bx = op_t.apply_implicit(w) - op_tau.apply_implicit(w)
+        bx = apply(x)
         nbx = norm(bx)
         if nbx == 0.0:
-            return 0.0
+            return 0.0, True
         prev, est = est, nbx
         if it > 0 and abs(est - prev) <= 1e-8 * est:
-            return est
-        dbx = op_t.apply_implicit(bx) - op_tau.apply_implicit(bx)
-        y, _ = _solve(op_r, dbx, tol=1e-12)
+            return est, True
+        y = adjoint(bx)
         ny = norm(y)
         if ny == 0.0:
-            return est
+            return est, True
         x = y / ny
-    log.warning("drift_norm power iteration stagnated at %.6e "
-                "(t=%s, tau=%s, r=%s)", est, t, tau, r)
-    return est
+    return est, False
 
 
 def _require_nonlinearity_bounds(p):
@@ -182,7 +218,7 @@ def pullback_converge(p, grid, cfg, t_star, u0, k_max,
                     ks[-1])
     taus = tuple(t_star - 2.0 ** k for k in ks)
 
-    finals = tuple(run(p, grid, cfg, tau, t_star, u0).final for tau in taus)
+    finals = tuple(run(p, grid, cfg, tau, t_star, u0, record=False).final for tau in taus)
     gaps = tuple(norm_L2(grid, a - b)
                  for a, b in zip(finals, finals[1:]))
     tail = gaps[2:]
@@ -209,7 +245,7 @@ def absorbing_radius(p, grid, cfg, t_star, seeds, radii, k_max=5) -> float:
     if not starts:
         raise PullbackError("absorbing_radius needs a seed above the norm floor")
 
-    return max(norm_H1(grid, run(p, grid, cfg, tau, t_star, v0).final)
+    return max(norm_H1(grid, run(p, grid, cfg, tau, t_star, v0, record=False).final)
                for v0 in starts)
 
 
@@ -224,9 +260,9 @@ def cocycle_check(p, grid, cfg, tau, s, t, u0) -> float:
     if not tau <= s <= t:
         raise PullbackError("need tau <= s <= t")
     s_eff = next((r for r, _, _ in _lattice(tau, t, cfg.dt) if abs(r - s) <= 1e-9 * cfg.dt), s)
-    leg1 = run(p, grid, cfg, tau, s_eff, u0)
-    leg2 = run(p, grid, cfg, s_eff, t, leg1.final)
-    full = run(p, grid, cfg, tau, t, u0)
+    leg1 = run(p, grid, cfg, tau, s_eff, u0, record=False)
+    leg2 = run(p, grid, cfg, s_eff, t, leg1.final, record=False)
+    full = run(p, grid, cfg, tau, t, u0, record=False)
     return norm_L2(grid, leg2.final - full.final)
 
 
@@ -237,6 +273,6 @@ def factorization_probe(p, grid, cfg, tau, t, u0) -> float:
     carries everything the nonautonomous forcing contributes.  Only its
     boundedness is observable numerically, and that is what is returned.
     """
-    full = run(p, grid, cfg, tau, t, u0).final
-    hom = run_homogeneous(p, grid, cfg, tau, t, u0).final
+    full = run(p, grid, cfg, tau, t, u0, record=False).final
+    hom = run(p, grid, cfg, tau, t, u0, homogeneous=True, record=False).final
     return norm_H1(grid, full - hom)

@@ -14,10 +14,10 @@ the corrector right-hand side is identical and v* is kept without a second
 solve, so the scheme degenerates to the plain one-solve form; with
 state-dependent F the correction restores second order in time.  Under
 H1 the scalars of a step depend on t alone: h2(t), the drift coefficients
-below and an f of t alone, folded into the source.  `run` evaluates each
-once per chunk of _CHUNK steps, by expr.compiled over the chunk's times
-its steps take it at.  The drift b(t, .) lies in a fixed space of at most
-d + 2 fields of y; `drift_basis` keeps r snapshot fields of b on the grid,
+below and an f of t alone, folded into the source.  The march evaluates
+each once per chunk of _CHUNK steps, by expr.compiled over the chunk's
+times its steps take it at.  The drift b(t, .) lies in a fixed space of at
+most d + 2 fields of y; `drift_basis` keeps r snapshot fields of b on the grid,
 built once per (metric, grid) next to the operator family and checked to
 1e-13, so a time costs b at r pivots and one r x r product instead of b
 over the grid.  Without a family, or where the check fails, b is evaluated
@@ -30,8 +30,13 @@ without that structure is assembled at every time.  `_solve` solves an
 operator that carries the eigenpairs of L0 = S0 / vol (radial grids, 1-D
 and Kronecker-sum boxes) exactly in that eigenbasis: a transform, a
 division by (1 + c beta) + c h2(t) lam and a back transform; it reports 0
-iterations.  Other operators use Jacobi CG, matrix-free on the face
-weights, to the relative tolerance cg_tol.
+iterations.  On a radial grid or a 1-D box each transform is one matmul
+with the stored Q, and the denominator and its positivity check are made
+once per operator, so crank-nicolson's two solves share them: a solve
+takes about 5 us at 64 cells (16-19 us with the per-call reshapes and
+denominator it replaces; one BLAS thread, 2-vCPU VM).  Other operators
+use Jacobi CG, matrix-free on the face weights, to the relative tolerance
+cg_tol.
 
 Time marches by accumulation (t_{n+1} = t_n + dt).  Each operator is made
 from its exact time value (the H1 scaling from time 0, never from a run's
@@ -42,9 +47,12 @@ and memory stays flat in the step count.  The final step is
 shortened to land exactly on the requested end time.
 
 A state is a float array of one value per cell.  `run` validates and copies
-the initial state once, through grid._values, and checks each new state for
-finite values; the loop, its one-call metrics kernel and the stored snapshots
-use the arrays the steps make, with no second check or copy.
+the initial state once, through grid._values, checks each new state for
+finite values, and by default adds a metrics row per state, from one call
+of grid._metrics, and keeps the snapshots.  With record=False it keeps only
+the last state, for callers that read nothing else; `final_state` is that
+run's final state.  Both use the arrays the steps make, with no second
+check or copy.
 """
 
 from __future__ import annotations
@@ -57,7 +65,7 @@ import numpy as np
 
 from . import expr as ex
 from .diffeo import boundary_points, interior_points, time_grid
-from .grid import (SparseOperator, _diagonal, _gradients, _metrics, _values, assemble_A,
+from .grid import (SparseOperator, _diagonal, _gradients, _metrics, _sq, _values, assemble_A,
                    norm_L2, operator_family)
 
 
@@ -174,27 +182,35 @@ def _along(x, M, ax):
 
 def _eigen(op, x, back=False):
     """x in the operator's eigenbasis of L0 (orthonormal in the vol-weighted
-    inner product, up to a constant on boxes), or back from it."""
-    w = op.root_vol
-    x = (x if back else x * w).reshape([len(Q) for Q in op.vecs])
+    inner product, up to a constant on boxes), or back from it: one matmul
+    each way with the one Q of a radial grid or a 1-D box, one per axis on
+    the grid-shaped array of a larger box (whose root_vol is 1.0)."""
+    if len(op.vecs) == 1:
+        (Q,), w = op.vecs, op.root_vol
+        return (Q @ x) / w if back else (x * w) @ Q
+    x = x.reshape(op.grid.counts)
     for ax, Q in enumerate(op.vecs):
         x = _along(x, Q if back else Q.T, ax)
-    return x.ravel() / w if back else x.ravel()
+    return x.ravel()
+
+
+def _denominator(op):
+    """beta + scale * lam of an operator with eigenpairs; CgError, as CG
+    raises it, where an entry is not positive."""
+    denom, low = op.denominator
+    if not low > 0:
+        raise CgError(f"eigenvalue {low:.3e}: operator is not positive definite")
+    return denom
 
 
 def _solve(op, rhs, tol, x0=None):
-    """op x = rhs: exact in the eigenbasis of an operator that carries one (a
-    denominator beta + scale * lam that is not positive raises CgError, as
-    CG does), Jacobi CG from x0 to tol within 10*N iterations otherwise.
-    Returns (x, CG iterations); a direct solve counts 0.
+    """op x = rhs: exact in the eigenbasis of an operator that carries one,
+    Jacobi CG from x0 to tol within 10*N iterations otherwise.  Returns
+    (x, CG iterations); a direct solve counts 0.
     """
     if op.lam is None:
         return _cg(op, rhs, tol, x0=x0)
-    denom = op.beta + op.scale * op.lam
-    low = float(denom.min())
-    if not low > 0:
-        raise CgError(f"eigenvalue {low:.3e}: operator is not positive definite")
-    return _eigen(op, _eigen(op, rhs) / denom, back=True), 0
+    return _eigen(op, _eigen(op, rhs) / _denominator(op), back=True), 0
 
 
 def operator_at(p, grid, t):
@@ -364,7 +380,7 @@ def _explicit_rhs(p, grid, t, v, cross_op, forcing):
     drift, source = (None, None) if forcing is None else forcing
     if drift is not None or cross_op.cross is not None:
         grads = _gradients(grid, v)
-    out = p.f_values(t, v) if forcing is not None and p.f_uses_u else np.zeros_like(v)
+    out = p.f_values(t, v) if forcing is not None and p.f_uses_u else np.zeros(len(v))
     if drift is not None:
         g, fields = drift
         for k, gk in enumerate(grads):
@@ -393,7 +409,7 @@ def _advance(p, grid, cfg, t, v, dt, get_op, forcing):
     F0 = _explicit_rhs(p, grid, tm, v, cross_op, at_tm)
     v_star, it1 = _solve(left, base + dt * F0, cfg.cg_tol, v)
     Fm = _explicit_rhs(p, grid, tm, 0.5 * (v + v_star), cross_op, at_tm)
-    if np.array_equal(Fm, F0):
+    if (Fm == F0).all():
         return v_star, it1
     v_next, it2 = _solve(left, base + dt * Fm, cfg.cg_tol, v_star)
     return v_next, it1 + it2
@@ -417,12 +433,19 @@ def _lattice(tau, T, dt):
         t = t_next
 
 
-def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False) -> Trajectory:
+def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False,
+        record=True) -> Trajectory:
     """March the problem from tau to T; ceil((T-tau)/dt) steps, last one short.
 
     v0 may be an array of one value per cell, a scalar (a constant state),
     or None (evaluates the problem's initial-data expression at the cell
-    centers).  The snapshots are arrays, none of them shared with v0.
+    centers).  The snapshots are arrays, none of them shared with v0.  Each
+    state gets a metrics row, from the coefficients of the operator at its
+    time; with record=False a run keeps no rows and its final state as the
+    only snapshot.  Checks tau <= T, the initial state (once, which is also
+    its one copy) and dt against the explicit nonlinearity before the first
+    step, each new state for finite values, and that a homogeneous
+    backward-Euler run without a cross block never grows in L2.
     """
     tau, T = float(tau), float(T)
     if not tau <= T:
@@ -446,13 +469,18 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False) -> Traj
             op = ops[t] = _operator(p, grid, t, h2)
         return op
 
-    def metrics_row(n, t, vals, iters):
-        # reuses the coefficients of the operator at t
-        return StepMetrics(n, t, *_metrics(grid, vals, get_op(t)), iters)
+    times, snapshots, metrics = [], [], []
 
-    times = [tau]
-    snapshots = [v]
-    metrics = [metrics_row(0, tau, v, 0)]
+    def keep(n, t, v, iters):
+        metrics.append(StepMetrics(n, t, *_metrics(grid, v, get_op(t)), iters))
+        if n == 0 or t == T or (cfg.snapshot_every and n % cfg.snapshot_every == 0):
+            times.append(t)
+            snapshots.append(v)
+
+    guard = homogeneous and cfg.scheme == "backward-euler"
+    l2 = math.sqrt(_sq(grid, v)) if guard else None
+    if record:
+        keep(0, tau, v, 0)
     n = 0
     lattice = _lattice(tau, T, cfg.dt)
     while steps := list(islice(lattice, _CHUNK)):
@@ -469,21 +497,26 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False) -> Traj
             # keep only this step's operators: the one at t is reused from the last step
             ops = {t: ops[t]}
             v, iters = _advance(p, grid, cfg, t, v, dt_step, get_op, forcing)
-            if not np.all(np.isfinite(v)):
+            if not np.isfinite(v).all():
                 raise SolverError(f"non-finite state at t = {t_next}; "
                                   "the explicit terms likely outran dt")
+            if guard:
+                prev, l2 = l2, math.sqrt(_sq(grid, v))
+                if get_op(t_next).cross is None and l2 > prev * (1.0 + 10 * cfg.cg_tol) + 1e-300:
+                    raise SolverError(f"homogeneous backward-Euler norm grew at t = {t_next}: "
+                                      f"{prev} -> {l2}")
             n += 1
-            row = metrics_row(n, t_next, v, iters)
-            if homogeneous and cfg.scheme == "backward-euler" \
-                    and get_op(t_next).cross is None \
-                    and row.L2 > metrics[-1].L2 * (1.0 + 10 * cfg.cg_tol) + 1e-300:
-                raise SolverError(f"homogeneous backward-Euler norm grew at t = {t_next}: "
-                                  f"{metrics[-1].L2} -> {row.L2}")
-            metrics.append(row)
-            if t_next == T or (cfg.snapshot_every and n % cfg.snapshot_every == 0):
-                times.append(t_next)
-                snapshots.append(v)
+            if record:
+                keep(n, t_next, v, iters)
+    if not record:
+        times, snapshots = [T], [v]
     return Trajectory(grid, times, snapshots, metrics)
+
+
+def final_state(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False) -> np.ndarray:
+    """run(p, grid, cfg, tau, T, v0, homogeneous).final, bit for bit, marched
+    without the metrics rows and the snapshots."""
+    return run(p, grid, cfg, tau, T, v0, homogeneous, record=False).final
 
 
 def run_homogeneous(p, grid, cfg: StepperConfig, tau, T, v0=None) -> Trajectory:
@@ -584,8 +617,7 @@ def mms_convergence(p, exact, grids, dts, scheme="backward-euler", tau=0.0,
     for g in grids:
         cfgS = StepperConfig(dt=dt_spatial, scheme="crank-nicolson",
                              cg_tol=cg_tol)
-        traj = run(pm, g, cfgS, tau, T, at(tau, g.embed()))
-        err = norm_L2(g, traj.final - at(T, g.embed()))
+        err = norm_L2(g, final_state(pm, g, cfgS, tau, T, at(tau, g.embed())) - at(T, g.embed()))
         spatial.append((g.m, err))
     # mesh ratio of each rung: its cell-count ratio, per axis
     spatial_orders = _orders([e for _, e in spatial],
@@ -600,11 +632,11 @@ def mms_convergence(p, exact, grids, dts, scheme="backward-euler", tau=0.0,
     eff = [span / max(1, round(span / dt)) for dt in dts]
     ref_cfg = StepperConfig(dt=min(eff) / 20.0, scheme="crank-nicolson",
                             cg_tol=cg_tol)
-    ref = run(pm, tg, ref_cfg, tau, T, v0).final
+    ref = final_state(pm, tg, ref_cfg, tau, T, v0)
     temporal = []
     for dt in eff:
         cfgT = StepperConfig(dt=dt, scheme=scheme, cg_tol=cg_tol)
-        err = norm_L2(tg, run(pm, tg, cfgT, tau, T, v0).final - ref)
+        err = norm_L2(tg, final_state(pm, tg, cfgT, tau, T, v0) - ref)
         temporal.append((dt, err))
     ratios = [eff[i] / eff[i + 1] for i in range(len(eff) - 1)]
     temporal_orders = _orders([e for _, e in temporal], ratios)

@@ -193,6 +193,20 @@ def test_hoelder_probe_degenerate_convention():
     assert (theta, c) == (1.0, 0.0)
 
 
+def test_probes_take_the_lattice_coefficients_once(monkeypatch):
+    # the check evaluates a on the H1 lattice once and hands it to both
+    # probes; each probe evaluates it itself when called without it
+    m = dg.build_metric(ball_shrink())
+    alone = dg.ellipticity_probe(m), dg.hoelder_probe(m)
+    calls = []
+    eval_a = dg.MetricBundle.eval_a
+    monkeypatch.setattr(dg.MetricBundle, "eval_a",
+                        lambda self, *a: calls.append(a) or eval_a(self, *a))
+    A = m.eval_a(dg.time_grid(), dg.interior_points(m.spec.domain, m.dim))
+    assert (dg.ellipticity_probe(m, A=A), dg.hoelder_probe(m, A=A)) == alone
+    assert len(calls) == 1
+
+
 def test_holder_fit_on_short_time_grids():
     # the fallback lags stay inside the grid; fewer than two gaps report (1, 0)
     m = dg.build_metric(ball_shrink())

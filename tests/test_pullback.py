@@ -14,7 +14,7 @@ from movingdom.problem import assemble
 from movingdom.pullback import (GapReport, PullbackError, absorbing_radius,
                                 cocycle_check, decay_fit, drift_norm,
                                 factorization_probe, pullback_converge)
-from movingdom.solver import StepperConfig, _cg, run_homogeneous
+from movingdom.solver import StepperConfig, _cg, operator_at, run_homogeneous
 
 
 def identity_problem(dim=1, beta=1.0, f=None):
@@ -265,6 +265,50 @@ def test_drift_norm_matches_the_power_iteration_oracle():
             assert est <= abs(h2[0] - h2[1]) * lmax / (h2[2] * lmax + p.beta) * (1 + 1e-12)
 
 
+def operator_loop(p, grid, times):
+    """drift_norm's iteration with the family operators applied and A(r)
+    solved, as it runs for operators without eigenpairs: (estimate, converged)."""
+    ops = [operator_at(p, grid, s) for s in times]
+    start = np.where(np.arange(grid.m) % 2 == 0, 1.0, -1.0)
+    return pullback._power(start, *pullback._operator_maps(grid, *ops))
+
+
+def test_drift_norm_in_the_eigenbasis_is_the_operator_loop(caplog):
+    # where A(t), A(tau) and A(r) share the family's eigenpairs the iteration
+    # runs on the diagonal map; it is the same iteration, so it stops where
+    # the operator loop stops, at the tolerance or (RadialGrid(3, 32)) at the cap
+    sin_t = assemble(_spec(load_config(fixture_path("sin_t"))), beta=1.0)
+    cases = [(sin_t, RadialGrid(3, 64), (0.0, -1.0, 5.0), True),
+             (sin_t, RadialGrid(3, 64), (0.0, -4.0, 5.0), True),
+             (sin_t, RadialGrid(3, 32), (0.0, -1.0, 5.0), False),
+             (stretch_problem(), BoxGrid((1.0, 1.0, 1.0), (6, 5, 4)), (0.0, 0.8, 2.0), True)]
+    for p, g, times, converges in cases:
+        assert all(operator_at(p, g, s).lam is not None for s in times)
+        caplog.clear()
+        est = drift_norm(p, g, times)
+        loop, converged = operator_loop(p, g, times)
+        assert converged == converges
+        assert abs(est - loop) <= 1e-12 * loop
+        assert ("stagnated" in caplog.text) == (not converges)
+    # the stretch box's start misses the top mode: the estimate stays below
+    # the largest |d| = |h2(t) - h2(tau)| lam / (beta + h2(r) lam)
+    p, g, times, _ = cases[-1]
+    A0, h2_of = operator_family(p, g)
+    h2 = h2_of(np.array(times))
+    top = float(np.abs((h2[0] - h2[1]) * A0.lam / (p.beta + h2[2] * A0.lam)).max())
+    assert est == pytest.approx(1.56685, rel=1e-5)
+    assert top == pytest.approx(1.59995, rel=1e-5)
+
+
+def test_drift_norm_zero_map_agrees_with_the_operator_loop():
+    # an autonomous family (h2 = 1) has the zero diagonal map, which both
+    # iterations report as 0 (equal times return before either runs)
+    p, g = identity_problem(), BoxGrid((1.0,), (12,))
+    assert operator_at(p, g, 0.3).lam is not None
+    assert drift_norm(p, g, (0.3, 1.7, 0.9)) == 0.0
+    assert operator_loop(p, g, (0.3, 1.7, 0.9)) == (0.0, True)
+
+
 def test_drift_norm_rejects_cross_terms():
     spec = DiffeoSpec(
         dim=2, domain=BoxDomain((1.0, 1.0)),
@@ -415,3 +459,30 @@ def test_factorization_remainder():
     p0 = identity_problem()
     gb = BoxGrid((1.0,), (8,))
     assert factorization_probe(p0, gb, cfg, -2.0, 0.0, 1.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# which runs pay for per-step metrics
+
+def test_only_the_decay_fit_takes_per_step_metrics(monkeypatch, tmp_path):
+    # sin_t cut as the benchmark's pullback_ball workload cuts it: of its
+    # 1,140 steps only the decay fit's 200 (one seed, horizon 10, dt 0.05)
+    # are read step by step; the ladder, the radius starts, the cocycle and
+    # the factorization march to their final states without metrics rows
+    import configparser
+    from movingdom import solver
+    from movingdom.cli import main
+    calls = []
+    metrics = solver._metrics
+    monkeypatch.setattr(solver, "_metrics", lambda *a: calls.append(a[0]) or metrics(*a))
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read(fixture_path("sin_t"))
+    cp["numerics"]["dt"] = "0.05"
+    cp["experiment"].update({"k_max": "4", "seeds": "1", "radii": "1.0, 100.0",
+                             "radius_k": "2", "drift_gaps": "1.0, 4.0"})
+    cfg = tmp_path / "short.cfg"
+    with open(cfg, "w") as fh:
+        cp.write(fh)
+    assert main(["pullback", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert cp["experiment"]["horizon"] == "10.0"
+    assert len(calls) == 1 * (200 + 1)

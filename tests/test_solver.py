@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from movingdom.cli import _grid, _spec, fixture_path, load_config
 from movingdom.diffeo import build_metric
 from movingdom.problem import assemble
 from movingdom.solver import (SCHEMES, CgError, SolverError,
-                              StepperConfig, _cg, _solve, drift_basis,
-                              mms_convergence, operator_at, run, run_homogeneous)
+                              StepperConfig, _along, _cg, _eigen, _solve, drift_basis,
+                              final_state, mms_convergence, operator_at, run,
+                              run_homogeneous)
 
 
 def identity_problem(dim, domain=None, beta=1.0, f=None):
@@ -216,6 +218,56 @@ def test_direct_box_runs_report_zero_iterations():
         for scheme in SCHEMES:
             traj = run(p, g, StepperConfig(dt=0.01, scheme=scheme), 0.0, 0.05, v0)
             assert all(m.cg_iters == 0 for m in traj.metrics)
+
+
+def test_one_axis_eigen_transform_matches_along():
+    # a radial grid or a 1-D box goes to its eigenbasis and back with one
+    # matmul on the stored Q; _along on the same Q gives the same coordinates
+    cases = [(ball_shrink_problem(), RadialGrid(3, 64)),
+             (stretch_problem((1.3,)), BoxGrid((1.3,), (16,)))]
+    rng = np.random.default_rng(31)
+    for p, g in cases:
+        op = operator_at(p, g, 0.4)
+        (Q,), w = op.vecs, op.root_vol
+        x = rng.normal(size=g.m)
+        for back, want in ((False, _along(x * w, Q.T, 0)), (True, _along(x, Q, 0) / w)):
+            got = _eigen(op, x, back=back)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_indefinite_denominator_raises_at_the_first_solve(monkeypatch, scheme):
+    # 1 + c beta + c h2 lam is not positive for beta = -300 and c = dt or dt/2:
+    # the first solve of the run raises CG's error, with the same text
+    from movingdom import solver
+    solves = []
+    solve = solver._solve
+    monkeypatch.setattr(solver, "_solve",
+                        lambda op, *a, **k: solves.append(op) or solve(op, *a, **k))
+    p = dataclasses.replace(ball_shrink_problem(), beta=-300.0)
+    cfg = StepperConfig(dt=0.01, scheme=scheme)
+    with pytest.raises(CgError, match=r"^eigenvalue -.*: operator is not positive definite$"):
+        final_state(p, RadialGrid(3, 16), cfg, 0.0, 0.1, 1.0, homogeneous=True)
+    assert len(solves) == 1
+
+
+def test_crank_nicolson_solves_share_one_denominator(monkeypatch):
+    # the denominator beta + scale * lam is made once per operator: the
+    # predictor and the corrector solve of a step share it
+    from movingdom import solver
+    built, solved = [], []
+    make = SparseOperator.denominator.func
+    prop = cached_property(lambda op: built.append(op) or make(op))
+    prop.__set_name__(SparseOperator, "denominator")
+    monkeypatch.setattr(SparseOperator, "denominator", prop)
+    solve = solver._solve
+    monkeypatch.setattr(solver, "_solve",
+                        lambda op, *a, **k: solved.append(op) or solve(op, *a, **k))
+    p = ball_shrink_problem(f="sin(u)")   # f of the state: a corrector solve every step
+    cfg = StepperConfig(dt=0.01, scheme="crank-nicolson")
+    final_state(p, RadialGrid(3, 16), cfg, 0.0, 0.1, 1.0)
+    assert len(built) == 10
+    assert solved[0::2] == built and solved[1::2] == built
 
 
 def test_drift_norm_direct_solves_match_cg():
@@ -479,6 +531,59 @@ def test_run_validates_the_state_once(monkeypatch, scheme):
         traj = run(p, g, cfg, 0.0, steps * cfg.dt, v0)
         assert len(traj.metrics) == steps + 1
         assert len(built) == 1
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("homogeneous", [False, True])
+def test_final_state_is_the_last_snapshot_of_run(scheme, homogeneous):
+    # run and final_state share one march: final_state leaves out the
+    # metrics rows and the snapshots, so it ends in run's final state bit for
+    # bit.  An eigenbasis grid, a CG (shear) box, and 600 steps, which cross
+    # a chunk of per-time terms
+    cases = [(ball_shrink_problem(f="sin(u) + sin(t)"), RadialGrid(3, 16), 0.05, 0.0, 0.5),
+             (shear_problem(), BoxGrid((1.0, 1.0), (6, 6)), 0.05, 0.3, 0.6),
+             (ball_shrink_problem(f="sin(t)"), RadialGrid(3, 12), 0.01, -3.0, 3.0)]
+    for p, g, dt, tau, T in cases:
+        cfg = StepperConfig(dt=dt, scheme=scheme, snapshot_every=4)
+        v0 = np.linspace(0.0, 1.0, g.m)
+        want = run(p, g, cfg, tau, T, v0, homogeneous=homogeneous).final
+        got = final_state(p, g, cfg, tau, T, v0, homogeneous=homogeneous)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("march", [run, final_state])
+def test_homogeneous_backward_euler_growth_is_refused(march):
+    # beta < 0 (past assemble's check) makes (I + dt A)^-1 amplify constants,
+    # which a homogeneous backward-Euler run must not do
+    p = dataclasses.replace(ball_shrink_problem(), beta=-1.0)
+    with pytest.raises(SolverError, match="homogeneous backward-Euler norm grew at t = 0.01"):
+        march(p, RadialGrid(3, 12), StepperConfig(dt=0.01), 0.0, 0.1, 1.0, homogeneous=True)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_final_state_validates_once_and_steps_through_advance(monkeypatch, scheme):
+    # one validation, of v0, and one call of the module's _advance per step,
+    # which is what a tracer of the march counts
+    from movingdom import grid as grid_module, solver
+    built, steps = [], []
+    values, advance = grid_module._values, solver._advance
+
+    def counting(grid, data):
+        built.append(data)
+        return values(grid, data)
+
+    for module in (grid_module, solver):
+        monkeypatch.setattr(module, "_values", counting)
+    monkeypatch.setattr(solver, "_advance", lambda *a: steps.append(a[1].m) or advance(*a))
+    p = ball_shrink_problem(f="sin(t)")
+    g = RadialGrid(3, 16)
+    cfg = StepperConfig(dt=0.01, scheme=scheme)
+    for n, v0 in ((10, np.linspace(0.0, 1.0, g.m)), (40, 0.5), (10, None)):
+        built.clear()
+        steps.clear()
+        final_state(p, g, cfg, 0.0, n * cfg.dt, v0)
+        assert len(built) == 1
+        assert steps == [g.m] * n
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
