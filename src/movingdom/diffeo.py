@@ -444,11 +444,15 @@ def check_H4(report: SeparabilityReport) -> H4Report:
 
 def ellipticity_probe(m: MetricBundle, tgrid=None, A=None):
     """Smallest eigenvalue of M(t,y) over the sample set; must be positive.
-    A, when given, is m.eval_a on that set, tgrid x interior_points."""
+    A, when given, is m.eval_a on that set, tgrid x interior_points.  Where
+    every off-diagonal a_jk is the constant 0 the eigenvalues are the
+    diagonal entries, taken as they are; otherwise eigvalsh finds them."""
     tgrid = time_grid() if tgrid is None else np.asarray(tgrid, dtype=float)
     pts = interior_points(m.spec.domain, m.dim)
     A = m.eval_a(tgrid, pts) if A is None else A
-    eig = np.linalg.eigvalsh(A)
+    diagonal = all(isinstance(e, ex.Const) and e.value == 0.0
+                   for j, row in enumerate(m.a) for k, e in enumerate(row) if j != k)
+    eig = np.diagonal(A, axis1=-2, axis2=-1) if diagonal else np.linalg.eigvalsh(A)
     C = float(eig.min())
     if C <= 0:
         it, iy, _ = np.unravel_index(np.argmin(eig), eig.shape)

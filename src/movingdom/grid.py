@@ -250,13 +250,13 @@ def mass(grid, v):
     return float(np.dot(grid.volumes, _values(grid, v)))
 
 
-def _metrics(grid, vals, op):
+def _metrics(grid, vals, scale, a):
     """(L2, H1, mass, boundary flux) of a validated array; the boundary flux
-    takes the coefficients op.scale * op.a at the cell centers."""
+    takes the coefficients scale * a at the cell centers."""
     grads = _gradients(grid, vals)
     sq = _sq(grid, vals)
     return (float(np.sqrt(sq)), _h1(grid, sq, grads), float(np.dot(grid.volumes, vals)),
-            op.scale * _boundary_flux(grid, op.a, grads))
+            scale * _boundary_flux(grid, a, grads))
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +305,6 @@ class SparseOperator:
             out[lo] -= f
             out[hi] += f
         return self.scale * out.ravel() / self.grid.volumes
-
-    @cached_property
-    def denominator(self):
-        """(beta + scale * lam, its smallest entry): the eigenvalues of the
-        implicit part, made once for every solve with this operator."""
-        d = self.beta + self.scale * self.lam
-        return d, float(d.min())
 
     def shifted(self, dt):
         """Operator I + dt * (implicit part), on the same weights and eigenpairs."""

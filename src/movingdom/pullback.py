@@ -15,7 +15,8 @@ import numpy as np
 
 from .grid import _sq, _values, norm_H1, norm_L2
 from .problem import check_H2, check_H3
-from .solver import _denominator, _eigen, _lattice, _solve, operator_at, run, run_homogeneous
+from .solver import (_eigen, _eigenvalues, _lattice, _require_positive, _solve, operator_at, run,
+                     run_homogeneous)
 
 log = logging.getLogger("movingdom.pullback")
 
@@ -28,7 +29,12 @@ class PullbackError(Exception):
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Worst-case exponential envelope ||U(t,tau)v|| <= K e^{-b (t-tau)} ||v||."""
+    """Least-squares fits ||U(t,tau)v|| ~ K_i e^{-b_i (t-tau)} ||v||, one per seed.
+
+    K is the largest fitted intercept ratio K_i and b the smallest rate b_i.
+    K is not an envelope constant: it may be below 1 (0.228 on the default
+    sin_t config), where K e^{-b (t-tau)} ||v|| is below ||v|| at t = tau.
+    """
     K: float
     b: float
     skipped: int
@@ -139,7 +145,9 @@ def _operator_maps(grid, op_t, op_tau, op_r):
 def _eigen_maps(op_t, op_tau, op_r):
     """(B, B*, norm) of drift_norm's iteration in the family's eigenbasis,
     where B = B* is the diagonal (h2(t) - h2(tau)) lam / (beta + h2(r) lam)."""
-    d = (op_t.scale - op_tau.scale) * op_t.lam / _denominator(op_r)
+    denom = _eigenvalues(op_r.beta, op_r.scale, op_r.lam)
+    _require_positive(denom.min())
+    d = (op_t.scale - op_tau.scale) * op_t.lam / denom
 
     def apply(z):
         return d * z

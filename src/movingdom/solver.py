@@ -23,24 +23,27 @@ built once per (metric, grid) next to the operator family and checked to
 over the grid.  Without a family, or where the check fails, b is evaluated
 over the grid at each time, as is a source s(t, y).
 
-Every A(t) comes from `operator_at`.  Under H1 it is the metric's operator
-at t = 0 on the grid (grid.py), the fixed flux S0 (and cross block C0),
-scaled by h2(t): one scalar per time instead of an assembly; a metric
-without that structure is assembled at every time.  `_solve` solves an
-operator that carries the eigenpairs of L0 = S0 / vol (radial grids, 1-D
-and Kronecker-sum boxes) exactly in that eigenbasis: a transform, a
-division by (1 + c beta) + c h2(t) lam and a back transform; it reports 0
-iterations.  On a radial grid or a 1-D box each transform is one matmul
-with the stored Q, and the denominator and its positivity check are made
-once per operator, so crank-nicolson's two solves share them: a solve
-takes about 5 us at 64 cells (16-19 us with the per-call reshapes and
-denominator it replaces; one BLAS thread, 2-vCPU VM).  Other operators
-use Jacobi CG, matrix-free on the face weights, to the relative tolerance
-cg_tol.
+Under H1 every A(t) is the metric's operator at t = 0 on the grid
+(grid.py), the fixed flux S0 (and cross block C0), scaled by h2(t); a
+metric without that structure is assembled at every time.  Where the
+family carries the eigenpairs of L0 = S0 / vol (radial grids, 1-D and
+Kronecker-sum boxes; no cross block then), A(t) = beta + h2(t) L0 is
+diagonal in one fixed eigenbasis and a step makes no operator: from the
+chunk's h2, `_mode_steps` tabulates each step's rows
+N_n = 1 - c (beta + h2(t_n) lam) and D_n = 1 + c (beta + h2(t_n + dt_n) lam),
+c = dt_n / 2 for crank-nicolson (dt_n, and no N, for backward-euler), and
+the step forms (N_n * Q^T v + dt Q^T F) / D_n and transforms it back,
+reusing the rows in the corrector.  A table holds at most _TABLE = 2^15
+values, so larger grids take blocks of fewer steps, down to one row per
+step; one block is held at a time.  On a radial grid or a 1-D box each
+transform is one matmul with the stored Q.  Other operators come from
+`operator_at`, made per time, and are solved by Jacobi CG, matrix-free on
+the face weights, to the relative tolerance cg_tol.
 
-Time marches by accumulation (t_{n+1} = t_n + dt).  Each operator is made
-from its exact time value (the H1 scaling from time 0, never from a run's
-start) and kept for the current step only, and a value at a time does not
+Time marches by accumulation (t_{n+1} = t_n + dt).  Each operator and each
+table row is made from its exact time values (the H1 scaling from time 0,
+never from a run's start) and kept for the current step only (a row for
+its block), and a value at a time does not
 depend on the chunk it is evaluated with, so a run restarted from a stored
 state on the step lattice reproduces the uninterrupted run bit for bit,
 and memory stays flat in the step count.  The final step is
@@ -59,6 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -194,23 +198,36 @@ def _eigen(op, x, back=False):
     return x.ravel()
 
 
-def _denominator(op):
-    """beta + scale * lam of an operator with eigenpairs; CgError, as CG
-    raises it, where an entry is not positive."""
-    denom, low = op.denominator
+def _eigenvalues(shift, scale, lam):
+    """shift + scale * lam: the eigenvalues of shift + scale * L0, one row per
+    entry where shift and scale are arrays of equal length."""
+    d = np.asarray(scale)[..., None] * lam
+    d += np.asarray(shift)[..., None]
+    return d
+
+
+def _require_positive(low):
+    """CgError, as CG raises it, where the smallest eigenvalue low is not positive."""
     if not low > 0:
         raise CgError(f"eigenvalue {low:.3e}: operator is not positive definite")
-    return denom
 
 
 def _solve(op, rhs, tol, x0=None):
-    """op x = rhs: exact in the eigenbasis of an operator that carries one,
-    Jacobi CG from x0 to tol within 10*N iterations otherwise.  Returns
-    (x, CG iterations); a direct solve counts 0.
+    """op x = rhs: (x, CG iterations), a direct solve counting 0.
+
+    op is a SparseOperator, solved by Jacobi CG from x0 to tol within 10*N
+    iterations, or a step's mode row (A0, D, min D) from _mode_steps, with
+    rhs already in A0's eigenbasis: x = Q (rhs / D).  An operator that
+    carries eigenpairs is solved as the row of its own eigenvalues.
     """
-    if op.lam is None:
-        return _cg(op, rhs, tol, x0=x0)
-    return _eigen(op, _eigen(op, rhs) / _denominator(op), back=True), 0
+    if isinstance(op, SparseOperator):
+        if op.lam is None:
+            return _cg(op, rhs, tol, x0=x0)
+        d = _eigenvalues(op.beta, op.scale, op.lam)
+        op, rhs = (op, d, d.min()), _eigen(op, rhs)
+    A0, denom, low = op
+    _require_positive(low)
+    return _eigen(A0, rhs / denom, back=True), 0
 
 
 def operator_at(p, grid, t):
@@ -392,27 +409,81 @@ def _explicit_rhs(p, grid, t, v, cross_op, forcing):
     return out
 
 
-def _advance(p, grid, cfg, t, v, dt, get_op, forcing):
-    """One step from t by dt: (state, CG iterations); forcing is a _forcing
-    holding the step's explicit time, None drops f, drift and source."""
-    t1 = t + dt
-    A1 = get_op(t1)
-    A0 = get_op(t)
+def _advance(p, grid, cfg, t, v, dt, implicit, forcing):
+    """One step from t by dt: (state, CG iterations).
+
+    implicit is the step's (lhs, into, cross_op, base) from _mode_steps or
+    _operator_steps: what `_solve` takes, the map of a grid array into the
+    space of its right-hand side, the operator whose cross block F lags, and
+    for crank-nicolson the map from v to the linear part of that right-hand
+    side.  forcing is a _forcing holding the step's explicit time, None drops
+    f, drift and source.
+    """
+    lhs, into, cross_op, base = implicit
     if cfg.scheme == "backward-euler":
-        F = _explicit_rhs(p, grid, t, v, A0, None if forcing is None else forcing(t))
-        return _solve(A1.shifted(dt), v + dt * F, cfg.cg_tol, v)
+        F = _explicit_rhs(p, grid, t, v, cross_op, None if forcing is None else forcing(t))
+        return _solve(lhs, into(v + dt * F), cfg.cg_tol, v)
     tm = t + 0.5 * dt
-    cross_op = get_op(tm) if A0.cross is not None else A0
     at_tm = None if forcing is None else forcing(tm)
-    base = v - (0.5 * dt) * A0.apply_implicit(v)
-    left = A1.shifted(0.5 * dt)
+    b = base(v)
     F0 = _explicit_rhs(p, grid, tm, v, cross_op, at_tm)
-    v_star, it1 = _solve(left, base + dt * F0, cfg.cg_tol, v)
+    v_star, it1 = _solve(lhs, b + dt * into(F0), cfg.cg_tol, v)
     Fm = _explicit_rhs(p, grid, tm, 0.5 * (v + v_star), cross_op, at_tm)
     if (Fm == F0).all():
         return v_star, it1
-    v_next, it2 = _solve(left, base + dt * Fm, cfg.cg_tol, v_star)
+    v_next, it2 = _solve(lhs, b + dt * into(Fm), cfg.cg_tol, v_star)
     return v_next, it1 + it2
+
+
+def _same(x):
+    return x
+
+
+def _operator_steps(cfg, steps, ops, get_op):
+    """The implicit part of each step (see _advance) from the operators at its
+    times: get_op makes each once into ops, which keeps only the current
+    step's; the one at t_n is the last step's."""
+    cn = cfg.scheme == "crank-nicolson"
+    for t, dt, _ in steps:
+        A0 = get_op(t)
+        ops.clear()
+        ops[t] = A0
+        if not cn:
+            yield get_op(t + dt).shifted(dt), _same, A0, None
+            continue
+        c = 0.5 * dt
+        cross_op = get_op(t + c) if A0.cross is not None else A0
+        yield (get_op(t + dt).shifted(c), _same, cross_op,
+               lambda v, A0=A0, c=c: v - c * A0.apply_implicit(v))
+
+
+_TABLE = 2 ** 15   # values in one table of mode rows; blocks of fewer steps on larger grids
+
+
+def _mode_steps(A0, cfg, steps, h2):
+    """The implicit part of each step (see _advance) in the family's eigenbasis,
+    where every A(t) = beta + h2(t) L0 is diagonal.  From h2, tabulated at the
+    step times, blocks of at most _TABLE values per table give each step its
+    rows D_n = 1 + c (beta + h2(t_n + dt_n) lam) and, for crank-nicolson,
+    N_n = 1 - c (beta + h2(t_n) lam), c = dt_n / 2 (dt_n for backward-euler,
+    whose right-hand side needs no N)."""
+    cn = cfg.scheme == "crank-nicolson"
+    beta, lam = A0.beta, A0.lam
+    into = partial(_eigen, A0)
+    rows = max(1, _TABLE // lam.size)
+    for lo in range(0, len(steps), rows):
+        block = steps[lo:lo + rows]
+        c = np.array([dt for _, dt, _ in block])
+        if cn:
+            c *= 0.5
+        D = _eigenvalues(1.0 + c * beta, c * np.array([h2[t + dt] for t, dt, _ in block]), lam)
+        low = D.min(axis=1)
+        N = _eigenvalues(1.0 - c * beta, -c * np.array([h2[t] for t, _, _ in block]), lam) \
+            if cn else None
+        for j in range(len(block)):
+            yield ((A0, D[j], low[j]), into, A0,
+                   None if N is None else (lambda v, n=N[j]: n * into(v)))
+        del D, N   # before the next block's tables: at most one block is held
 
 
 _CHUNK = 512   # steps whose per-time terms are evaluated together
@@ -460,10 +531,13 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False,
 
     cn = cfg.scheme == "crank-nicolson"
     family = operator_family(p, grid)
-    ops, h2 = {tau: operator_at(p, grid, tau)}, None
+    A0 = None if family is None else family[0]
+    modes = A0 is not None and A0.lam is not None   # no cross block then
+    h2 = None if family is None else _tabulate(family[1], [tau])
+    ops = {}
 
     def get_op(t):
-        # made once per time value from the chunk's h2; earlier steps drop
+        # made once per time value from the chunk's h2; _operator_steps drops earlier ones
         op = ops.get(t)
         if op is None:
             op = ops[t] = _operator(p, grid, t, h2)
@@ -472,7 +546,12 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False,
     times, snapshots, metrics = [], [], []
 
     def keep(n, t, v, iters):
-        metrics.append(StepMetrics(n, t, *_metrics(grid, v, get_op(t)), iters))
+        if modes:
+            scale, a = float(h2[t]), A0.a
+        else:
+            op = get_op(t)
+            scale, a = op.scale, op.a
+        metrics.append(StepMetrics(n, t, *_metrics(grid, v, scale, a), iters))
         if n == 0 or t == T or (cfg.snapshot_every and n % cfg.snapshot_every == 0):
             times.append(t)
             snapshots.append(v)
@@ -486,23 +565,28 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False,
     while steps := list(islice(lattice, _CHUNK)):
         # each per-time term once over the chunk's times it is taken at: h2 at
         # the step ends (and the midpoints, where crank-nicolson takes the
-        # cross block there), the forcing at t_n or the crank-nicolson midpoint
+        # cross block there), the forcing at t_n or the crank-nicolson midpoint;
+        # h2 at the chunk's first t_n is kept from the last chunk
         mids = [t + 0.5 * dt for t, dt, _ in steps]
         ends = [s for t, dt, t_next in steps for s in (t + dt, t_next)]
         if family is not None:
-            h2 = _tabulate(family[1], ends + (mids if cn and family[0].cross is not None else []))
+            t0 = steps[0][0]
+            h2 = {t0: h2[t0], **_tabulate(
+                family[1], ends + (mids if cn and A0.cross is not None else []))}
         forcing = None if homogeneous else \
             _forcing(p, grid, mids if cn else [t for t, _, _ in steps])
+        parts = (_mode_steps(A0, cfg, steps, h2) if modes
+                 else _operator_steps(cfg, steps, ops, get_op))
         for t, dt_step, t_next in steps:
-            # keep only this step's operators: the one at t is reused from the last step
-            ops = {t: ops[t]}
-            v, iters = _advance(p, grid, cfg, t, v, dt_step, get_op, forcing)
+            # the step's rows live only through its call
+            v, iters = _advance(p, grid, cfg, t, v, dt_step, next(parts), forcing)
             if not np.isfinite(v).all():
                 raise SolverError(f"non-finite state at t = {t_next}; "
                                   "the explicit terms likely outran dt")
             if guard:
                 prev, l2 = l2, math.sqrt(_sq(grid, v))
-                if get_op(t_next).cross is None and l2 > prev * (1.0 + 10 * cfg.cg_tol) + 1e-300:
+                if (modes or get_op(t_next).cross is None) and \
+                        l2 > prev * (1.0 + 10 * cfg.cg_tol) + 1e-300:
                     raise SolverError(f"homogeneous backward-Euler norm grew at t = {t_next}: "
                                       f"{prev} -> {l2}")
             n += 1

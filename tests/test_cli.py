@@ -335,6 +335,25 @@ def test_degenerate_map_exits_1(tmp_path):
 # transform
 
 
+def test_subcommands_skip_the_hoelder_probe(tmp_path, monkeypatch):
+    # the probe is report-only: check writes its row, a pullback does not run it
+    def must_not_run(*a, **k):
+        raise AssertionError("hoelder_probe ran outside check")
+
+    monkeypatch.setattr(cli, "hoelder_probe", must_not_run)
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read(fixture_path("sin_t"))
+    cp["numerics"]["dt"] = "0.05"
+    cp["experiment"].update({"k_max": "2", "seeds": "1", "radii": "1.0",
+                             "radius_k": "1", "drift_gaps": "1.0"})
+    cfg = tmp_path / "short.cfg"
+    with open(cfg, "w") as fh:
+        cp.write(fh)
+    assert run_cli(["pullback", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    with pytest.raises(AssertionError, match="outside check"):
+        run_cli(["check", "--config", cfg, "--out", tmp_path / "check"])
+
+
 def test_transform_identity_symbolic(tmp_path):
     assert run_cli(["transform", "--config", fixture_path("identity"),
                     "--out", tmp_path]) == 0

@@ -175,6 +175,27 @@ def test_ellipticity_probe_values():
     assert dg.ellipticity_probe(dg.build_metric(dilation_box())) == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("name", ["ball_shrink", "cubic", "dilation", "identity", "quintic",
+                                  "rotation", "sin_t", "sin_u"])
+def test_ellipticity_on_diagonal_metrics_is_the_smallest_diagonal_entry(monkeypatch, name):
+    # where every off-diagonal a_jk is the constant 0 the probe takes the
+    # diagonal as the eigenvalues, equal to eigvalsh bit for bit on every
+    # such fixture; rotation's a has off-diagonal entries and goes through eigvalsh
+    from movingdom.cli import _spec, fixture_path, load_config
+    m = dg.build_metric(_spec(load_config(fixture_path(name))))
+    A = m.eval_a(dg.time_grid(), dg.interior_points(m.spec.domain, m.dim))
+    eig = np.linalg.eigvalsh(A)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: calls.append(x) or eigvalsh(x))
+    C = dg.ellipticity_probe(m, A=A)
+    assert C == float(eig.min())
+    assert len(calls) == (name == "rotation")
+    if name != "rotation":
+        diagonal = np.sort(np.diagonal(A, axis1=-2, axis2=-1), axis=-1)
+        assert diagonal.tobytes() == eig.tobytes()
+
+
 def test_ellipticity_probe_degenerate_raises():
     spec = dg.parse_diffeo(1, dg.BoxDomain((1.0,)), ["y1/t"], ["t*x1"])
     with pytest.raises(dg.DegenerateDiffeoError):

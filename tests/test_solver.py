@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import tracemalloc
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -252,22 +251,104 @@ def test_indefinite_denominator_raises_at_the_first_solve(monkeypatch, scheme):
 
 
 def test_crank_nicolson_solves_share_one_denominator(monkeypatch):
-    # the denominator beta + scale * lam is made once per operator: the
-    # predictor and the corrector solve of a step share it
+    # under the family the rows D_n = 1 + dt/2 (beta + h2(t_n + dt) lam) are
+    # tabulated once per block of steps: the predictor and the corrector
+    # solve of a step take the same row of the block's one table, and that
+    # row is the eigenvalues of the operator I + dt/2 A(t_n + dt)
     from movingdom import solver
-    built, solved = [], []
-    make = SparseOperator.denominator.func
-    prop = cached_property(lambda op: built.append(op) or make(op))
-    prop.__set_name__(SparseOperator, "denominator")
-    monkeypatch.setattr(SparseOperator, "denominator", prop)
+    tables, solved = [], []
+    eigenvalues = solver._eigenvalues
+    monkeypatch.setattr(solver, "_eigenvalues",
+                        lambda *a: tables.append(eigenvalues(*a)) or tables[-1])
     solve = solver._solve
     monkeypatch.setattr(solver, "_solve",
                         lambda op, *a, **k: solved.append(op) or solve(op, *a, **k))
     p = ball_shrink_problem(f="sin(u)")   # f of the state: a corrector solve every step
+    g = RadialGrid(3, 16)
     cfg = StepperConfig(dt=0.01, scheme="crank-nicolson")
-    final_state(p, RadialGrid(3, 16), cfg, 0.0, 0.1, 1.0)
-    assert len(built) == 10
-    assert solved[0::2] == built and solved[1::2] == built
+    final_state(p, g, cfg, 0.0, 0.1, 1.0)
+    assert len(tables) == 2   # D and N of the run's one block
+    D = tables[0]
+    assert D.shape == (10, g.m) and len(solved) == 20
+    t = 0.0
+    for n, (predictor, corrector) in enumerate(zip(solved[0::2], solved[1::2])):
+        assert predictor is corrector
+        row = predictor[1]
+        assert row.base is D and np.array_equal(row, D[n])
+        op = operator_at(p, g, t + cfg.dt).shifted(0.5 * cfg.dt)
+        assert np.array_equal(row, op.beta + op.scale * op.lam)
+        t += cfg.dt
+
+
+def without_eigenpairs(p, g):
+    """p on a fresh metric whose operator family on g carries no eigenpairs:
+    the march then takes the operator path, with CG solves."""
+    q = dataclasses.replace(p, metric=dataclasses.replace(p.metric, _fns={}), _fns={})
+    A0, h2 = operator_family(q, g)
+    q.metric._fns[("family", g)] = (dataclasses.replace(A0, vecs=None, lam=None, root_vol=1.0),
+                                    h2)
+    return q
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_mode_table_march_matches_the_operator_path(scheme):
+    # the same family with its eigenpairs stripped is marched through
+    # per-time operators and CG at 1e-13; with f(u), the drift and a source
+    # the two marches agree to the CG tolerance
+    cases = [(ball_shrink_problem(), RadialGrid(3, 24), "cos(t) * y1^2"),
+             (stretch_problem((1.0, 1.3, 0.7)), BoxGrid((1.0, 1.3, 0.7), (6, 5, 4)),
+              "cos(t) * y1 * y2 + y3")]
+    for base, g, source in cases:
+        p = assemble(base.metric, beta=1.0, f="sin(u)", source=source)
+        q = without_eigenpairs(p, g)
+        assert operator_family(p, g)[0].lam is not None and operator_family(q, g)[0].lam is None
+        assert len(drift_basis(p, g)[1]) > 0
+        cfg = StepperConfig(dt=0.01, scheme=scheme, cg_tol=1e-13)
+        v0 = np.cos(np.pi * g.centers[:, 0])
+        modes = run(p, g, cfg, -0.3, 0.2, v0)
+        operators = run(q, g, cfg, -0.3, 0.2, v0)
+        assert all(m.cg_iters == 0 for m in modes.metrics)
+        assert all(m.cg_iters > 0 for m in operators.metrics[1:])
+        assert np.abs(modes.final - operators.final).max() <= 1e-10 * np.abs(operators.final).max()
+        for a, b in zip(modes.metrics, operators.metrics):
+            assert a.t == b.t and a.L2 == pytest.approx(b.L2, rel=1e-10)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_cocycle_is_bitwise_across_chunks_and_table_blocks(scheme):
+    # 120 cells give 273 rows per block of tables, so the 600 steps cross two
+    # block boundaries and the chunk boundary at step 512; the legs split at
+    # step 300, inside the second block
+    from movingdom import solver
+    p = assemble(stretch_problem((1.0, 1.3, 0.7)).metric, beta=1.0, f="sin(u)")
+    g = BoxGrid((1.0, 1.3, 0.7), (6, 5, 4))
+    rows = solver._TABLE // g.m
+    assert rows < 300 and 600 < 2 * solver._CHUNK
+    cfg = StepperConfig(dt=0.01, scheme=scheme)
+    v0 = np.cos(np.pi * g.centers[:, 0]) + g.centers[:, 2]
+    assert pullback.cocycle_check(p, g, cfg, 0.0, 3.0, 6.0, v0) == 0.0
+
+
+def test_final_state_makes_no_operator_per_step(monkeypatch):
+    # under the family the steps read table rows: the operators a run makes
+    # (the family's, built once) do not grow with the step count
+    rc = load_config(fixture_path("sin_t"))
+    p = assemble(_spec(rc), beta=rc.beta, f=rc.f)
+    g = _grid(rc)
+    operator_family(p, g)
+    drift_basis(p, g)
+    made = []
+    init = SparseOperator.__init__
+    monkeypatch.setattr(SparseOperator, "__init__",
+                        lambda self, *a, **k: made.append(1) or init(self, *a, **k))
+    for scheme in SCHEMES:
+        counts = []
+        for steps in (10, 600):
+            made.clear()
+            final_state(p, g, StepperConfig(dt=0.005, scheme=scheme), -1.0,
+                        -1.0 + steps * 0.005, 0.5)
+            counts.append(len(made))
+        assert counts[0] == counts[1]
 
 
 def test_drift_norm_direct_solves_match_cg():
