@@ -26,7 +26,7 @@ from .diffeo import (BallDomain, BoxDomain, DegenerateDiffeoError,
                      DiffeoError, boundary_points, build_metric,
                      check_H1, check_H4, ellipticity_probe, hoelder_probe,
                      interior_points, parse_diffeo, time_grid, validate_inverse)
-from .grid import BoxGrid, GridError, RadialGrid, _csv_blocks, write_snapshot
+from .grid import BoxGrid, GridError, RadialGrid, _csv_blocks, on_cells, write_snapshot
 from .problem import ProblemError, assemble, check_H2, check_H3
 from .pullback import (PullbackError, absorbing_radius, cocycle_check, decay_fit,
                        drift_norm, factorization_probe, ladder_steps, pullback_converge)
@@ -343,7 +343,8 @@ def cmd_transform(rc, out, seed=None):
               + [f"b_{k + 1}" for k in range(d)])
     sample_rows = []
     for t in times:
-        cols = [pts, metric.eval_a(t, pts).reshape(len(pts), -1), metric.eval_b(t, pts)]
+        cols = [pts, on_cells(g, metric.eval_a, t, tail=(d * d,)),
+                on_cells(g, metric.eval_b, t, tail=(d,))]
         sample_rows += ([t] + row for row in np.column_stack(cols).tolist())
     write_table(out / "transform_samples.csv", "transform_samples",
                 header, sample_rows)
@@ -383,11 +384,12 @@ def cmd_solve(rc, out, seed=None):
     _write_metrics(out, traj)
 
     fwd = [ex.compiled(c) for c in metric.spec.forward]
-    centers = g.embed()[:, :rc.dim]
+    # x_i on a box's open mesh, broadcast to the grid: each value is formatted once
+    pts = g.mesh if g.kind == "box" else g.embed()
     for idx, (t, snap) in enumerate(zip(traj.times, traj.snapshots)):
         # u is formatted once: the moving table reuses the snapshot's text
         u = write_snapshot(out / f"fixed_{idx:03d}.snap", g, snap, t)
-        env, shape = ex.bind(t, centers)
+        env, shape = ex.bind(t, pts)
         xs = [np.broadcast_to(f(env), shape) for f in fwd]
         write_table(out / f"moving_{idx:03d}.csv", "moving_snapshot",
                     ["t"] + [f"x{i + 1}" for i in range(rc.dim)] + ["u"],
@@ -449,7 +451,7 @@ def cmd_pullback(rc, out, seed=None):
     drift_basis(p, g)
     rng = np.random.default_rng(rng_seed)
     seeds = [rng.normal(size=g.m) for _ in range(n_seeds)]
-    u0 = p.initial_values(g.embed()) if rc.initial is not None else np.zeros(g.m)
+    u0 = on_cells(g, p.initial_values) if rc.initial is not None else np.zeros(g.m)
 
     decay = decay_fit(p, g, cfg, t_star, horizon, seeds)
     drift_rows = [(t_star, t_star - gap, drift_r,

@@ -34,7 +34,7 @@ computed by the same elementwise numpy loops whatever the array around it,
 so a value at a time does not depend on which or how many other times are
 evaluated with it.  simplify() folds constant subtrees through the same
 evaluator.  bind() binds t and y1..yd from a time (or time grid) and a
-point set.
+point set or an open mesh.
 """
 
 from __future__ import annotations
@@ -370,19 +370,20 @@ def compiled(e: Expr, names=None):
 
 
 def bind(t, pts):
-    """(bindings, shape) of t and y1..yd, y_i from column i of pts (m, d).
-
-    A scalar t (a float binding) or None (no t) gives shape (m,); a 1-D array
-    of nt times, broadcast against the points, gives (nt, m).
-    """
-    pts = np.asarray(pts, dtype=float)
+    """(bindings, shape) of t and y1..yd: y_i is column i of the (m, d) points
+    pts, or array i of an open mesh, a tuple of per-axis arrays as np.ix_
+    gives them, so an expression of some axes is evaluated on those alone.
+    A scalar t (a float binding) or None (no t) gives their broadcast shape,
+    (m,) for points; a 1-D array of nt times gives (nt,) + that shape."""
+    cols = [np.asarray(c, dtype=float) for c in pts] if isinstance(pts, tuple) \
+        else np.asarray(pts, dtype=float).T
+    shape = np.broadcast_shapes(*(c.shape for c in cols))
     if t is None or np.ndim(t) == 0:
         env = {} if t is None else {"t": float(t)}
-        cols, shape = pts.T, (len(pts),)
     else:
         t = np.asarray(t, dtype=float)
-        env = {"t": t[:, None]}
-        cols, shape = pts.T[:, None], (len(t), len(pts))
+        env = {"t": t.reshape((-1,) + (1,) * len(shape))}
+        cols, shape = [c[None] for c in cols], (len(t),) + shape
     env.update((f"y{i + 1}", col) for i, col in enumerate(cols))
     return env, shape
 

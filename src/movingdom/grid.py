@@ -4,8 +4,9 @@ Two cell-centered uniform grids: boxes [0,L_1]x...x[0,L_d] for d = 1,2,3,
 and a radially symmetric reduction of the unit ball (cells are spherical
 shells, the first cell center sits at dr/2 so no stencil touches r = 0).
 Both have per-axis `counts` and `spacing`; a field is a flat array of the
-cells in C order of the counts, and every stencil below works on its
-grid-shaped view by numpy slicing.
+cells in C order of the counts, and every stencil works on its grid-shaped
+view by numpy slicing.  Expressions are evaluated over a box's cells on
+its open `mesh`, an entry of some axes on those axes alone (`on_cells`).
 
 assemble_A discretizes A(t)v = -sum_jk d_j(a_jk d_k v) + beta v in flux
 form: every interior face carries a weight, face area times a_face over
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,7 @@ from . import expr as ex
 from .diffeo import BallDomain, interior_points, time_grid
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
+_SLAB = 4096   # cells evaluated at a time, which bounds the memory
 
 
 class GridError(Exception):
@@ -89,10 +91,13 @@ class BoxGrid:
         return tuple(L / n for L, n in zip(self.extents, self.counts))
 
     @cached_property
+    def mesh(self):
+        """Cell centers as an open mesh, np.ix_ of the per-axis centers: `centers` in C order."""
+        return np.ix_(*[(np.arange(n) + 0.5) * h for n, h in zip(self.counts, self.spacing)])
+
+    @cached_property
     def centers(self):
-        axes = [(np.arange(n) + 0.5) * h for n, h in zip(self.counts, self.spacing)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([c.ravel() for c in mesh])
+        return np.column_stack([np.broadcast_to(c, self.counts).ravel() for c in self.mesh])
 
     @cached_property
     def volumes(self):
@@ -100,6 +105,19 @@ class BoxGrid:
 
     def embed(self):
         return self.centers
+
+    def points(self, cells):   # rows `cells` of `centers`, without making the rest
+        at = np.unravel_index(cells, self.counts)
+        return np.column_stack([c.ravel()[i] for c, i in zip(self.mesh, at)])
+
+    def slabs(self):
+        """(cells, mesh) of runs of whole axis-0 layers, at most _SLAB cells (or
+        one layer): a slice of the flat cells and the mesh with axis 0 cut."""
+        layer = self.m // self.counts[0]
+        step = max(1, _SLAB // layer)
+        for lo in range(0, self.counts[0], step):
+            yield (slice(lo * layer, (lo + step) * layer),
+                   (self.mesh[0][lo:lo + step],) + self.mesh[1:])
 
 
 @dataclass(frozen=True)
@@ -147,6 +165,21 @@ class RadialGrid:
         pts = np.zeros((self.n, self.dim))
         pts[:, 0] = self.centers[:, 0]
         return pts
+
+    def points(self, cells):
+        return self.embed()[cells]
+
+    def slabs(self):   # radial grids keep the point path, in one slab
+        yield slice(None), self.embed()
+
+
+def on_cells(grid, fn, *args, tail=()):
+    """fn(*args, points) on each slab (an open mesh on a box), shaped like the
+    slab plus tail, gathered into a (m,) + tail array."""
+    out = np.empty((grid.m,) + tail)
+    for cells, pts in grid.slabs():
+        out[cells] = np.reshape(fn(*args, pts), (-1,) + tail)
+    return out
 
 
 def _values(grid, data):
@@ -322,7 +355,7 @@ def assemble_A(p, grid, t) -> SparseOperator:
     if grid.kind == "box" and p.dim != grid.dim:
         raise GridError(f"problem dimension {p.dim} does not match "
                         f"grid dimension {grid.dim}")
-    a = p.metric.eval_a(t, grid.embed())
+    a = on_cells(grid, p.metric.eval_a, t, tail=(p.dim, p.dim))
     scale = float(np.abs(a).max()) or 1.0
 
     if grid.kind == "radial":
@@ -382,26 +415,30 @@ def operator_family(p, grid):
 
 def _build_family(p, grid):
     def h2(ts):   # one evaluation of a_00 at y* over the array of times
-        env, shape = ex.bind(ts, grid.embed()[ref:ref + 1])
-        return np.broadcast_to(a00(env), shape)[:, 0] / a0[ref, 0, 0]
+        env, shape = ex.bind(ts, grid.points([ref]))
+        return np.broadcast_to(fns[0](env), shape)[:, 0] / a0[ref, 0, 0]
 
-    def pairs():   # (a, h2 a0) in blocks of times and cells that bound the memory
-        pts = interior_points(p.domain, p.dim)
-        a0_pts = p.metric.eval_a(0.0, pts)
-        for ts in np.array_split(time_grid(), 8):
-            yield p.metric.eval_a(ts, pts), np.multiply.outer(h2(ts), a0_pts)
-        probes = np.array([-16.0, -4.0, -1.0, 1.0, 4.0])
-        for t, h in zip(probes, h2(probes)):
-            for c in np.array_split(np.arange(grid.m), -(-grid.m // 4096)):
-                yield p.metric.eval_a(t, grid.embed()[c]), h * a0[c]
+    def gaps(pts, ts):   # max |a - h2 a0| and max |a| over pts at each time, a_jk at its own shape
+        env, env0 = ex.bind(ts, pts)[0], ex.bind(0.0, pts)[0]
+        h = h2(ts).reshape(env["t"].shape)
+        out = np.zeros((2, len(ts)))
+        for fn in fns:   # each value is 0-d or has the time axis first
+            a = fn(env)
+            for row, x in zip(out, (a - h * fn(env0), a)):
+                np.maximum(row, np.abs(x).max(axis=tuple(range(1, np.ndim(x)))), out=row)
+        return out
 
-    # a family only if a(t) = h2(t) a0 to 1e-13 on the H1 samples and on the grid
+    # a family if a(t) = h2(t) a0 to 1e-13 per block of H1 times, and per probe and slab
+    fns = [p.metric._fn(("a", j, k), p.metric.a[j][k]) for j in range(p.dim) for k in range(p.dim)]
+    probes = np.array([-16.0, -4.0, -1.0, 1.0, 4.0])
     try:
         base = assemble_A(p, grid, 0.0)   # GridError for the grids assemble_A rejects
         a0 = base.a
         ref = int(np.argmax(np.abs(a0[:, 0, 0])))
-        a00 = p.metric._fn(("a", 0, 0), p.metric.a[0][0])
-        if not all(np.abs(a - b).max() <= 1e-13 * np.abs(a).max() for a, b in pairs()):
+        lattice = gaps(interior_points(p.domain, p.dim), time_grid())
+        blocks = chain((b.max(axis=1) for b in np.array_split(lattice, 8, axis=1)),
+                       chain.from_iterable(gaps(mesh, probes).T for _, mesh in grid.slabs()))
+        if not all(gap <= 1e-13 * top for gap, top in blocks):
             return None
     except ex.EvalError:   # a is undefined at t = 0 or at a sampled time
         return None
@@ -445,27 +482,41 @@ _BLOCK = 512   # rows formatted at a time, which bounds the strings held
 
 
 def _csv_blocks(cols):
-    """CSV text of equal-length columns in blocks of _BLOCK rows, each block
-    ending in a newline.  A column is a str, the same cell on every row; a
-    float64 array; or a list of the texts _csv_blocks gave for one column of
-    the same length, which are reused as they are.  At least one column is an
-    array.  Each distinct value of a block is formatted once, by repr, and
-    values are told apart by bit pattern, so -0.0 and 0.0 stay apart."""
-    n = min(len(c) for c in cols if isinstance(c, np.ndarray))
+    """CSV text of the columns in blocks of _BLOCK rows, each ending in a
+    newline.  A column is a str, the same cell on every row; a float64 array;
+    or a list of the texts _csv_blocks gave for one column of the same length,
+    reused as they are.  The arrays, at least one, broadcast to the table's
+    grid shape, whose cells in C order are the rows.  Values are formatted by
+    repr, told apart by bit pattern (-0.0 and 0.0 stay apart): each distinct
+    value of a block once, and each element a broadcast array holds once."""
+    shape = np.broadcast_shapes(*(c.shape for c in cols if isinstance(c, np.ndarray)))
+    n = int(np.prod(shape))
+    cols = [_spread(c, shape) if isinstance(c, np.ndarray) else c for c in cols]
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        cells = []
+        cells, at = [], np.unravel_index(np.arange(lo, hi), shape)   # the block's cells
         for c in cols:
             if isinstance(c, str):
                 cells.append(repeat(c, hi - lo))
-                continue
-            if isinstance(c, list):
+            elif isinstance(c, list):
                 cells.append(c[lo // _BLOCK].splitlines())
-                continue
-            bits, inv = np.unique(c[lo:hi].view(np.int64), return_inverse=True)
-            text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-            cells.append(text[inv].tolist())
+            elif c.dtype == object:   # texts of a broadcast array
+                cells.append(c[at].tolist())
+            else:
+                bits, inv = np.unique(c[lo:hi].view(np.int64), return_inverse=True)
+                text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+                cells.append(text[inv].tolist())
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _spread(c, shape):
+    """c flat if it holds every cell of shape, else its own elements' texts, broadcast."""
+    c = np.broadcast_to(c, shape)
+    own = c[tuple(slice(None) if s else slice(0, 1) for s in c.strides)]
+    if own.size == c.size:
+        return c.reshape(-1)
+    return np.broadcast_to(np.array(list(map(repr, own.ravel().tolist())), dtype=object)
+                           .reshape(own.shape), shape)
 
 
 def write_snapshot(path, grid, values, time):

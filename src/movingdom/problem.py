@@ -78,10 +78,10 @@ class TransformedProblem:
                                np.shape(u)).copy()
 
     def _at(self, key, e, t, pts):
-        """e at time t (None: e has no t) over pts, one value per point."""
-        if e is None:
-            return np.zeros(len(pts))
+        """e at time t (None: e has no t) over pts (see expr.bind), 0 if e is None."""
         env, shape = ex.bind(t, pts)
+        if e is None:
+            return np.zeros(shape)
         return np.broadcast_to(self._fn(key, e, tuple(env))(env), shape).copy()
 
     def source_values(self, t, pts):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _sq, _values, norm_H1, norm_L2
+from .grid import _sq, _values, norm_H1, norm_L2, operator_family
 from .problem import check_H2, check_H3
 from .solver import (_eigen, _eigenvalues, _lattice, _require_positive, _solve, operator_at, run,
                      run_homogeneous)
@@ -93,34 +93,37 @@ def drift_norm(p, grid, times) -> float:
     """Spectral-norm estimate of (A_h(t) - A_h(tau)) A_h(r)^-1.
 
     Power iteration (tol 1e-8, at most 200 steps) on the normal operator in
-    the vol-weighted inner product.  The operators are the stepper's, from
-    `operator_at`: the metric's H1 operator scaled to each time where it has
-    one, assembled otherwise.  Without a cross block each is its implicit
-    part.  Where all three carry the family's eigenpairs, the map is the
-    diagonal (h2(t) - h2(tau)) lam / (beta + h2(r) lam) in the eigenbasis,
-    and the iteration runs there on the transformed start; otherwise the
-    operators are applied and A_h(r) is inverted through `_solve`, exact
-    where it carries eigenpairs and conjugate gradients (tol 1e-12) else.
-    Both are the same iteration, so they stop at the same estimate.  It is
-    a Rayleigh quotient, so it never exceeds the true norm; operators with
+    the vol-weighted inner product.  Where the metric's operator family has
+    eigenpairs, the map is the diagonal (h2(t) - h2(tau)) lam / (beta +
+    h2(r) lam) in its eigenbasis, h2 at the three times from one call of the
+    family's h2, and the iteration runs there on the transformed start.
+    Otherwise the operators from `operator_at`, each its implicit part, are
+    applied and A_h(r) is inverted by conjugate gradients (tol 1e-12).
+    Both are the same iteration, so they stop at the same estimate.  It is a
+    Rayleigh quotient, so it never exceeds the true norm; operators with
     clustered top singular values may stop at the iteration cap instead of
-    the tolerance, which is logged, and the stop test is scale-invariant,
-    so ratios of estimates across times stay exact even then.
+    the tolerance, which is logged, and the stop test is scale-invariant, so
+    ratios of estimates across times stay exact even then.
     """
     t, tau, r = times
     if t == tau:
         return 0.0
-    ops = op_t, op_tau, op_r = [operator_at(p, grid, s) for s in times]
-    if any(o.cross is not None for o in ops):
-        raise PullbackError("drift_norm requires diagonal diffusion "
-                            "(no explicit cross-derivative block)")
     # start from the highest-frequency sign pattern: the drift operator
     # annihilates constants, so a flat start would report 0
     x = np.where(np.arange(grid.m) % 2 == 0, 1.0, -1.0)
-    if all(o.lam is not None for o in ops):
-        est, done = _power(_eigen(op_r, x), *_eigen_maps(op_t, op_tau, op_r))
+    family = operator_family(p, grid)
+    if family is not None and family[0].lam is not None:
+        A0, h = family[0], family[1](np.array(times))   # h2 at (t, tau, r)
+        denom = _eigenvalues(p.beta, h[2], A0.lam)
+        _require_positive(denom.min())
+        d = (h[0] - h[1]) * A0.lam / denom   # B = B*, diagonal in the eigenbasis
+        est, done = _power(_eigen(A0, x), d.__mul__, d.__mul__, lambda z: math.sqrt(z.dot(z)))
     else:
-        est, done = _power(x, *_operator_maps(grid, op_t, op_tau, op_r))
+        ops = [operator_at(p, grid, s) for s in times]
+        if any(o.cross is not None for o in ops):
+            raise PullbackError("drift_norm requires diagonal diffusion "
+                                "(no explicit cross-derivative block)")
+        est, done = _power(x, *_operator_maps(grid, *ops))
     if not done:
         log.warning("drift_norm power iteration stagnated at %.6e "
                     "(t=%s, tau=%s, r=%s)", est, t, tau, r)
@@ -140,19 +143,6 @@ def _operator_maps(grid, op_t, op_tau, op_r):
         return math.sqrt(_sq(grid, v))
 
     return lambda x: drift(inverse(x)), lambda bx: inverse(drift(bx)), norm
-
-
-def _eigen_maps(op_t, op_tau, op_r):
-    """(B, B*, norm) of drift_norm's iteration in the family's eigenbasis,
-    where B = B* is the diagonal (h2(t) - h2(tau)) lam / (beta + h2(r) lam)."""
-    denom = _eigenvalues(op_r.beta, op_r.scale, op_r.lam)
-    _require_positive(denom.min())
-    d = (op_t.scale - op_tau.scale) * op_t.lam / denom
-
-    def apply(z):
-        return d * z
-
-    return apply, apply, lambda z: math.sqrt(z.dot(z))
 
 
 def _power(x, apply, adjoint, norm):

@@ -21,7 +21,7 @@ most d + 2 fields of y; `drift_basis` keeps r snapshot fields of b on the grid,
 built once per (metric, grid) next to the operator family and checked to
 1e-13, so a time costs b at r pivots and one r x r product instead of b
 over the grid.  Without a family, or where the check fails, b is evaluated
-over the grid at each time, as is a source s(t, y).
+over the grid (grid.on_cells) at each time, as is a source s(t, y).
 
 Under H1 every A(t) is the metric's operator at t = 0 on the grid
 (grid.py), the fixed flux S0 (and cross block C0), scaled by h2(t); a
@@ -70,7 +70,7 @@ import numpy as np
 from . import expr as ex
 from .diffeo import boundary_points, interior_points, time_grid
 from .grid import (SparseOperator, _diagonal, _gradients, _metrics, _sq, _values, assemble_A,
-                   norm_L2, operator_family)
+                   norm_L2, on_cells, operator_family)
 
 
 class SolverError(Exception):
@@ -257,22 +257,20 @@ def _tabulate(fn, times):
 # the drift as a few fixed fields times per-time scalars
 
 def _by_axis(grid, b):
-    """The drift b, shaped (cells, d), as the stepper uses it: one row per grid
-    axis.  A radial grid keeps only the radial component, which must carry the
-    whole field."""
-    if grid.kind == "radial" and b.shape[1] > 1 and \
-            np.abs(b[:, 1:]).max() > 1e-9 * (1.0 + np.abs(b[:, 0]).max()):
-        raise SolverError("radial grid requires a radial drift field")
-    return b.T[:len(grid.counts)]
+    """The drift b at some times, shaped (times, cells, d), as the stepper uses
+    it: one row per grid axis.  A radial grid keeps only the radial component,
+    which must carry the whole field at each time."""
+    if grid.kind == "radial" and b.shape[2] > 1:
+        side, radial = np.abs(b[..., 1:]).max(axis=(1, 2)), np.abs(b[..., 0]).max(axis=1)
+        if (side > 1e-9 * (1.0 + radial)).any():
+            raise SolverError("radial grid requires a radial drift field")
+    return b.transpose(0, 2, 1)[:, :len(grid.counts)]
 
 
-def _drift_on(p, grid, t):
-    """(cells, drift by axis) of p at time t on grid, in blocks of cells that
-    bound the memory."""
-    pts = grid.embed()
-    for lo in range(0, grid.m, 4096):
-        c = slice(lo, lo + 4096)
-        yield c, _by_axis(grid, p.metric.eval_b(t, pts[c]))
+def _drift_on(p, grid, ts):
+    """(cells, drift by axis at each time of ts, none if empty) of p on grid, slab by slab."""
+    for c, pts in grid.slabs() if len(ts) else ():
+        yield c, _by_axis(grid, p.metric.eval_b(ts, pts).reshape(len(ts), -1, p.dim))
 
 
 def drift_basis(p, grid):
@@ -323,9 +321,8 @@ def _build_drift(p, grid):
     del res
     r, axes = len(rows), len(grid.counts)
     fields = np.empty((r, axes, grid.m))
-    for i, t in enumerate(ts[rows]):
-        for c, b in _drift_on(p, grid, t):
-            fields[i][:, c] = b
+    for c, b in _drift_on(p, grid, ts[rows]):
+        fields[:, :, c] = b
     flat = fields.reshape(r, axes * grid.m)
     # DEIM: each pivot where the next field is worst fitted from the earlier pivots
     pivots = []
@@ -335,7 +332,7 @@ def _build_drift(p, grid):
         pivots.append(int(np.argmax(np.abs(miss, out=miss))))
     inverse = np.linalg.inv(flat[:, pivots])
     axis, cell = np.divmod(np.array(pivots, dtype=int), grid.m)
-    pts = grid.embed()[cell]
+    pts = grid.points(cell)
 
     def coefficients(ts):   # b at the pivots, each b_k over the array of times
         env, shape = ex.bind(ts, pts)
@@ -346,13 +343,13 @@ def _build_drift(p, grid):
         if not np.abs(g @ lattice[rows] - b).max() <= 1e-13 * np.abs(b).max():
             return None
     probes = np.array([-1.5, 0.5])   # times off the H1 lattice
-    for t, g in zip(probes, coefficients(probes)):
-        err = top = 0.0
-        for c, b in _drift_on(p, grid, t):
-            err = max(err, float(np.abs(np.tensordot(g, fields[:, :, c], 1) - b).max()))
-            top = max(top, float(np.abs(b).max()))
-        if not err <= 1e-13 * top:
-            return None
+    g, err, top = coefficients(probes), np.zeros(2), np.zeros(2)
+    for c, b in _drift_on(p, grid, probes):   # each time's fit, as a time alone
+        fit = np.stack([np.tensordot(gi, fields[:, :, c], 1) for gi in g])
+        np.maximum(err, np.abs(fit - b).max(axis=(1, 2)), out=err)
+        np.maximum(top, np.abs(b).max(axis=(1, 2)), out=top)
+    if not (err <= 1e-13 * top).all():
+        return None
     return coefficients, fields
 
 
@@ -379,10 +376,10 @@ def _forcing(p, grid, times):
 
     def at(t):
         if basis is None:
-            drift = np.ones(1), _by_axis(grid, p.metric.eval_b(t, grid.embed()))[None]
+            drift = np.ones(1), np.concatenate([b for _, b in _drift_on(p, grid, [t])], -1)
         else:
             drift = None if g is None else (g[t], basis[1])
-        source = p.source_values(t, grid.embed()) if p.source is not None else None
+        source = on_cells(grid, p.source_values, t) if p.source is not None else None
         if f_t is not None:
             source = f_t[t] if source is None else source + f_t[t]
         return drift, source
@@ -521,7 +518,7 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False,
     tau, T = float(tau), float(T)
     if not tau <= T:
         raise SolverError(f"need tau <= T, got [{tau}, {T}]")
-    v = _values(grid, p.initial_values(grid.embed()) if v0 is None else v0)
+    v = _values(grid, on_cells(grid, p.initial_values) if v0 is None else v0)
     if not homogeneous:
         lip = p.lipschitz_sup()
         if cfg.dt * lip > 0.5:
@@ -699,17 +696,16 @@ def mms_convergence(p, exact, grids, dts, scheme="backward-euler", tau=0.0,
 
     spatial = []
     for g in grids:
-        cfgS = StepperConfig(dt=dt_spatial, scheme="crank-nicolson",
-                             cg_tol=cg_tol)
-        err = norm_L2(g, final_state(pm, g, cfgS, tau, T, at(tau, g.embed())) - at(T, g.embed()))
-        spatial.append((g.m, err))
+        cfgS = StepperConfig(dt=dt_spatial, scheme="crank-nicolson", cg_tol=cg_tol)
+        v = final_state(pm, g, cfgS, tau, T, on_cells(g, at, tau))
+        spatial.append((g.m, norm_L2(g, v - on_cells(g, at, T))))
     # mesh ratio of each rung: its cell-count ratio, per axis
     spatial_orders = _orders([e for _, e in spatial],
                              [(g1.m / g0.m) ** (1 / len(g0.counts))
                               for g0, g1 in zip(grids, grids[1:])])
 
     tg = grids[-1]
-    v0 = at(tau, tg.embed())
+    v0 = on_cells(tg, at, tau)
     span = T - tau
     # Snap each dt so it divides the horizon evenly: a leftover partial
     # step shrinks the final-step error and skews the observed order.

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from movingdom import expr as ex
 from movingdom.diffeo import BallDomain, BoxDomain, DiffeoSpec
 from movingdom.grid import (BoxGrid, GridError, RadialGrid, SparseOperator, _boundary_flux,
                             _gradients, _values, assemble_A, inner, mass, norm_H1,
-                            norm_L2, read_snapshot, write_snapshot)
+                            norm_L2, on_cells, read_snapshot, write_snapshot)
 from movingdom.problem import assemble
 
 
@@ -466,3 +467,94 @@ def test_snapshot_rejects_other_files(tmp_path):
     path.write_text("hello\n")
     with pytest.raises(GridError, match="not a snapshot"):
         read_snapshot(path)
+
+
+# ---------------------------------------------------------------------------
+# evaluation on a box's open mesh
+
+def coupled_problem(dim):
+    """Per-axis stretches, with y1's scaled by 1 + 0.2 y2^2 for d >= 2, so
+    a_11, a_12, b_1 and x1 depend on t, y1 and y2 together; with an
+    initial value and a manufactured source of every axis."""
+    from movingdom.solver import manufactured_source
+    s = "(exp(0 - t^2) + 1)"
+    fwd = [f"(y{i} + 0.25 * y{i}^2) / {s}" for i in range(1, dim + 1)]
+    inv = [f"2 * (sqrt(1 + x{i} * {s}) - 1)" for i in range(1, dim + 1)]
+    if dim >= 2:
+        fwd[0], inv[0] = f"y1 * (1 + 0.2 * y2^2) / {s}", f"x1 * {s} / (1 + 0.2 * x2^2)"
+    spec = DiffeoSpec(dim=dim, domain=BoxDomain((1.0,) * dim),
+                      forward=tuple(map(ex.parse, fwd)), inverse=tuple(map(ex.parse, inv)))
+    terms = [f"cos({k + 1.5} * y{k + 1})" for k in range(dim)]
+    p = assemble(spec, beta=1.0, initial=" * ".join(terms) + " + y1^2")
+    exact = ex.parse("exp(0 - t) * " + " * ".join(terms))
+    return dataclasses.replace(p, source=manufactured_source(p, exact), _fns={})
+
+
+COUPLED = {d: coupled_problem(d) for d in (1, 2, 3)}
+
+
+def mesh_and_center_values(p, g, t):
+    """(what, values on the open mesh, values at the full centers) of every
+    expression the program evaluates over a box's cells, at t or at the
+    times (t, t / 3 - 1)."""
+    d, c = p.dim, g.centers
+    yield "a", on_cells(g, p.metric.eval_a, t, tail=(d, d)), p.metric.eval_a(t, c)
+    yield "b", on_cells(g, p.metric.eval_b, t, tail=(d,)), p.metric.eval_b(t, c)
+    ts = np.array([t, t / 3 - 1])
+    yield "a(ts)", p.metric.eval_a(ts, g.mesh).reshape(2, g.m, d, d), p.metric.eval_a(ts, c)
+    for i, e in enumerate(p.metric.spec.forward):
+        fn = ex.compiled(e)
+        on_mesh = np.broadcast_to(fn(ex.bind(t, g.mesh)[0]), g.counts).ravel()
+        yield f"x{i + 1}", on_mesh, np.broadcast_to(fn(ex.bind(t, c)[0]), (g.m,))
+    if p.initial is not None:
+        yield "initial", on_cells(g, p.initial_values), p.initial_values(c)
+    if p.source is not None:
+        yield "source", on_cells(g, p.source_values, t), p.source_values(t, c)
+
+
+def assert_bitwise_equal(p, g, t):
+    for what, on_mesh, at_centers in mesh_and_center_values(p, g, t):
+        assert on_mesh.shape == at_centers.shape, what
+        assert np.ascontiguousarray(on_mesh).tobytes() == \
+            np.ascontiguousarray(at_centers).tobytes(), what
+
+
+@pytest.mark.parametrize("name", ["identity", "rotation", "coupled_32cubed"])
+def test_open_mesh_evaluation_is_the_full_center_evaluation(name):
+    # every bundled box fixture (rotation's a, b and x couple both axes), and
+    # a 3-D map at 32^3, whose 8 slabs are its layers of 4096 cells
+    from movingdom.cli import _grid, _spec, fixture_path, load_config
+    if name == "coupled_32cubed":
+        p, g = COUPLED[3], BoxGrid((1.0, 1.0, 1.0), (32, 32, 32))
+        assert len(list(g.slabs())) == 8
+    else:
+        rc = load_config(fixture_path(name))
+        p, g = assemble(_spec(rc), beta=rc.beta, f=rc.f, initial=rc.initial), _grid(rc)
+    for t in (-1.3, 0.0, 0.7):
+        assert_bitwise_equal(p, g, t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(counts=st.one_of(st.tuples(st.integers(3, 9000)),
+                        st.tuples(st.integers(3, 90), st.integers(3, 90)),
+                        st.tuples(st.integers(3, 5), st.integers(3, 2000)),
+                        st.tuples(st.integers(3, 20), st.integers(3, 20), st.integers(3, 20))),
+       extents=st.lists(st.floats(0.25, 4.0), min_size=3, max_size=3),
+       t=st.floats(-3.0, 3.0))
+def test_open_mesh_evaluation_on_random_boxes(counts, extents, t):
+    # slabs of whole axis-0 layers, several of them above 4096 cells and a
+    # single layer each where a layer is larger (3 x 2000 and up)
+    g = BoxGrid(extents[:len(counts)], counts)
+    slabs = list(g.slabs())
+    assert [c.start for c, _ in slabs] == [0] + [c.stop for c, _ in slabs[:-1]]
+    assert min(slabs[-1][0].stop, g.m) == g.m
+    layer = g.m // counts[0]
+    assert all(c.stop - c.start <= max(layer, 4096) for c, _ in slabs)
+    assert_bitwise_equal(COUPLED[len(counts)], g, t)
+
+
+def test_mesh_points_are_the_center_rows():
+    g = BoxGrid((1.0, 2.0, 0.5), (5, 4, 3))
+    cells = np.array([0, 7, 59, 31])
+    assert np.array_equal(g.points(cells), g.centers[cells])
+    assert np.array_equal(np.broadcast_to(g.mesh[1], g.counts).ravel(), g.centers[:, 1])

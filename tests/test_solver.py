@@ -443,6 +443,49 @@ def test_non_separable_metrics_assemble_every_step(monkeypatch):
         assert pullback.cocycle_check(q, g, cn, -0.2, -0.1, 0.0, v0) == 0.0
 
 
+def test_a_map_off_separable_only_between_the_h1_samples_gets_no_family():
+    # x1 = y1 m(t, y2), m = (1 + (y2 - c)^2 / 4)(1 + 1e-9 t sin(22 pi y2)^2),
+    # c = 1/22.  The sine vanishes at the H1 lattice's y2 = (2k + 1) / 22 and
+    # at c, where a0_11 peaks, so h2 = 1, H1 passes and so do the lattice
+    # blocks of the family guard; at the grid's other y2, a(t) leaves a0 by
+    # about 1e-8, which only the guard's grid blocks see
+    c = repr(1 / 22)
+    m = "((1 + 0.25 * ({0}2 - %s)^2) * (1 + 1e-9 * t * sin(69.11503837897544 * {0}2)^2))" % c
+    spec = DiffeoSpec(dim=2, domain=BoxDomain((1.0, 1.0)),
+                      forward=(ex.parse(f"y1 * {m.format('y')}"), ex.parse("y2")),
+                      inverse=(ex.parse(f"x1 / {m.format('x')}"), ex.parse("x2")))
+    p = assemble(spec, beta=1.0)
+    from movingdom.diffeo import check_H1
+    h1 = check_H1(p.metric)
+    assert h1.passed and h1.residual <= 1e-6
+    # every y2 of the grid on the lattice's: every block passes
+    assert operator_family(p, BoxGrid((1.0, 1.0), (8, 11))) is not None
+    # y2 = (2j + 1) / 66 and (2j + 1) / 9966 hold c and other values: one
+    # slab, and slabs of one layer
+    for counts in ((8, 33), (3, 4983)):
+        g = BoxGrid((1.0, 1.0), counts)
+        A0 = assemble_A(p, g, 0.0)
+        ref = int(np.argmax(np.abs(A0.a[:, 0, 0])))
+        assert abs(g.centers[ref, 1] - 1 / 22) <= 1e-15
+        assert operator_family(p, g) is None and drift_basis(p, g) is None
+
+
+def test_family_and_drift_basis_build_on_32_cubed_stays_below_the_chunked_peak():
+    # the solve_box3d map: the guards evaluate each entry at its own shape and
+    # index no centers, so the build peaks below the 7.96 MiB (5.79 MiB kept)
+    # that the build evaluating every cell by index took
+    p, g = stretch_problem(), BoxGrid((1.0, 1.0, 1.0), (32, 32, 32))
+    tracemalloc.start()
+    try:
+        assert drift_basis(p, g) is not None
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert operator_family(p, g)[0].lam is not None
+    assert peak <= 7.96 * 2**20, peak / 2**20
+    assert kept <= 5.79 * 2**20, kept / 2**20
+
+
 def test_coefficients_undefined_at_time_zero_are_assembled_per_step():
     # the family is built at t = 0; a map singular there still runs elsewhere
     spec = DiffeoSpec(dim=1, domain=BoxDomain((1.0,)),

@@ -208,3 +208,61 @@ def test_writing_a_32_cubed_snapshot_pair_stays_below_3_mib(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "moving.csv").stat().st_size > 2_000_000
     assert peak <= 3 * 2**20, peak
+
+
+def broadcast_cases():
+    # columns shaped to broadcast over a table's grid, as x_i on an open mesh;
+    # cell counts that are and are not multiples of _BLOCK
+    rng = np.random.default_rng(11)
+    for counts in [(7,), (2 * _BLOCK + 3,), (_BLOCK, 2), (33, 17), (10, 9, 8), (4, 8, 16)]:
+        axes = np.ix_(*[rng.normal(size=n) * 10.0 ** rng.integers(-5, 5, n) for n in counts])
+        axes[0].flat[::2] = rng.choice(SPECIALS, size=axes[0].flat[::2].shape)
+        cols = ["0.5"] + list(axes) + [rng.normal(size=counts)]   # a full-size array too
+        if len(counts) > 1:   # a column of two axes, and a full-size array in F order
+            cols += [axes[0] * axes[-1], np.asfortranarray(rng.integers(-2, 2, counts) / 4.0)]
+        yield counts, cols + [np.asarray(-0.0)]
+
+
+@pytest.mark.parametrize("counts, cols", list(broadcast_cases()),
+                         ids=["x".join(map(str, c)) for c, _ in broadcast_cases()])
+def test_broadcast_columns_write_as_their_materialized_columns(counts, cols):
+    flat = [c if isinstance(c, str) else np.broadcast_to(c, counts).ravel() for c in cols]
+    text = "".join(_csv_blocks(cols))
+    assert first_difference(text, oracle_rows(flat)) is None
+    assert text == "".join(_csv_blocks(flat))
+    # a broadcast column beside block texts standing in for a flat one
+    texts = list(_csv_blocks([flat[-2]]))
+    assert "".join(_csv_blocks(cols[:-2] + [texts])) == "".join(_csv_blocks(flat[:-2] + [texts]))
+
+
+def test_a_broadcast_column_is_formatted_once_per_element(monkeypatch):
+    # x_i on a 32^3 open mesh holds 32 values: formatting it takes 32 reprs
+    calls = []
+    g = BoxGrid((1.0, 1.0, 1.0), (32, 32, 32))
+    xs = [np.broadcast_to(c * 1.5, g.counts) for c in g.mesh]
+    real = repr
+
+    def counting(v):
+        calls.append(v)
+        return real(v)
+
+    monkeypatch.setattr(grid, "repr", counting, raising=False)
+    blocks = list(_csv_blocks(["0.1"] + xs))
+    assert len(calls) == 3 * 32 and len(blocks) == g.m // _BLOCK
+
+
+def test_writing_a_32_cubed_table_of_mesh_columns_stays_below_3_mib(tmp_path):
+    # as `solve` writes it: x_i broadcast from the open mesh, u as block texts
+    g = BoxGrid((1.0, 1.0, 1.0), (32, 32, 32))
+    values = np.random.default_rng(5).normal(size=g.m)
+    tracemalloc.start()
+    try:
+        u = write_snapshot(tmp_path / "fixed.snap", g, values, 0.08)
+        xs = [np.broadcast_to(c * (1.0 + 0.25 * c) / 1.5, g.counts) for c in g.mesh]
+        cli.write_table(tmp_path / "moving.csv", "moving_snapshot", ["t", "x1", "x2", "x3", "u"],
+                        columns=[repr(0.08)] + xs + [u])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "moving.csv").stat().st_size > 2_000_000
+    assert peak <= 3 * 2**20, peak
