@@ -337,17 +337,17 @@ def cmd_transform(rc, out, seed=None):
     write_table(out / "transform_symbolic.csv", "transform_symbolic",
                 ("entry", "expression"), rows)
 
-    pts = g.embed()[:, :d]
     header = (["t"] + [f"y{i + 1}" for i in range(d)]
               + [f"a_{j + 1}{k + 1}" for j in range(d) for k in range(d)]
               + [f"b_{k + 1}" for k in range(d)])
-    sample_rows = []
-    for t in times:
-        cols = [pts, on_cells(g, metric.eval_a, t, tail=(d * d,)),
-                on_cells(g, metric.eval_b, t, tail=(d,))]
-        sample_rows += ([t] + row for row in np.column_stack(cols).tolist())
-    write_table(out / "transform_samples.csv", "transform_samples",
-                header, sample_rows)
+    # every time at once, on a box's open mesh: a row per (time, cell), and
+    # each value a column holds along a broadcast axis formatted once
+    env, shape = ex.bind(np.array(times), g.mesh if g.kind == "box" else g.embed())
+    fns = ([metric._fn(("a", j, k), metric.a[j][k]) for j in range(d) for k in range(d)]
+           + [metric._fn(("b", k), metric.b[k]) for k in range(d)])
+    cols = [env["t"]] + [env[f"y{i + 1}"] for i in range(d)] + [f(env) for f in fns]
+    write_table(out / "transform_samples.csv", "transform_samples", header,
+                columns=[np.broadcast_to(c, shape) for c in cols])
 
     bpts, normals = boundary_points(_domain(rc), d, n=16)
     k_header = ["t"] + [f"y{i + 1}" for i in range(d)] + ["K"]

@@ -32,11 +32,18 @@ diagonal in one fixed eigenbasis and a step makes no operator: from the
 chunk's h2, `_mode_steps` tabulates each step's rows
 N_n = 1 - c (beta + h2(t_n) lam) and D_n = 1 + c (beta + h2(t_n + dt_n) lam),
 c = dt_n / 2 for crank-nicolson (dt_n, and no N, for backward-euler), and
-the step forms (N_n * Q^T v + dt Q^T F) / D_n and transforms it back,
-reusing the rows in the corrector.  A table holds at most _TABLE = 2^15
-values, so larger grids take blocks of fewer steps, down to one row per
-step; one block is held at a time.  On a radial grid or a 1-D box each
-transform is one matmul with the stored Q.  Other operators come from
+a solve divides by D_n in the eigenbasis, the corrector reusing the rows.
+A table holds at most _TABLE = 2^15 values, so larger grids take blocks of
+fewer steps, down to one row per step; one block is held at a time.  A
+homogeneous step is W^-1 Q (N_n * Q^T W v) / D_n, one transform each way.
+On a radial grid or a 1-D box (one Q, each transform one matmul) with a
+drift basis a forced step stays in mode coordinates too, y = Q^T W v taken
+from each step's state, never carried over: the drift term of F is
+g(t) @ (M y), M the drift basis' fields times the gradient stencil as fixed
+mode matrices (`_drift_modes`, (r + 1) n^2 values with Q), an f of t alone
+is f(t) times the transformed 1, a source and f(t, u) are transformed from
+the grid, and the step ends in one transform back.  On larger boxes F is
+formed on the grid and transformed.  Other operators come from
 `operator_at`, made per time, and are solved by Jacobi CG, matrix-free on
 the face weights, to the relative tolerance cg_tol.
 
@@ -212,13 +219,14 @@ def _require_positive(low):
         raise CgError(f"eigenvalue {low:.3e}: operator is not positive definite")
 
 
-def _solve(op, rhs, tol, x0=None):
+def _solve(op, rhs, tol, x0=None, modes=False):
     """op x = rhs: (x, CG iterations), a direct solve counting 0.
 
     op is a SparseOperator, solved by Jacobi CG from x0 to tol within 10*N
     iterations, or a step's mode row (A0, D, min D) from _mode_steps, with
-    rhs already in A0's eigenbasis: x = Q (rhs / D).  An operator that
-    carries eigenpairs is solved as the row of its own eigenvalues.
+    rhs already in A0's eigenbasis: x = Q (rhs / D), or rhs / D itself, in
+    the eigenbasis, with modes.  An operator that carries eigenpairs is
+    solved as the row of its own eigenvalues.
     """
     if isinstance(op, SparseOperator):
         if op.lam is None:
@@ -227,6 +235,8 @@ def _solve(op, rhs, tol, x0=None):
         op, rhs = (op, d, d.min()), _eigen(op, rhs)
     A0, denom, low = op
     _require_positive(low)
+    if modes:
+        return rhs / denom, 0
     return _eigen(A0, rhs / denom, back=True), 0
 
 
@@ -353,21 +363,52 @@ def _build_drift(p, grid):
     return coefficients, fields
 
 
+def _drift_modes(p, grid):
+    """(M, one): the drift basis and the constant 1 in the eigenbasis of a
+    one-axis family (a radial grid or a 1-D box), L0 = W^-1 Q diag(lam) Q^T W.
+
+    M stacks M_k = Q^T W diag(fields_k) G W^-1 Q, G the gradient stencil
+    (`_gradients`) applied to each column of W^-1 Q, as one (r n, n) array,
+    so that with y = Q^T W v the drift term g @ fields * grad v is Q^T W of
+    g @ (M y) shaped (r, n); one = Q^T W 1.  With Q that is (r + 1) n^2
+    values.  Built once and kept on the metric next to the drift basis.
+    """
+    cache, key = p.metric._fns, ("drift modes", grid)
+    if key not in cache:
+        A0, n = operator_family(p, grid)[0], grid.m
+        (Q,), w = A0.vecs, np.broadcast_to(A0.root_vol, (n,))
+        GQ = np.column_stack([_gradients(grid, col)[0] for col in (Q / w[:, None]).T])
+        fields = drift_basis(p, grid)[1][:, 0]
+        M = np.empty((len(fields), n, n))
+        for Mk, f in zip(M, fields):
+            np.matmul(Q.T * (w * f), GQ, out=Mk)
+        cache[key] = M.reshape(-1, n), _eigen(A0, np.ones(n))
+    return cache[key]
+
+
 # ---------------------------------------------------------------------------
 # stepping
 
-def _forcing(p, grid, times):
-    """fn(t) giving the state-independent parts of F, (drift, source), at
-    each t of times.
+def _forcing(p, grid, times, A0=None):
+    """fn(t) giving the state-independent parts of F, (drift, source, modes),
+    at each t of times.
 
     The drift is (g, fields), its field by grid axis being g @ fields: the
     drift basis and its coefficients at t, or eval_b at t with g = (1,)
     where there is no basis.  It is None when b is identically zero.  An f
     of t alone is one value at t, added to the source; the source is None
-    when there is neither.  The coefficients and an f of t alone are
-    tabulated over times, the rest is evaluated at t when fn is called.
+    when there is neither.  With A0, a one-axis family's operator, and a
+    drift basis, modes is True and both are in A0's eigenbasis: the fields
+    are `_drift_modes`' M, and the source is transformed, an f of t alone
+    being f(t) times the transformed 1.  The coefficients and an f of t
+    alone are tabulated over times, the rest is evaluated at t when fn is
+    called.
     """
     basis = drift_basis(p, grid)
+    modes = A0 is not None and basis is not None
+    fields, one = None if basis is None else basis[1], 1.0
+    if modes:
+        fields, one = _drift_modes(p, grid)
     g = _tabulate(basis[0], times) if basis is not None and len(basis[1]) else None
     f_t = None
     if p.f is not None and not p.f_uses_u:
@@ -378,20 +419,34 @@ def _forcing(p, grid, times):
         if basis is None:
             drift = np.ones(1), np.concatenate([b for _, b in _drift_on(p, grid, [t])], -1)
         else:
-            drift = None if g is None else (g[t], basis[1])
+            drift = None if g is None else (g[t], fields)
         source = on_cells(grid, p.source_values, t) if p.source is not None else None
+        if modes and source is not None:
+            source = _eigen(A0, source)
         if f_t is not None:
-            source = f_t[t] if source is None else source + f_t[t]
-        return drift, source
+            source = f_t[t] * one if source is None else source + f_t[t] * one
+        return drift, source, modes
 
     return at
 
 
-def _explicit_rhs(p, grid, t, v, cross_op, forcing):
-    """F(t, v), with forcing the (drift, source) of _forcing at t; None drops
-    f, drift and source.  The drift and the cross block share one gradient of
-    v; the drift field is formed one axis at a time, which bounds the memory."""
-    drift, source = (None, None) if forcing is None else forcing
+def _explicit_rhs(p, grid, t, v, cross_op, forcing, y=None):
+    """F(t, v), with forcing the (drift, source, modes) of _forcing at t; None
+    drops f, drift and source.  The drift and the cross block share one
+    gradient of v; the drift field is formed one axis at a time, which bounds
+    the memory.  Where the terms are in modes, so is F, from y = Q^T W v in
+    the eigenbasis of cross_op (the family's A0, without a cross block): the
+    drift is g @ (M y), with no gradient, and an f of the state is f(t, v)
+    transformed."""
+    drift, source, modes = (None, None, False) if forcing is None else forcing
+    if modes:   # new arrays only: the terms serve the corrector's F too
+        out = np.zeros(len(y)) if source is None else source
+        if drift is not None:
+            g, M = drift
+            out = out - g @ (M @ y).reshape(len(g), -1)
+        if p.f_uses_u:
+            out = out + _eigen(cross_op, p.f_values(t, v))
+        return out
     if drift is not None or cross_op.cross is not None:
         grads = _gradients(grid, v)
     out = p.f_values(t, v) if forcing is not None and p.f_uses_u else np.zeros(len(v))
@@ -409,26 +464,53 @@ def _explicit_rhs(p, grid, t, v, cross_op, forcing):
 def _advance(p, grid, cfg, t, v, dt, implicit, forcing):
     """One step from t by dt: (state, CG iterations).
 
-    implicit is the step's (lhs, into, cross_op, base) from _mode_steps or
-    _operator_steps: what `_solve` takes, the map of a grid array into the
-    space of its right-hand side, the operator whose cross block F lags, and
-    for crank-nicolson the map from v to the linear part of that right-hand
-    side.  forcing is a _forcing holding the step's explicit time, None drops
-    f, drift and source.
+    implicit is the step's (lhs, N, cross_op) from _mode_steps or
+    _operator_steps: what `_solve` takes; for crank-nicolson the linear part
+    of the right-hand side, a mode row N_n (N_n * Q^T W v) or the operator
+    A(t_n) (v - dt/2 A(t_n) v), None for backward-euler; and the operator
+    whose cross block F lags, the family's A0 in a mode step.  forcing is a
+    _forcing holding the step's explicit time, t or the crank-nicolson
+    midpoint; None drops f, drift and source.
+
+    A mode step without forcing, or with its terms in modes (a one-axis
+    family), takes the state into the eigenbasis once, y = Q^T W v, forms F
+    there from y and comes back once, with the corrector's F at the mode
+    midpoint (y + y*) / 2 (and f(t, u) at the grid midpoint).  Other steps
+    (CG operators, boxes of more axes, maps without a drift basis) form F on
+    the grid, and a mode step among them transforms it.
     """
-    lhs, into, cross_op, base = implicit
-    if cfg.scheme == "backward-euler":
-        F = _explicit_rhs(p, grid, t, v, cross_op, None if forcing is None else forcing(t))
-        return _solve(lhs, into(v + dt * F), cfg.cg_tol, v)
-    tm = t + 0.5 * dt
-    at_tm = None if forcing is None else forcing(tm)
-    b = base(v)
-    F0 = _explicit_rhs(p, grid, tm, v, cross_op, at_tm)
-    v_star, it1 = _solve(lhs, b + dt * into(F0), cfg.cg_tol, v)
-    Fm = _explicit_rhs(p, grid, tm, 0.5 * (v + v_star), cross_op, at_tm)
+    lhs, N, cross_op = implicit
+    cn, tol = cfg.scheme == "crank-nicolson", cfg.cg_tol
+    tm = t + 0.5 * dt if cn else t
+    terms = None if forcing is None else forcing(tm)
+    if isinstance(lhs, SparseOperator):
+        into = _same
+        b = v - (0.5 * dt) * N.apply_implicit(v) if cn else None
+    elif terms is None or terms[2]:
+        y = _eigen(cross_op, v)
+        b = y if N is None else N * y
+        if terms is None:
+            return _solve(lhs, b, tol)
+        F0 = _explicit_rhs(p, grid, tm, v, cross_op, terms, y)
+        y_next, _ = _solve(lhs, b + dt * F0, tol, modes=True)
+        if cn:
+            v_mid = 0.5 * (v + _eigen(cross_op, y_next, back=True)) if p.f_uses_u else None
+            Fm = _explicit_rhs(p, grid, tm, v_mid, cross_op, terms, 0.5 * (y + y_next))
+            if not (Fm == F0).all():
+                y_next, _ = _solve(lhs, b + dt * Fm, tol, modes=True)
+        return _eigen(cross_op, y_next, back=True), 0
+    else:
+        into = partial(_eigen, cross_op)
+        b = N * into(v) if cn else None
+    if not cn:
+        F = _explicit_rhs(p, grid, t, v, cross_op, terms)
+        return _solve(lhs, into(v + dt * F), tol, v)
+    F0 = _explicit_rhs(p, grid, tm, v, cross_op, terms)
+    v_star, it1 = _solve(lhs, b + dt * into(F0), tol, v)
+    Fm = _explicit_rhs(p, grid, tm, 0.5 * (v + v_star), cross_op, terms)
     if (Fm == F0).all():
         return v_star, it1
-    v_next, it2 = _solve(lhs, b + dt * into(Fm), cfg.cg_tol, v_star)
+    v_next, it2 = _solve(lhs, b + dt * into(Fm), tol, v_star)
     return v_next, it1 + it2
 
 
@@ -446,12 +528,10 @@ def _operator_steps(cfg, steps, ops, get_op):
         ops.clear()
         ops[t] = A0
         if not cn:
-            yield get_op(t + dt).shifted(dt), _same, A0, None
+            yield get_op(t + dt).shifted(dt), None, A0
             continue
         c = 0.5 * dt
-        cross_op = get_op(t + c) if A0.cross is not None else A0
-        yield (get_op(t + dt).shifted(c), _same, cross_op,
-               lambda v, A0=A0, c=c: v - c * A0.apply_implicit(v))
+        yield get_op(t + dt).shifted(c), A0, get_op(t + c) if A0.cross is not None else A0
 
 
 _TABLE = 2 ** 15   # values in one table of mode rows; blocks of fewer steps on larger grids
@@ -466,7 +546,6 @@ def _mode_steps(A0, cfg, steps, h2):
     whose right-hand side needs no N)."""
     cn = cfg.scheme == "crank-nicolson"
     beta, lam = A0.beta, A0.lam
-    into = partial(_eigen, A0)
     rows = max(1, _TABLE // lam.size)
     for lo in range(0, len(steps), rows):
         block = steps[lo:lo + rows]
@@ -478,8 +557,7 @@ def _mode_steps(A0, cfg, steps, h2):
         N = _eigenvalues(1.0 - c * beta, -c * np.array([h2[t] for t, _, _ in block]), lam) \
             if cn else None
         for j in range(len(block)):
-            yield ((A0, D[j], low[j]), into, A0,
-                   None if N is None else (lambda v, n=N[j]: n * into(v)))
+            yield (A0, D[j], low[j]), None if N is None else N[j], A0
         del D, N   # before the next block's tables: at most one block is held
 
 
@@ -530,6 +608,7 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False,
     family = operator_family(p, grid)
     A0 = None if family is None else family[0]
     modes = A0 is not None and A0.lam is not None   # no cross block then
+    one_axis = A0 if modes and len(A0.vecs) == 1 else None   # F in modes, with a drift basis
     h2 = None if family is None else _tabulate(family[1], [tau])
     ops = {}
 
@@ -570,8 +649,8 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False,
             t0 = steps[0][0]
             h2 = {t0: h2[t0], **_tabulate(
                 family[1], ends + (mids if cn and A0.cross is not None else []))}
-        forcing = None if homogeneous else \
-            _forcing(p, grid, mids if cn else [t for t, _, _ in steps])
+        forcing = None if homogeneous else _forcing(
+            p, grid, mids if cn else [t for t, _, _ in steps], one_axis)
         parts = (_mode_steps(A0, cfg, steps, h2) if modes
                  else _operator_steps(cfg, steps, ops, get_op))
         for t, dt_step, t_next in steps:

@@ -696,9 +696,12 @@ def test_log_level_env_is_validated(tmp_path, monkeypatch):
                     "--out", tmp_path]) == 2
 
 
-def test_console_entry_point_runs():
+def test_console_entry_point_runs(tmp_path):
+    # the child imports the package this test imported, whether or not the
+    # caller's PYTHONPATH holds it
+    env = dict(os.environ, PYTHONPATH=str(Path(movingdom.__file__).parents[1]))
     r = subprocess.run([sys.executable, "-m", "movingdom", "check",
                         "--config", str(fixture_path("identity")),
-                        "--out", "/tmp/movingdom-entry-test"],
-                       capture_output=True, text=True)
+                        "--out", str(tmp_path / "out")],
+                       capture_output=True, text=True, env=env)
     assert r.returncode == 0

@@ -329,6 +329,126 @@ def test_cocycle_is_bitwise_across_chunks_and_table_blocks(scheme):
     assert pullback.cocycle_check(p, g, cfg, 0.0, 3.0, 6.0, v0) == 0.0
 
 
+def one_axis_cases():
+    """(p, grid, v0, tau, T, dt) of forced runs on one-axis families with a
+    drift: sin_t (an f of t alone), sin_u (an f of the state) and a 1-D
+    stretch box with an f of t and a source."""
+    cases = []
+    for name, tau in (("sin_t", -2.0), ("sin_u", 0.0)):
+        rc = load_config(fixture_path(name))
+        p, g = assemble(_spec(rc), beta=rc.beta, f=rc.f), _grid(rc)
+        cases.append((p, g, np.cos(np.pi * g.centers[:, 0]), tau, tau + 1.0, rc.dt))
+    box = stretch_problem((1.3,))
+    g = BoxGrid((1.3,), (16,))
+    p = assemble(box.metric, beta=1.0, f="sin(t)", source="cos(t) * y1^2")
+    cases.append((p, g, np.cos(np.pi * g.centers[:, 0] / 1.3), -0.3, 0.7, 0.01))
+    return cases
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_one_axis_mode_steps_match_the_grid_space_step(monkeypatch, scheme):
+    # the step in mode coordinates (the drift from the mode matrices, the
+    # source and f transformed) against the step that forms F on the grid
+    # with the stencil and transforms it, as boxes of more axes step, on the
+    # same family and rows
+    from movingdom import solver
+    finals = []
+    for p, g, v0, tau, T, dt in one_axis_cases():
+        A0 = operator_family(p, g)[0]
+        assert len(A0.vecs) == 1 and len(drift_basis(p, g)[1]) > 0
+        finals.append(final_state(p, g, StepperConfig(dt=dt, scheme=scheme), tau, T, v0))
+    forcing = solver._forcing
+    monkeypatch.setattr(solver, "_forcing", lambda p, grid, times, A0: forcing(p, grid, times))
+    for (p, g, v0, tau, T, dt), got in zip(one_axis_cases(), finals):
+        want = final_state(p, g, StepperConfig(dt=dt, scheme=scheme), tau, T, v0)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_drift_modes_are_the_transformed_drift_term():
+    # g @ (M y) with y = Q^T W v is Q^T W of the grid's drift term g @ fields * grad v
+    from movingdom import solver
+    rng = np.random.default_rng(5)
+    for p, g, *_ in one_axis_cases():
+        A0 = operator_family(p, g)[0]
+        coefficients, fields = drift_basis(p, g)
+        M, one = solver._drift_modes(p, g)
+        assert M.shape == (len(fields) * g.m, g.m)
+        assert np.abs(one - _eigen(A0, np.ones(g.m))).max() == 0.0
+        v = rng.normal(size=g.m)
+        c = coefficients(np.array([0.3]))[0]
+        want = _eigen(A0, (c @ fields[:, 0]) * _gradients(g, v)[0])
+        got = c @ (M @ _eigen(A0, v)).reshape(len(c), -1)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_one_axis_forced_steps_take_no_stencil(monkeypatch, scheme):
+    # once the mode matrices are built, a forced step on a one-axis family
+    # takes no gradient; F still comes from _explicit_rhs and every solve
+    # from _solve
+    from movingdom import grid as grid_module, solver
+    counts = {"grad": 0, "rhs": 0, "solve": 0}
+
+    def counting(key, fn):
+        def wrapped(*a, **k):
+            counts[key] += 1
+            return fn(*a, **k)
+        return wrapped
+
+    cases = one_axis_cases()
+    cfgs = [StepperConfig(dt=dt, scheme=scheme) for *_, dt in cases]
+    for (p, g, v0, tau, T, dt), cfg in zip(cases, cfgs):
+        final_state(p, g, cfg, tau, tau + 2 * dt, v0)   # builds the mode matrices
+    for module in (grid_module, solver):
+        monkeypatch.setattr(module, "_gradients", counting("grad", _gradients))
+    monkeypatch.setattr(solver, "_explicit_rhs", counting("rhs", solver._explicit_rhs))
+    monkeypatch.setattr(solver, "_solve", counting("solve", solver._solve))
+    for (p, g, v0, tau, T, dt), cfg in zip(cases, cfgs):
+        for key in counts:
+            counts[key] = 0
+        final_state(p, g, cfg, tau, tau + 20 * dt, v0)
+        assert counts["grad"] == 0
+        # crank-nicolson's corrector runs on every step: F depends on y
+        per_step = 2 if scheme == "crank-nicolson" else 1
+        assert counts["rhs"] == counts["solve"] == 20 * per_step
+
+
+def test_one_axis_crank_nicolson_cocycle_is_bitwise():
+    # 600 mode steps, across the chunk boundary at step 512, split at step 260
+    rc = load_config(fixture_path("sin_t"))
+    p, g = assemble(_spec(rc), beta=rc.beta, f=rc.f), _grid(rc)
+    cfg = StepperConfig(dt=rc.dt, scheme="crank-nicolson")
+    assert pullback.cocycle_check(p, g, cfg, -3.0, -1.7, 0.0, np.cos(np.pi * g.centers[:, 0])) \
+        == 0.0
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_homogeneous_steps_are_the_mode_formula_bit_for_bit(scheme):
+    # a homogeneous step is (N_n * Q^T W v) / D_n transformed back; the
+    # formula as it was taken with a zero F added in modes gives the same bits
+    from movingdom import solver
+    cases = [(ball_shrink_problem(), RadialGrid(3, 24)),
+             (stretch_problem((1.0, 1.3, 0.7)), BoxGrid((1.0, 1.3, 0.7), (6, 5, 4)))]
+    cfg = StepperConfig(dt=0.01, scheme=scheme)
+    for p, g in cases:
+        A0, h2 = operator_family(p, g)
+        v = v0 = np.cos(np.pi * g.centers[:, 0]) + g.centers[:, -1]
+        got = final_state(p, g, cfg, -0.2, 0.1, v0, homogeneous=True)
+        zero = _eigen(A0, np.zeros(g.m))
+        for t, dt, _ in solver._lattice(-0.2, 0.1, cfg.dt):
+            c = np.array([dt])
+            if scheme == "crank-nicolson":
+                c *= 0.5
+            D = solver._eigenvalues(1.0 + c * A0.beta, c * h2(np.array([t + dt])), A0.lam)[0]
+            if scheme == "crank-nicolson":
+                N = solver._eigenvalues(1.0 - c * A0.beta, -c * h2(np.array([t])), A0.lam)[0]
+                rhs = N * _eigen(A0, v) + dt * zero
+            else:
+                rhs = _eigen(A0, v + dt * np.zeros(g.m))
+            v = _eigen(A0, rhs / D, back=True)
+        assert got.tobytes() == v.tobytes()
+
+
 def test_final_state_makes_no_operator_per_step(monkeypatch):
     # under the family the steps read table rows: the operators a run makes
     # (the family's, built once) do not grow with the step count
@@ -393,7 +513,7 @@ def test_explicit_rhs_takes_one_gradient(monkeypatch):
     assert A.cross is not None
     v = np.cos(np.pi * g.centers[:, 0]) + g.centers[:, 1] ** 2
     grads = _gradients(g, v)
-    (gt, fields), _ = forcing = solver._forcing(p, g, [t])(t)
+    (gt, fields), _, _ = forcing = solver._forcing(p, g, [t])(t)
     calls = []
 
     def counting(grid, vals):

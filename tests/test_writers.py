@@ -266,3 +266,39 @@ def test_writing_a_32_cubed_table_of_mesh_columns_stays_below_3_mib(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "moving.csv").stat().st_size > 2_000_000
     assert peak <= 3 * 2**20, peak
+
+
+@pytest.mark.parametrize("case", ["box3d", "ball_shrink"])
+def test_transform_samples_match_the_row_writer(tmp_path, monkeypatch, case):
+    # transform_samples.csv from broadcast columns over (time, cell) against
+    # the row writer it replaced: one row of _cell texts per time and cell,
+    # a and b evaluated on the cells time by time.  On the box each value a
+    # column holds is formatted once: 143 reprs (2 times, 27 mesh values,
+    # a_kk and b_k of (t, y_k), the six zero a_jk) for 1,440 rows
+    if case == "box3d":
+        cfg = tmp_path / "box3d.cfg"
+        cfg.write_text(BOX3D)
+    else:
+        cfg = cli.fixture_path("ball_shrink")
+    rc = cli.load_config(cfg)
+    g, metric, d = cli._grid(rc), cli._require_checks(rc), rc.dim
+    calls = []
+    real = repr
+    monkeypatch.setattr(grid, "repr", lambda v: calls.append(v) or real(v), raising=False)
+    out = tmp_path / "out"
+    assert cli.main(["transform", "--config", str(cfg), "--out", str(out)]) == 0
+    if case == "box3d":
+        assert len(calls) == 143
+    rows = []
+    for t in (0.0, 1.0):   # the default sample times
+        cols = [g.embed()[:, :d], grid.on_cells(g, metric.eval_a, t, tail=(d * d,)),
+                grid.on_cells(g, metric.eval_b, t, tail=(d,))]
+        rows += ([t] + row for row in np.column_stack(cols).tolist())
+    header = (["t"] + [f"y{i + 1}" for i in range(d)]
+              + [f"a_{j + 1}{k + 1}" for j in range(d) for k in range(d)]
+              + [f"b_{k + 1}" for k in range(d)])
+    oracle = (f"schema,transform_samples,{cli.SCHEMA_VERSION}\n" + ",".join(header) + "\n"
+              + "".join(",".join(map(cli._cell, row)) + "\n" for row in rows))
+    text = (out / "transform_samples.csv").read_text()
+    assert len(text.splitlines()) == 2 + 2 * g.m
+    assert first_difference(text, oracle) is None
