@@ -22,8 +22,8 @@ from .pullback import (DecayFit, GapReport, PullbackError, absorbing_radius,
                        cocycle_check, decay_fit, drift_norm, factorization_probe,
                        pullback_converge)
 from .solver import (CgError, MmsReport, SolverError, StepperConfig,
-                     Trajectory, final_state, manufactured_source, mms_convergence,
-                     run, run_homogeneous)
+                     Trajectory, manufactured_source, mms_convergence, run,
+                     run_homogeneous)
 
 __version__ = "0.1.0"
 
@@ -42,6 +42,6 @@ __all__ = [
     "cocycle_check", "decay_fit", "drift_norm", "factorization_probe",
     "pullback_converge",
     "CgError", "MmsReport", "SolverError", "StepperConfig", "Trajectory",
-    "final_state", "manufactured_source", "mms_convergence", "run", "run_homogeneous",
+    "manufactured_source", "mms_convergence", "run", "run_homogeneous",
     "__version__",
 ]

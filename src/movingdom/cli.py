@@ -311,6 +311,14 @@ class _HypothesisFailure(Exception):
     pass
 
 
+def _require_plan(cap, *planned):
+    """The resource-cap error (exit 4) for the first (phase, steps) above cap."""
+    for phase, steps in planned:
+        if steps > cap:
+            raise PullbackError(f"the {phase} plans {steps:.0f} steps, above "
+                                f"max_total_steps = {cap}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -376,6 +384,10 @@ def cmd_solve(rc, out, seed=None):
     T = _exp(rc, "t", 1.0)
     if not tau <= T:
         raise ConfigError(f"[experiment] needs tau <= t, got tau = {tau}, t = {T}")
+    cap = _exp(rc, "max_total_steps", 5_000_000, int)
+    if cap < 1:
+        raise ConfigError(f"max_total_steps must be at least 1, got {cap}")
+    _require_plan(cap, ("march", (T - tau) / cfg.dt))
     metric = _require_checks(rc)
     p = _problem(rc, metric)
     # the drift basis and the operator family it needs, built before the march
@@ -439,12 +451,8 @@ def cmd_pullback(rc, out, seed=None):
         raise ConfigError(f"experiment horizon {horizon} too short for the "
                           f"decay fit; need >= 10/beta = {10.0 / rc.beta}")
     # the ladder truncates itself to the cap; these runs would only overrun it
-    planned = (("decay fit", n_seeds * horizon / cfg.dt),
-               ("absorbing radius", n_seeds * len(radii) * ladder_steps(radius_k, cfg.dt)))
-    for phase, steps in planned:
-        if steps > cap:
-            raise PullbackError(f"the {phase} plans {steps:.0f} steps, above "
-                                f"max_total_steps = {cap}")
+    _require_plan(cap, ("decay fit", n_seeds * horizon / cfg.dt),
+                  ("absorbing radius", n_seeds * len(radii) * ladder_steps(radius_k, cfg.dt)))
     p = _problem(rc, _require_checks(rc))
 
     # the drift basis and the operator family it needs, shared by the runs below

@@ -96,10 +96,12 @@ def drift_norm(p, grid, times) -> float:
     the vol-weighted inner product.  Where the metric's operator family has
     eigenpairs, the map is the diagonal (h2(t) - h2(tau)) lam / (beta +
     h2(r) lam) in its eigenbasis, h2 at the three times from one call of the
-    family's h2, and the iteration runs there on the transformed start.
+    family's h2, and the iteration runs there on the transformed start, a
+    mode at most 1e-12 of its largest coefficient given the largest.
     Otherwise the operators from `operator_at`, each its implicit part, are
     applied and A_h(r) is inverted by conjugate gradients (tol 1e-12).
-    Both are the same iteration, so they stop at the same estimate.  It is a
+    Where the start misses no mode (radial grids) both are the same
+    iteration, so they stop at the same estimate.  It is a
     Rayleigh quotient, so it never exceeds the true norm; operators with
     clustered top singular values may stop at the iteration cap instead of
     the tolerance, which is logged, and the stop test is scale-invariant, so
@@ -117,7 +119,10 @@ def drift_norm(p, grid, times) -> float:
         denom = _eigenvalues(p.beta, h[2], A0.lam)
         _require_positive(denom.min())
         d = (h[0] - h[1]) * A0.lam / denom   # B = B*, diagonal in the eigenbasis
-        est, done = _power(_eigen(A0, x), d.__mul__, d.__mul__, lambda z: math.sqrt(z.dot(z)))
+        y = _eigen(A0, x)   # on a box it misses modes: each starts at the largest weight
+        top = np.abs(y).max()
+        y[np.abs(y) <= 1e-12 * top] = top
+        est, done = _power(y, d.__mul__, d.__mul__, lambda z: math.sqrt(z.dot(z)))
     else:
         ops = [operator_at(p, grid, s) for s in times]
         if any(o.cross is not None for o in ops):

@@ -23,13 +23,14 @@ built once per (metric, grid) next to the operator family and checked to
 over the grid.  Without a family, or where the check fails, b is evaluated
 over the grid (grid.on_cells) at each time, as is a source s(t, y).
 
-Under H1 every A(t) is the metric's operator at t = 0 on the grid
-(grid.py), the fixed flux S0 (and cross block C0), scaled by h2(t); a
-metric without that structure is assembled at every time.  Where the
-family carries the eigenpairs of L0 = S0 / vol (radial grids, 1-D and
-Kronecker-sum boxes; no cross block then), A(t) = beta + h2(t) L0 is
-diagonal in one fixed eigenbasis and a step makes no operator: from the
-chunk's h2, `_mode_steps` tabulates each step's rows
+Under H1 every A(t) is the metric's operator at t = 0 on the grid (grid.py),
+the fixed flux S0 (and cross block C0), scaled by h2(t), plus beta: the
+problem's, never A0's, as A0 is kept on the metric for every problem on it.
+Without that structure A(t) is assembled at every time; `operator_at` builds
+every A(t).  Where the family carries the eigenpairs of L0 = S0 / vol
+(radial grids, 1-D and Kronecker-sum boxes; no cross block then),
+A(t) = beta + h2(t) L0 is diagonal in one fixed eigenbasis and a step makes
+no operator: from the chunk's h2, `_mode_steps` tabulates each step's rows
 N_n = 1 - c (beta + h2(t_n) lam) and D_n = 1 + c (beta + h2(t_n + dt_n) lam),
 c = dt_n / 2 for crank-nicolson (dt_n, and no N, for backward-euler), and
 a solve divides by D_n in the eigenbasis, the corrector reusing the rows.
@@ -43,26 +44,26 @@ g(t) @ (M y), M the drift basis' fields times the gradient stencil as fixed
 mode matrices (`_drift_modes`, (r + 1) n^2 values with Q), an f of t alone
 is f(t) times the transformed 1, a source and f(t, u) are transformed from
 the grid, and the step ends in one transform back.  On larger boxes F is
-formed on the grid and transformed.  Other operators come from
-`operator_at`, made per time, and are solved by Jacobi CG, matrix-free on
-the face weights, to the relative tolerance cg_tol.
+formed on the grid and transformed.  Other operators (a cross block, a
+non-Kronecker box, no family) are made per time and solved by Jacobi CG,
+matrix-free on the face weights, to the relative tolerance cg_tol.  Under
+any family the metrics rows and the growth guard read h2 and A0 alone.
 
 Time marches by accumulation (t_{n+1} = t_n + dt).  Each operator and each
 table row is made from its exact time values (the H1 scaling from time 0,
 never from a run's start) and kept for the current step only (a row for
-its block), and a value at a time does not
-depend on the chunk it is evaluated with, so a run restarted from a stored
-state on the step lattice reproduces the uninterrupted run bit for bit,
-and memory stays flat in the step count.  The final step is
-shortened to land exactly on the requested end time.
+its block), and a value at a time does not depend on the chunk it is
+evaluated with, so a run restarted from a stored state on the step lattice
+reproduces the uninterrupted run bit for bit, and memory stays flat in the
+step count.  The final step is shortened to land exactly on the requested
+end time.
 
 A state is a float array of one value per cell.  `run` validates and copies
 the initial state once, through grid._values, checks each new state for
 finite values, and by default adds a metrics row per state, from one call
 of grid._metrics, and keeps the snapshots.  With record=False it keeps only
-the last state, for callers that read nothing else; `final_state` is that
-run's final state.  Both use the arrays the steps make, with no second
-check or copy.
+the last state, for callers that read nothing else.  Both use the arrays
+the steps make, with no second check or copy.
 """
 
 from __future__ import annotations
@@ -240,20 +241,15 @@ def _solve(op, rhs, tol, x0=None, modes=False):
     return _eigen(A0, rhs / denom, back=True), 0
 
 
-def operator_at(p, grid, t):
-    """A(t) of problem p on grid: the metric's H1 operator scaled by h2(t)
-    where it has one, assembled at t otherwise."""
+def operator_at(p, grid, t, h2=None):
+    """A(t) of problem p on grid, with p's beta: the metric's H1 operator A0
+    scaled by h2[t], h2 the family's h2 tabulated at times that hold t (at t
+    alone where None); assembled at t where the metric has no family."""
     family = operator_family(p, grid)
-    return _operator(p, grid, t, None if family is None else _tabulate(family[1], [t]))
-
-
-def _operator(p, grid, t, h2):
-    """A(t): the family's A0 scaled by h2[t], with h2 the family's h2 tabulated
-    at times that hold t; assembled at t where h2 is None."""
-    if h2 is None:
+    if family is None:
         return assemble_A(p, grid, t)
-    A0, _ = operator_family(p, grid)
-    return SparseOperator(A0.grid, A0.weights, p.beta, A0.cross, a=A0.a, scale=float(h2[t]),
+    A0, scale = family[0], (_tabulate(family[1], [t]) if h2 is None else h2)[t]
+    return SparseOperator(A0.grid, A0.weights, p.beta, A0.cross, a=A0.a, scale=float(scale),
                           vecs=A0.vecs, lam=A0.lam, root_vol=A0.root_vol)
 
 
@@ -537,15 +533,14 @@ def _operator_steps(cfg, steps, ops, get_op):
 _TABLE = 2 ** 15   # values in one table of mode rows; blocks of fewer steps on larger grids
 
 
-def _mode_steps(A0, cfg, steps, h2):
+def _mode_steps(A0, beta, cfg, steps, h2):
     """The implicit part of each step (see _advance) in the family's eigenbasis,
-    where every A(t) = beta + h2(t) L0 is diagonal.  From h2, tabulated at the
-    step times, blocks of at most _TABLE values per table give each step its
-    rows D_n = 1 + c (beta + h2(t_n + dt_n) lam) and, for crank-nicolson,
-    N_n = 1 - c (beta + h2(t_n) lam), c = dt_n / 2 (dt_n for backward-euler,
-    whose right-hand side needs no N)."""
-    cn = cfg.scheme == "crank-nicolson"
-    beta, lam = A0.beta, A0.lam
+    where every A(t) = beta + h2(t) L0 is diagonal, beta the problem's.  From
+    h2, tabulated at the step times, blocks of at most _TABLE values per
+    table give each step its rows D_n = 1 + c (beta + h2(t_n + dt_n) lam)
+    and, for crank-nicolson, N_n = 1 - c (beta + h2(t_n) lam), c = dt_n / 2
+    (dt_n for backward-euler, whose right-hand side needs no N)."""
+    cn, lam = cfg.scheme == "crank-nicolson", A0.lam
     rows = max(1, _TABLE // lam.size)
     for lo in range(0, len(steps), rows):
         block = steps[lo:lo + rows]
@@ -616,18 +611,15 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False,
         # made once per time value from the chunk's h2; _operator_steps drops earlier ones
         op = ops.get(t)
         if op is None:
-            op = ops[t] = _operator(p, grid, t, h2)
+            op = ops[t] = operator_at(p, grid, t, h2)
         return op
 
     times, snapshots, metrics = [], [], []
 
     def keep(n, t, v, iters):
-        if modes:
-            scale, a = float(h2[t]), A0.a
-        else:
-            op = get_op(t)
-            scale, a = op.scale, op.a
-        metrics.append(StepMetrics(n, t, *_metrics(grid, v, scale, a), iters))
+        op = get_op(t) if family is None else A0
+        scale = op.scale if family is None else float(h2[t])
+        metrics.append(StepMetrics(n, t, *_metrics(grid, v, scale, op.a), iters))
         if n == 0 or t == T or (cfg.snapshot_every and n % cfg.snapshot_every == 0):
             times.append(t)
             snapshots.append(v)
@@ -651,7 +643,7 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False,
                 family[1], ends + (mids if cn and A0.cross is not None else []))}
         forcing = None if homogeneous else _forcing(
             p, grid, mids if cn else [t for t, _, _ in steps], one_axis)
-        parts = (_mode_steps(A0, cfg, steps, h2) if modes
+        parts = (_mode_steps(A0, p.beta, cfg, steps, h2) if modes
                  else _operator_steps(cfg, steps, ops, get_op))
         for t, dt_step, t_next in steps:
             # the step's rows live only through its call
@@ -661,7 +653,7 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False,
                                   "the explicit terms likely outran dt")
             if guard:
                 prev, l2 = l2, math.sqrt(_sq(grid, v))
-                if (modes or get_op(t_next).cross is None) and \
+                if (get_op(t_next) if family is None else A0).cross is None and \
                         l2 > prev * (1.0 + 10 * cfg.cg_tol) + 1e-300:
                     raise SolverError(f"homogeneous backward-Euler norm grew at t = {t_next}: "
                                       f"{prev} -> {l2}")
@@ -671,12 +663,6 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False,
     if not record:
         times, snapshots = [T], [v]
     return Trajectory(grid, times, snapshots, metrics)
-
-
-def final_state(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False) -> np.ndarray:
-    """run(p, grid, cfg, tau, T, v0, homogeneous).final, bit for bit, marched
-    without the metrics rows and the snapshots."""
-    return run(p, grid, cfg, tau, T, v0, homogeneous, record=False).final
 
 
 def run_homogeneous(p, grid, cfg: StepperConfig, tau, T, v0=None) -> Trajectory:
@@ -776,7 +762,7 @@ def mms_convergence(p, exact, grids, dts, scheme="backward-euler", tau=0.0,
     spatial = []
     for g in grids:
         cfgS = StepperConfig(dt=dt_spatial, scheme="crank-nicolson", cg_tol=cg_tol)
-        v = final_state(pm, g, cfgS, tau, T, on_cells(g, at, tau))
+        v = run(pm, g, cfgS, tau, T, on_cells(g, at, tau), record=False).final
         spatial.append((g.m, norm_L2(g, v - on_cells(g, at, T))))
     # mesh ratio of each rung: its cell-count ratio, per axis
     spatial_orders = _orders([e for _, e in spatial],
@@ -791,11 +777,11 @@ def mms_convergence(p, exact, grids, dts, scheme="backward-euler", tau=0.0,
     eff = [span / max(1, round(span / dt)) for dt in dts]
     ref_cfg = StepperConfig(dt=min(eff) / 20.0, scheme="crank-nicolson",
                             cg_tol=cg_tol)
-    ref = final_state(pm, tg, ref_cfg, tau, T, v0)
+    ref = run(pm, tg, ref_cfg, tau, T, v0, record=False).final
     temporal = []
     for dt in eff:
         cfgT = StepperConfig(dt=dt, scheme=scheme, cg_tol=cg_tol)
-        err = norm_L2(tg, final_state(pm, tg, cfgT, tau, T, v0) - ref)
+        err = norm_L2(tg, run(pm, tg, cfgT, tau, T, v0, record=False).final - ref)
         temporal.append((dt, err))
     ratios = [eff[i] / eff[i + 1] for i in range(len(eff) - 1)]
     temporal_orders = _orders([e for _, e in temporal], ratios)

@@ -244,10 +244,11 @@ def test_malformed_expression_exits_2(tmp_path, capsys, command, change, message
     ("pullback", {"radius_k": "-3"}, "radius_k must be at least 0, got -3"),
     ("pullback", {"max_total_steps": "-1"}, "max_total_steps must be at least 1, got -1"),
     ("pullback", {"horizon": "5.0"}, "horizon 5.0 too short for the decay fit"),
+    ("solve", {"max_total_steps": "0"}, "max_total_steps must be at least 1, got 0"),
 ], ids=["k_max_text", "radii_empty", "t_star_text", "solve_t_text", "k_max_zero",
         "seeds_zero", "drift_gaps_empty", "t_star_inf", "horizon_nan", "solve_tau_after_t",
         "radii_negative", "drift_gaps_negative", "radius_k_negative",
-        "max_total_steps_negative", "horizon_short"])
+        "max_total_steps_negative", "horizon_short", "solve_max_total_steps_zero"])
 def test_bad_experiment_value_exits_2(tmp_path, capsys, monkeypatch, command, change,
                                       message):
     # the config is read and range-checked before any hypothesis check runs
@@ -627,6 +628,27 @@ def test_pullback_overlong_run_exits_4_before_marching(tmp_path, key, value, pha
     assert len(lines) == 1 and lines[0].startswith(f"movingdom: the {phase} plans "), lines
     assert "above max_total_steps = 5000000" in lines[0]
     assert not (tmp_path / "out" / "pullback_report.csv").exists()
+
+
+@pytest.mark.parametrize("experiment, message", [
+    ({"tau": "-1e9"}, "the march plans 20000000021 steps, above max_total_steps = 5000000"),
+    ({"max_total_steps": "20"}, "the march plans 21 steps, above max_total_steps = 20"),
+], ids=["default_cap", "set_cap"])
+def test_solve_over_the_step_cap_exits_4_before_any_check(tmp_path, capsys, monkeypatch,
+                                                          experiment, message):
+    # a plan over max_total_steps stops before the hypothesis checks and the
+    # march, with one line on stderr and no files
+    monkeypatch.setattr(cli, "_hypothesis_rows", hypothesis_checks_must_not_run)
+    p = tmp_path / "long.cfg"
+    p.write_text('[problem]\ndim = 1\nextents = 1.0\nforward = "y1"\ninverse = "x1"\n'
+                 'beta = 1.0\ninitial = "1 + y1"\n[numerics]\ngrid = 8\ndt = 0.05\n'
+                 '[experiment]\nt = 1.05\n'
+                 + "".join(f"{k} = {v}\n" for k, v in experiment.items()))
+    out = tmp_path / "out"
+    assert run_cli(["solve", "--config", p, "--out", out]) == 4
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == [f"movingdom: {message}"]
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, extra, code, message", [

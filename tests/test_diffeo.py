@@ -84,6 +84,14 @@ def test_ball_shrink_boundary_weight():
     assert np.allclose(fn(env), 0.5, rtol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_ball_boundary_points_are_their_unit_normals(dim):
+    pts, normals = dg.boundary_points(dg.BallDomain(dim), dim, n=16)
+    assert pts.shape == (2 if dim == 1 else 16, dim)
+    assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() <= 1e-15
+    assert np.array_equal(pts, normals)
+
+
 @pytest.mark.parametrize("extents", [(1.0,), (1.0, 2.0), (1.0, 0.5, 2.0)])
 @pytest.mark.parametrize("n", [16, 32])
 def test_box_boundary_points_cover_every_face(extents, n):

@@ -16,7 +16,7 @@ from movingdom.diffeo import build_metric
 from movingdom.problem import assemble
 from movingdom.solver import (SCHEMES, CgError, SolverError,
                               StepperConfig, _along, _cg, _eigen, _solve, drift_basis,
-                              final_state, mms_convergence, operator_at, run,
+                              mms_convergence, operator_at, run,
                               run_homogeneous)
 
 
@@ -246,7 +246,7 @@ def test_indefinite_denominator_raises_at_the_first_solve(monkeypatch, scheme):
     p = dataclasses.replace(ball_shrink_problem(), beta=-300.0)
     cfg = StepperConfig(dt=0.01, scheme=scheme)
     with pytest.raises(CgError, match=r"^eigenvalue -.*: operator is not positive definite$"):
-        final_state(p, RadialGrid(3, 16), cfg, 0.0, 0.1, 1.0, homogeneous=True)
+        run(p, RadialGrid(3, 16), cfg, 0.0, 0.1, 1.0, homogeneous=True, record=False)
     assert len(solves) == 1
 
 
@@ -266,7 +266,7 @@ def test_crank_nicolson_solves_share_one_denominator(monkeypatch):
     p = ball_shrink_problem(f="sin(u)")   # f of the state: a corrector solve every step
     g = RadialGrid(3, 16)
     cfg = StepperConfig(dt=0.01, scheme="crank-nicolson")
-    final_state(p, g, cfg, 0.0, 0.1, 1.0)
+    run(p, g, cfg, 0.0, 0.1, 1.0, record=False)
     assert len(tables) == 2   # D and N of the run's one block
     D = tables[0]
     assert D.shape == (10, g.m) and len(solved) == 20
@@ -356,11 +356,12 @@ def test_one_axis_mode_steps_match_the_grid_space_step(monkeypatch, scheme):
     for p, g, v0, tau, T, dt in one_axis_cases():
         A0 = operator_family(p, g)[0]
         assert len(A0.vecs) == 1 and len(drift_basis(p, g)[1]) > 0
-        finals.append(final_state(p, g, StepperConfig(dt=dt, scheme=scheme), tau, T, v0))
+        cfg = StepperConfig(dt=dt, scheme=scheme)
+        finals.append(run(p, g, cfg, tau, T, v0, record=False).final)
     forcing = solver._forcing
     monkeypatch.setattr(solver, "_forcing", lambda p, grid, times, A0: forcing(p, grid, times))
     for (p, g, v0, tau, T, dt), got in zip(one_axis_cases(), finals):
-        want = final_state(p, g, StepperConfig(dt=dt, scheme=scheme), tau, T, v0)
+        want = run(p, g, StepperConfig(dt=dt, scheme=scheme), tau, T, v0, record=False).final
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -398,7 +399,7 @@ def test_one_axis_forced_steps_take_no_stencil(monkeypatch, scheme):
     cases = one_axis_cases()
     cfgs = [StepperConfig(dt=dt, scheme=scheme) for *_, dt in cases]
     for (p, g, v0, tau, T, dt), cfg in zip(cases, cfgs):
-        final_state(p, g, cfg, tau, tau + 2 * dt, v0)   # builds the mode matrices
+        run(p, g, cfg, tau, tau + 2 * dt, v0, record=False)   # builds the mode matrices
     for module in (grid_module, solver):
         monkeypatch.setattr(module, "_gradients", counting("grad", _gradients))
     monkeypatch.setattr(solver, "_explicit_rhs", counting("rhs", solver._explicit_rhs))
@@ -406,7 +407,7 @@ def test_one_axis_forced_steps_take_no_stencil(monkeypatch, scheme):
     for (p, g, v0, tau, T, dt), cfg in zip(cases, cfgs):
         for key in counts:
             counts[key] = 0
-        final_state(p, g, cfg, tau, tau + 20 * dt, v0)
+        run(p, g, cfg, tau, tau + 20 * dt, v0, record=False)
         assert counts["grad"] == 0
         # crank-nicolson's corrector runs on every step: F depends on y
         per_step = 2 if scheme == "crank-nicolson" else 1
@@ -433,15 +434,15 @@ def test_homogeneous_steps_are_the_mode_formula_bit_for_bit(scheme):
     for p, g in cases:
         A0, h2 = operator_family(p, g)
         v = v0 = np.cos(np.pi * g.centers[:, 0]) + g.centers[:, -1]
-        got = final_state(p, g, cfg, -0.2, 0.1, v0, homogeneous=True)
+        got = run(p, g, cfg, -0.2, 0.1, v0, homogeneous=True, record=False).final
         zero = _eigen(A0, np.zeros(g.m))
         for t, dt, _ in solver._lattice(-0.2, 0.1, cfg.dt):
             c = np.array([dt])
             if scheme == "crank-nicolson":
                 c *= 0.5
-            D = solver._eigenvalues(1.0 + c * A0.beta, c * h2(np.array([t + dt])), A0.lam)[0]
+            D = solver._eigenvalues(1.0 + c * p.beta, c * h2(np.array([t + dt])), A0.lam)[0]
             if scheme == "crank-nicolson":
-                N = solver._eigenvalues(1.0 - c * A0.beta, -c * h2(np.array([t])), A0.lam)[0]
+                N = solver._eigenvalues(1.0 - c * p.beta, -c * h2(np.array([t])), A0.lam)[0]
                 rhs = N * _eigen(A0, v) + dt * zero
             else:
                 rhs = _eigen(A0, v + dt * np.zeros(g.m))
@@ -465,8 +466,8 @@ def test_final_state_makes_no_operator_per_step(monkeypatch):
         counts = []
         for steps in (10, 600):
             made.clear()
-            final_state(p, g, StepperConfig(dt=0.005, scheme=scheme), -1.0,
-                        -1.0 + steps * 0.005, 0.5)
+            run(p, g, StepperConfig(dt=0.005, scheme=scheme), -1.0, -1.0 + steps * 0.005, 0.5,
+                record=False)
             counts.append(len(made))
         assert counts[0] == counts[1]
 
@@ -502,6 +503,30 @@ def test_family_operators_match_the_assembled_ones():
             want = apply_full(A, v)
             assert np.abs(apply_full(F, v) - want).max() <= 1e-13 * np.abs(want).max()
             assert np.abs(F.scale * F.a - A.a).max() <= 1e-13 * np.abs(A.a).max()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("homogeneous", [False, True])
+def test_beta_comes_from_the_problem_not_the_shared_family(scheme, homogeneous):
+    # the operator family is kept on the metric, so a problem with another
+    # beta on a metric whose family an earlier problem built shares that A0;
+    # it must march bit for bit as it does on a fresh metric.  An eigen
+    # (radial) family and a CG (cross block) family
+    cases = [(lambda: ball_shrink_problem(f="sin(t)"), RadialGrid(3, 16)),
+             (shear_stretch_problem, BoxGrid((1.0, 1.0), (8, 8)))]
+    cfg = StepperConfig(dt=0.01, scheme=scheme)
+    for make, g in cases:
+        first = make()
+        v0 = np.cos(np.pi * g.centers[:, 0])
+        run(first, g, cfg, 0.0, 0.05, v0, record=False)   # builds the family at beta = 1
+        shared = assemble(first.metric, beta=5.0, f=first.f)
+        fresh = assemble(make().metric, beta=5.0, f=first.f)
+        got = run(shared, g, cfg, 0.0, 0.5, v0, homogeneous=homogeneous)
+        want = run(fresh, g, cfg, 0.0, 0.5, v0, homogeneous=homogeneous)
+        assert operator_family(shared, g) is operator_family(first, g)
+        assert operator_family(shared, g)[0].beta == 1.0
+        assert [s.tobytes() for s in got.snapshots] == [s.tobytes() for s in want.snapshots]
+        assert got.metrics == want.metrics
 
 
 def test_explicit_rhs_takes_one_gradient(monkeypatch):
@@ -640,10 +665,15 @@ def test_drift_without_basis_is_evaluated_per_step():
     metric = dataclasses.replace(identity_problem(1).metric, b=[ex.parse("sin(t * y1)")], _fns={})
     p, g = assemble(metric, beta=1.0), BoxGrid((1.0,), (16,))
     assert operator_family(p, g) is not None and drift_basis(p, g) is None
+    assert_drift_per_step(p, g)
+
+
+def assert_drift_per_step(p, g):
+    """run on the 1-D box g equals backward Euler as it ran before the drift
+    basis, with eval_b at every step."""
     cfg = StepperConfig(dt=0.01)
     v0 = np.cos(np.pi * g.centers[:, 0])
     traj = run(p, g, cfg, 0.0, 0.1, v0)
-    # backward Euler as it ran before the drift basis: eval_b at every step
     v, t = v0, 0.0
     for _ in range(10):
         F = np.zeros(g.m)
@@ -652,6 +682,32 @@ def test_drift_without_basis_is_evaluated_per_step():
                       cfg.cg_tol, v)
         t += cfg.dt
     assert np.array_equal(traj.final, v)
+
+
+@pytest.mark.parametrize("b, perturb", [("y1 + 3e-13 * sin(t * y1)", False),
+                                        ("y1 * sin(t)", True)],
+                         ids=["lattice_fit", "grid_probes"])
+def test_drift_basis_guards_fall_back_to_per_step_drift(monkeypatch, b, perturb):
+    # b passes the 1e-12 rank test with one field in both cases.  The first
+    # misses the 1e-13 fit on the H1 lattice, so the guard returns before the
+    # grid probes; the second fits there, and its grid values are moved by
+    # 1e-10 at the probe times, which the probe guard refuses
+    from movingdom import solver
+    metric = dataclasses.replace(identity_problem(1).metric, b=[ex.parse(b)], _fns={})
+    p, g = assemble(metric, beta=1.0), BoxGrid((1.0,), (16,))
+    probes, calls = [-1.5, 0.5], []
+    drift_on = solver._drift_on
+
+    def perturbed(p, grid, ts):
+        calls.append(list(ts))
+        for c, b in drift_on(p, grid, ts):
+            yield c, b * (1 + 1e-10) if perturb and list(ts) == probes else b
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_drift_on", perturbed)
+        assert drift_basis(p, g) is None
+    assert len(calls[0]) == 1 and (probes in calls) == perturb
+    assert_drift_per_step(p, g)
 
 
 @pytest.mark.parametrize("f, per_step", [("sin(t)", 0), ("sin(u)", 2)])
@@ -780,8 +836,8 @@ def test_run_validates_the_state_once(monkeypatch, scheme):
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("homogeneous", [False, True])
 def test_final_state_is_the_last_snapshot_of_run(scheme, homogeneous):
-    # run and final_state share one march: final_state leaves out the
-    # metrics rows and the snapshots, so it ends in run's final state bit for
+    # a run with record=False leaves out the metrics rows and the snapshots
+    # of the same march, so it ends in the recorded run's final state bit for
     # bit.  An eigenbasis grid, a CG (shear) box, and 600 steps, which cross
     # a chunk of per-time terms
     cases = [(ball_shrink_problem(f="sin(u) + sin(t)"), RadialGrid(3, 16), 0.05, 0.0, 0.5),
@@ -791,17 +847,18 @@ def test_final_state_is_the_last_snapshot_of_run(scheme, homogeneous):
         cfg = StepperConfig(dt=dt, scheme=scheme, snapshot_every=4)
         v0 = np.linspace(0.0, 1.0, g.m)
         want = run(p, g, cfg, tau, T, v0, homogeneous=homogeneous).final
-        got = final_state(p, g, cfg, tau, T, v0, homogeneous=homogeneous)
+        got = run(p, g, cfg, tau, T, v0, homogeneous=homogeneous, record=False).final
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("march", [run, final_state])
-def test_homogeneous_backward_euler_growth_is_refused(march):
+@pytest.mark.parametrize("record", [True, False], ids=["run", "unrecorded"])
+def test_homogeneous_backward_euler_growth_is_refused(record):
     # beta < 0 (past assemble's check) makes (I + dt A)^-1 amplify constants,
     # which a homogeneous backward-Euler run must not do
     p = dataclasses.replace(ball_shrink_problem(), beta=-1.0)
     with pytest.raises(SolverError, match="homogeneous backward-Euler norm grew at t = 0.01"):
-        march(p, RadialGrid(3, 12), StepperConfig(dt=0.01), 0.0, 0.1, 1.0, homogeneous=True)
+        run(p, RadialGrid(3, 12), StepperConfig(dt=0.01), 0.0, 0.1, 1.0, homogeneous=True,
+            record=record)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -825,7 +882,7 @@ def test_final_state_validates_once_and_steps_through_advance(monkeypatch, schem
     for n, v0 in ((10, np.linspace(0.0, 1.0, g.m)), (40, 0.5), (10, None)):
         built.clear()
         steps.clear()
-        final_state(p, g, cfg, 0.0, n * cfg.dt, v0)
+        run(p, g, cfg, 0.0, n * cfg.dt, v0, record=False)
         assert len(built) == 1
         assert steps == [g.m] * n
 
@@ -946,6 +1003,28 @@ def test_mms_identity_box_orders():
     rep_cn = mms_convergence(p, "exp(-t) * cos(pi * y1)", grids[-1:],
                              dts=(0.04, 0.02, 0.01), scheme="crank-nicolson")
     assert all(abs(o - 2.0) <= 0.3 for o in rep_cn.temporal_orders)
+
+
+@pytest.mark.parametrize("scheme, temporal", [("crank-nicolson", 1.9), ("backward-euler", 0.9)])
+def test_mms_with_a_state_nonlinearity_orders(scheme, temporal):
+    # f = sin(u) puts -f(t, exact) into the manufactured source and runs the
+    # crank-nicolson corrector on every step
+    p = identity_problem(1, f="sin(u)")
+    grids = [BoxGrid((1.0,), (n,)) for n in (16, 32, 64)]
+    rep = mms_convergence(p, "exp(-t) * cos(pi * y1)", grids, dts=(0.04, 0.02, 0.01),
+                          scheme=scheme)
+    assert all(o >= 1.9 for o in rep.spatial_orders)
+    assert all(o >= temporal for o in rep.temporal_orders)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mms_radial_orders_on_low_dimensional_balls(dim):
+    # the conormal check samples the boundary of a 1-D and a 2-D ball
+    p = identity_problem(dim, domain=BallDomain(dim))
+    exact = "exp(-t) * (1 - (" + " + ".join(f"y{i + 1}^2" for i in range(dim)) + "))^2"
+    rep = mms_convergence(p, exact, [RadialGrid(dim, n) for n in (16, 32)], dts=(0.04, 0.02),
+                          scheme="crank-nicolson")
+    assert all(o >= 1.9 for o in rep.spatial_orders + rep.temporal_orders)
 
 
 def test_mms_spatial_orders_follow_the_ladder():
