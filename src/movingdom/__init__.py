@@ -21,7 +21,7 @@ from .problem import (GrowthReport, ProblemError, SignReport,
 from .pullback import (DecayFit, GapReport, PullbackError, absorbing_radius,
                        cocycle_check, decay_fit, drift_norm, factorization_probe,
                        pullback_converge)
-from .solver import (CgError, MmsReport, SolverError, StepperConfig,
+from .solver import (CgError, GridH1Error, MmsReport, SolverError, StepperConfig,
                      Trajectory, manufactured_source, mms_convergence, run,
                      run_homogeneous)
 
@@ -41,7 +41,7 @@ __all__ = [
     "DecayFit", "GapReport", "PullbackError", "absorbing_radius",
     "cocycle_check", "decay_fit", "drift_norm", "factorization_probe",
     "pullback_converge",
-    "CgError", "MmsReport", "SolverError", "StepperConfig", "Trajectory",
+    "CgError", "GridH1Error", "MmsReport", "SolverError", "StepperConfig", "Trajectory",
     "manufactured_source", "mms_convergence", "run", "run_homogeneous",
     "__version__",
 ]

@@ -5,8 +5,8 @@ sections; expressions are double-quoted strings in the expression grammar.
 Every output table is CSV with a `schema,<name>,<version>` tag in row 1, and
 identical config plus seed gives byte-identical output files.
 
-Exit codes: 0 ok, 1 hypothesis failure, 2 config error, 3 solver failure,
-4 resource cap.
+Exit codes: 0 ok, 1 hypothesis failure (H1 on the grid of a marching
+command included), 2 config error, 3 solver failure, 4 resource cap.
 """
 
 import argparse
@@ -30,7 +30,8 @@ from .grid import BoxGrid, GridError, RadialGrid, _csv_blocks, on_cells, write_s
 from .problem import ProblemError, assemble, check_H2, check_H3
 from .pullback import (PullbackError, absorbing_radius, cocycle_check, decay_fit,
                        drift_norm, factorization_probe, ladder_steps, pullback_converge)
-from .solver import SolverError, StepperConfig, drift_basis, mms_convergence, run
+from .solver import (GridH1Error, SolverError, StepperConfig, drift_basis, mms_convergence,
+                     mms_plan, operator_family, run)
 
 log = logging.getLogger("movingdom.cli")
 
@@ -311,6 +312,14 @@ class _HypothesisFailure(Exception):
     pass
 
 
+def _step_cap(rc):
+    """The [experiment] value max_total_steps, at least 1."""
+    cap = _exp(rc, "max_total_steps", 5_000_000, int)
+    if cap < 1:
+        raise ConfigError(f"max_total_steps must be at least 1, got {cap}")
+    return cap
+
+
 def _require_plan(cap, *planned):
     """The resource-cap error (exit 4) for the first (phase, steps) above cap."""
     for phase, steps in planned:
@@ -384,13 +393,11 @@ def cmd_solve(rc, out, seed=None):
     T = _exp(rc, "t", 1.0)
     if not tau <= T:
         raise ConfigError(f"[experiment] needs tau <= t, got tau = {tau}, t = {T}")
-    cap = _exp(rc, "max_total_steps", 5_000_000, int)
-    if cap < 1:
-        raise ConfigError(f"max_total_steps must be at least 1, got {cap}")
-    _require_plan(cap, ("march", (T - tau) / cfg.dt))
+    _require_plan(_step_cap(rc), ("march", (T - tau) / cfg.dt))
     metric = _require_checks(rc)
     p = _problem(rc, metric)
-    # the drift basis and the operator family it needs, built before the march
+    # H1 on the grid: the operator family and the drift basis, before the march
+    operator_family(p, g)
     drift_basis(p, g)
     traj = run(p, g, cfg, tau, T)
     _write_metrics(out, traj)
@@ -415,6 +422,7 @@ def cmd_mms(rc, out, seed=None):
     for dt in rc.dts:
         _stepper(rc, dt)
     grids = [_grid(rc, n) for n in rc.grid_ladder]
+    _require_plan(_step_cap(rc), ("mms ladder", mms_plan(len(grids), rc.dts)[0]))
     p = _problem(rc, _require_checks(rc))
     rep = mms_convergence(p, rc.exact, grids, rc.dts, scheme=rc.scheme,
                           cg_tol=rc.cg_tol)
@@ -455,16 +463,21 @@ def cmd_pullback(rc, out, seed=None):
                   ("absorbing radius", n_seeds * len(radii) * ladder_steps(radius_k, cfg.dt)))
     p = _problem(rc, _require_checks(rc))
 
-    # the drift basis and the operator family it needs, shared by the runs below
+    # H1 on the grid (the family and drift basis the runs share), then the drift
+    # norms, which need no march and refuse a cross block: before any march
+    operator_family(p, g)
     drift_basis(p, g)
+    try:
+        drift_rows = [(t_star, t_star - gap, drift_r,
+                       drift_norm(p, g, (t_star, t_star - gap, drift_r)))
+                      for gap in gaps_ladder]
+    except PullbackError as e:
+        raise ConfigError(str(e)) from None
     rng = np.random.default_rng(rng_seed)
     seeds = [rng.normal(size=g.m) for _ in range(n_seeds)]
     u0 = on_cells(g, p.initial_values) if rc.initial is not None else np.zeros(g.m)
 
     decay = decay_fit(p, g, cfg, t_star, horizon, seeds)
-    drift_rows = [(t_star, t_star - gap, drift_r,
-                   drift_norm(p, g, (t_star, t_star - gap, drift_r)))
-                  for gap in gaps_ladder]
     gaps = pullback_converge(p, g, cfg, t_star, u0, k_max, max_total_steps=cap)
     radius = absorbing_radius(p, g, cfg, t_star, seeds, radii, k_max=radius_k)
     coc = cocycle_check(p, g, cfg, t_star - 2.0, t_star - 1.0, t_star, u0)
@@ -539,10 +552,8 @@ def main(argv=None) -> int:
         except OSError as e:
             raise ConfigError(f"cannot create --out directory: {e}") from None
         return _COMMANDS[args.command](rc, out, seed=args.seed)
-    except _HypothesisFailure as e:
-        print(f"movingdom: {e}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except DegenerateDiffeoError as e:  # before its base class DiffeoError
+    # DegenerateDiffeoError before its base class DiffeoError, GridH1Error before SolverError
+    except (_HypothesisFailure, DegenerateDiffeoError, GridH1Error) as e:
         print(f"movingdom: {e}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except (ConfigError, ex.ParseError, ex.EvalError, ProblemError, DiffeoError,

@@ -24,14 +24,12 @@ A v = scale * S v / vol + beta v is self-adjoint in the volume-weighted
 inner product of `inner` (scale 1 when assembled).
 
 There is one operator type, `SparseOperator`.  Under H1, a(t) = h2(t) a0
-and S(t) = h2(t) S0, so A(t) is A(0) with scale h2(t).  `operator_family`
-builds, once per (metric, grid) and only if that holds to 1e-13, A(0) and
-h2, a_00 at one cell evaluated over an array of times at once; A(0) also
-carries the eigenpairs of L0 = S0 / vol where the grid allows: one eigh of
-V^-1/2 S0 V^-1/2 on a radial grid, one per axis on a box whose axis-k face
-weights depend on y_k alone (a Kronecker sum of 1-D chains).  Its scaled
-and shifted copies share them.  The explicit drift has the same structure
-and its own basis, `solver.drift_basis`, kept beside the family.
+and S(t) = h2(t) S0, so A(t) is A(0) with scale h2(t): the march's operator
+family, `solver.operator_family`, is assemble_A at t = 0 plus the
+eigenpairs of L0 = S0 / vol where the grid allows, from `_chain` (one eigh
+on a radial grid) and `_axis_line` (one per axis on a box whose axis-k face
+weights depend on y_k alone).  Its scaled and shifted copies share them.
+assemble_A at any other t is the oracle the tests hold the family to.
 
 The public norms validate their field through `_values`, which makes a
 scalar a constant field and checks the shape and finiteness of an array.
@@ -41,15 +39,14 @@ L2, H1, mass and boundary flux from one gradient, through the same pieces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
-from itertools import chain, repeat
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from . import expr as ex
-from .diffeo import BallDomain, interior_points, time_grid
+from .diffeo import BallDomain
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 _SLAB = 4096   # cells evaluated at a time, which bounds the memory
@@ -394,65 +391,6 @@ def _axis_line(w, ax):
     """
     line = w[tuple(slice(None) if k == ax else slice(0, 1) for k in range(w.ndim))]
     return line.ravel().copy() if np.array_equal(w, np.broadcast_to(line, w.shape)) else None
-
-
-# ---------------------------------------------------------------------------
-# the separable operator family
-
-def operator_family(p, grid):
-    """(A0, h2) with A(t) = A0 scaled by h2(t) for p's metric on grid, None
-    when a(t) is not h2(t) a0 to rounding; built once and kept on the metric.
-
-    A0 is A at t = 0, with its eigenpairs where the grid allows; h2 maps a
-    1-D array of times to h2(t) = a_00(t, y*) / a0_00(y*) at each, y* the
-    cell of largest |a0_00|.
-    """
-    cache, key = p.metric._fns, ("family", grid)
-    if key not in cache:
-        cache[key] = _build_family(p, grid)
-    return cache[key]
-
-
-def _build_family(p, grid):
-    def h2(ts):   # one evaluation of a_00 at y* over the array of times
-        env, shape = ex.bind(ts, grid.points([ref]))
-        return np.broadcast_to(fns[0](env), shape)[:, 0] / a0[ref, 0, 0]
-
-    def gaps(pts, ts):   # max |a - h2 a0| and max |a| over pts at each time, a_jk at its own shape
-        env, env0 = ex.bind(ts, pts)[0], ex.bind(0.0, pts)[0]
-        h = h2(ts).reshape(env["t"].shape)
-        out = np.zeros((2, len(ts)))
-        for fn in fns:   # each value is 0-d or has the time axis first
-            a = fn(env)
-            for row, x in zip(out, (a - h * fn(env0), a)):
-                np.maximum(row, np.abs(x).max(axis=tuple(range(1, np.ndim(x)))), out=row)
-        return out
-
-    # a family if a(t) = h2(t) a0 to 1e-13 per block of H1 times, and per probe and slab
-    fns = [p.metric._fn(("a", j, k), p.metric.a[j][k]) for j in range(p.dim) for k in range(p.dim)]
-    probes = np.array([-16.0, -4.0, -1.0, 1.0, 4.0])
-    try:
-        base = assemble_A(p, grid, 0.0)   # GridError for the grids assemble_A rejects
-        a0 = base.a
-        ref = int(np.argmax(np.abs(a0[:, 0, 0])))
-        lattice = gaps(interior_points(p.domain, p.dim), time_grid())
-        blocks = chain((b.max(axis=1) for b in np.array_split(lattice, 8, axis=1)),
-                       chain.from_iterable(gaps(mesh, probes).T for _, mesh in grid.slabs()))
-        if not all(gap <= 1e-13 * top for gap, top in blocks):
-            return None
-    except ex.EvalError:   # a is undefined at t = 0 or at a sampled time
-        return None
-    if grid.kind == "radial":
-        root = np.sqrt(grid.volumes)
-        lam, Q = np.linalg.eigh(_chain(base.weights[0]) / np.outer(root, root))
-        return replace(base, vecs=(Q,), lam=lam, root_vol=root), h2
-    lines = [_axis_line(w, ax) for ax, w in enumerate(base.weights)]
-    if base.cross is not None or any(line is None for line in lines):
-        return base, h2
-    # S0 is the Kronecker sum of the 1-D chains: eigenvalues add across axes
-    eig = [np.linalg.eigh(_chain(line)) for line in lines]
-    lam = reduce(np.add.outer, [lam_k for lam_k, _ in eig]).ravel()
-    return replace(base, vecs=tuple(Q for _, Q in eig), lam=lam / grid.volumes[0]), h2
 
 
 # ---------------------------------------------------------------------------

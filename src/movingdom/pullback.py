@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _sq, _values, norm_H1, norm_L2, operator_family
+from .grid import _sq, _values, norm_H1, norm_L2
 from .problem import check_H2, check_H3
-from .solver import (_eigen, _eigenvalues, _lattice, _require_positive, _solve, operator_at, run,
-                     run_homogeneous)
+from .solver import (_eigen, _eigenvalues, _lattice, _require_positive, _solve, operator_at,
+                     operator_family, run, run_homogeneous)
 
 log = logging.getLogger("movingdom.pullback")
 
@@ -93,12 +93,13 @@ def drift_norm(p, grid, times) -> float:
     """Spectral-norm estimate of (A_h(t) - A_h(tau)) A_h(r)^-1.
 
     Power iteration (tol 1e-8, at most 200 steps) on the normal operator in
-    the vol-weighted inner product.  Where the metric's operator family has
-    eigenpairs, the map is the diagonal (h2(t) - h2(tau)) lam / (beta +
-    h2(r) lam) in its eigenbasis, h2 at the three times from one call of the
-    family's h2, and the iteration runs there on the transformed start, a
-    mode at most 1e-12 of its largest coefficient given the largest.
-    Otherwise the operators from `operator_at`, each its implicit part, are
+    the vol-weighted inner product, on the operator family (GridH1Error
+    without one).  Where the family has eigenpairs, the map is the diagonal
+    (h2(t) - h2(tau)) lam / (beta + h2(r) lam) in its eigenbasis, h2 at the
+    three times from one call of the family's h2, and the iteration runs
+    there on the transformed start, a mode at most 1e-12 of its largest
+    coefficient given the largest.  Otherwise (PullbackError on a cross
+    block) the operators from `operator_at`, each its implicit part, are
     applied and A_h(r) is inverted by conjugate gradients (tol 1e-12).
     Where the start misses no mode (radial grids) both are the same
     iteration, so they stop at the same estimate.  It is a
@@ -113,9 +114,9 @@ def drift_norm(p, grid, times) -> float:
     # start from the highest-frequency sign pattern: the drift operator
     # annihilates constants, so a flat start would report 0
     x = np.where(np.arange(grid.m) % 2 == 0, 1.0, -1.0)
-    family = operator_family(p, grid)
-    if family is not None and family[0].lam is not None:
-        A0, h = family[0], family[1](np.array(times))   # h2 at (t, tau, r)
+    A0, h2 = operator_family(p, grid)
+    if A0.lam is not None:
+        h = h2(np.array(times))   # h2 at (t, tau, r)
         denom = _eigenvalues(p.beta, h[2], A0.lam)
         _require_positive(denom.min())
         d = (h[0] - h[1]) * A0.lam / denom   # B = B*, diagonal in the eigenbasis
@@ -123,12 +124,11 @@ def drift_norm(p, grid, times) -> float:
         top = np.abs(y).max()
         y[np.abs(y) <= 1e-12 * top] = top
         est, done = _power(y, d.__mul__, d.__mul__, lambda z: math.sqrt(z.dot(z)))
+    elif A0.cross is not None:
+        raise PullbackError("drift_norm requires diagonal diffusion "
+                            "(no explicit cross-derivative block)")
     else:
-        ops = [operator_at(p, grid, s) for s in times]
-        if any(o.cross is not None for o in ops):
-            raise PullbackError("drift_norm requires diagonal diffusion "
-                                "(no explicit cross-derivative block)")
-        est, done = _power(x, *_operator_maps(grid, *ops))
+        est, done = _power(x, *_operator_maps(grid, *(operator_at(p, grid, s) for s in times)))
     if not done:
         log.warning("drift_norm power iteration stagnated at %.6e "
                     "(t=%s, tau=%s, r=%s)", est, t, tau, r)

@@ -12,22 +12,22 @@ followed, for crank-nicolson, by one corrector solve with F re-evaluated
 at the midpoint state (v_n + v*)/2.  When F does not depend on the state
 the corrector right-hand side is identical and v* is kept without a second
 solve, so the scheme degenerates to the plain one-solve form; with
-state-dependent F the correction restores second order in time.  Under
-H1 the scalars of a step depend on t alone: h2(t), the drift coefficients
-below and an f of t alone, folded into the source.  The march evaluates
-each once per chunk of _CHUNK steps, by expr.compiled over the chunk's
-times its steps take it at.  The drift b(t, .) lies in a fixed space of at
-most d + 2 fields of y; `drift_basis` keeps r snapshot fields of b on the grid,
-built once per (metric, grid) next to the operator family and checked to
-1e-13, so a time costs b at r pivots and one r x r product instead of b
-over the grid.  Without a family, or where the check fails, b is evaluated
-over the grid (grid.on_cells) at each time, as is a source s(t, y).
+state-dependent F the correction restores second order in time.
 
-Under H1 every A(t) is the metric's operator at t = 0 on the grid (grid.py),
-the fixed flux S0 (and cross block C0), scaled by h2(t), plus beta: the
-problem's, never A0's, as A0 is kept on the metric for every problem on it.
-Without that structure A(t) is assembled at every time; `operator_at` builds
-every A(t).  Where the family carries the eigenpairs of L0 = S0 / vol
+The march needs H1 on its grid, held to 1e-13 by two guards kept per
+(metric, grid): `operator_family` (A0, assembled at t = 0, and h2, with
+a(t) = h2(t) a0) and `drift_basis` (r <= d + 2 fields of b on the grid and
+their coefficients in t).  A map that passes check_H1 (1e-6 on its samples)
+but fails either guard on its grid is refused with GridH1Error; every run
+needs the family, a forced run the basis too.  The scalars of a step, h2(t),
+the drift coefficients and an f of t alone (folded into the source), are
+evaluated once per chunk of _CHUNK steps by expr.compiled over the times
+the steps take them at; a source s(t, y) is evaluated over the grid
+(grid.on_cells) at each time.
+
+Every A(t) is A0 scaled by h2(t), plus beta: the problem's, never A0's, as
+A0 is kept on the metric for every problem on it; `operator_at` builds A(t)
+at one time.  Where the family carries the eigenpairs of L0 = S0 / vol
 (radial grids, 1-D and Kronecker-sum boxes; no cross block then),
 A(t) = beta + h2(t) L0 is diagonal in one fixed eigenbasis and a step makes
 no operator: from the chunk's h2, `_mode_steps` tabulates each step's rows
@@ -37,17 +37,17 @@ a solve divides by D_n in the eigenbasis, the corrector reusing the rows.
 A table holds at most _TABLE = 2^15 values, so larger grids take blocks of
 fewer steps, down to one row per step; one block is held at a time.  A
 homogeneous step is W^-1 Q (N_n * Q^T W v) / D_n, one transform each way.
-On a radial grid or a 1-D box (one Q, each transform one matmul) with a
-drift basis a forced step stays in mode coordinates too, y = Q^T W v taken
-from each step's state, never carried over: the drift term of F is
-g(t) @ (M y), M the drift basis' fields times the gradient stencil as fixed
-mode matrices (`_drift_modes`, (r + 1) n^2 values with Q), an f of t alone
-is f(t) times the transformed 1, a source and f(t, u) are transformed from
-the grid, and the step ends in one transform back.  On larger boxes F is
-formed on the grid and transformed.  Other operators (a cross block, a
-non-Kronecker box, no family) are made per time and solved by Jacobi CG,
-matrix-free on the face weights, to the relative tolerance cg_tol.  Under
-any family the metrics rows and the growth guard read h2 and A0 alone.
+On a radial grid or a 1-D box (one Q, each transform one matmul) a forced
+step stays in mode coordinates too, y = Q^T W v taken from each step's
+state, never carried over: the drift term of F is g(t) @ (M y), M the drift
+basis' fields times the gradient stencil as fixed mode matrices
+(`_drift_modes`, (r + 1) n^2 values with Q), an f of t alone is f(t) times
+the transformed 1, a source and f(t, u) are transformed from the grid, and
+the step ends in one transform back.  On larger boxes F is formed on the
+grid and transformed.  Without eigenpairs (a cross block, a non-Kronecker
+box) `_operator_steps` scales A0 by the chunk's h2 instead, and Jacobi CG
+solves, matrix-free on the face weights, to the relative tolerance cg_tol.
+The metrics rows and the growth guard read h2 and A0 alone.
 
 Time marches by accumulation (t_{n+1} = t_n + dt).  Each operator and each
 table row is made from its exact time values (the H1 scaling from time 0,
@@ -69,16 +69,16 @@ the steps make, with no second check or copy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import partial
-from itertools import islice
+from dataclasses import dataclass, field, replace
+from functools import partial, reduce
+from itertools import chain, islice
 
 import numpy as np
 
 from . import expr as ex
 from .diffeo import boundary_points, interior_points, time_grid
-from .grid import (SparseOperator, _diagonal, _gradients, _metrics, _sq, _values, assemble_A,
-                   norm_L2, on_cells, operator_family)
+from .grid import (SparseOperator, _axis_line, _chain, _diagonal, _gradients, _metrics, _sq,
+                   _values, assemble_A, norm_L2, on_cells)
 
 
 class SolverError(Exception):
@@ -87,6 +87,15 @@ class SolverError(Exception):
 
 class CgError(SolverError):
     pass
+
+
+class GridH1Error(SolverError):
+    """H1 fails on the grid: the operator family or the drift basis guard
+    refuses a map there, at 1e-13, that check_H1 may pass at 1e-6."""
+
+    def __init__(self, guard, grid, why):
+        super().__init__(f"H1 does not hold to 1e-13 on the {grid.kind} grid "
+                         f"{'x'.join(map(str, grid.counts))}: the {guard} guard fails, {why}")
 
 
 SCHEMES = ("backward-euler", "crank-nicolson")
@@ -241,16 +250,15 @@ def _solve(op, rhs, tol, x0=None, modes=False):
     return _eigen(A0, rhs / denom, back=True), 0
 
 
-def operator_at(p, grid, t, h2=None):
-    """A(t) of problem p on grid, with p's beta: the metric's H1 operator A0
-    scaled by h2[t], h2 the family's h2 tabulated at times that hold t (at t
-    alone where None); assembled at t where the metric has no family."""
-    family = operator_family(p, grid)
-    if family is None:
-        return assemble_A(p, grid, t)
-    A0, scale = family[0], (_tabulate(family[1], [t]) if h2 is None else h2)[t]
-    return SparseOperator(A0.grid, A0.weights, p.beta, A0.cross, a=A0.a, scale=float(scale),
-                          vecs=A0.vecs, lam=A0.lam, root_vol=A0.root_vol)
+def operator_at(p, grid, t):
+    """A(t) of problem p on grid, with p's beta: the family's A0 scaled by h2(t)."""
+    A0, h2 = operator_family(p, grid)
+    return _scaled(A0, p.beta, h2(np.array([t]))[0])
+
+
+def _scaled(A0, beta, scale):
+    """A0 scaled by the h2 value scale, with the problem's beta."""
+    return replace(A0, beta=beta, scale=float(scale))
 
 
 def _tabulate(fn, times):
@@ -260,7 +268,62 @@ def _tabulate(fn, times):
 
 
 # ---------------------------------------------------------------------------
-# the drift as a few fixed fields times per-time scalars
+# H1 on the grid: the operator family and the drift basis, kept on the metric
+
+def operator_family(p, grid):
+    """(A0, h2) with A(t) = A0 scaled by h2(t) for p's metric on grid, built
+    once and kept on the metric; GridH1Error where a(t) is not h2(t) a0 to
+    1e-13 or a is undefined at a sampled time.  A0 is A at t = 0, with its
+    eigenpairs where the grid allows; h2 maps a 1-D array of times to
+    h2(t) = a_00(t, y*) / a0_00(y*) at each, y* the cell of largest |a0_00|.
+    """
+    cache, key = p.metric._fns, ("family", grid)
+    if key not in cache:
+        cache[key] = _build_family(p, grid)
+    return cache[key]
+
+
+def _build_family(p, grid):
+    def h2(ts):   # one evaluation of a_00 at y* over the array of times
+        env, shape = ex.bind(ts, grid.points([ref]))
+        return np.broadcast_to(fns[0](env), shape)[:, 0] / a0[ref, 0, 0]
+
+    def gaps(pts, ts):   # max |a - h2 a0| and max |a| over pts at each time, a_jk at its own shape
+        env, env0 = ex.bind(ts, pts)[0], ex.bind(0.0, pts)[0]
+        h = h2(ts).reshape(env["t"].shape)
+        out = np.zeros((2, len(ts)))
+        for fn in fns:   # each value is 0-d or has the time axis first
+            a = fn(env)
+            for row, x in zip(out, (a - h * fn(env0), a)):
+                np.maximum(row, np.abs(x).max(axis=tuple(range(1, np.ndim(x)))), out=row)
+        return out
+
+    # a family if a(t) = h2(t) a0 to 1e-13 per block of H1 times, and per probe and slab
+    fns = [p.metric._fn(("a", j, k), p.metric.a[j][k]) for j in range(p.dim) for k in range(p.dim)]
+    probes = np.array([-16.0, -4.0, -1.0, 1.0, 4.0])
+    try:
+        base = assemble_A(p, grid, 0.0)   # GridError for the grids assemble_A rejects
+        a0 = base.a
+        ref = int(np.argmax(np.abs(a0[:, 0, 0])))
+        lattice = gaps(interior_points(p.domain, p.dim), time_grid())
+        blocks = chain((b.max(axis=1) for b in np.array_split(lattice, 8, axis=1)),
+                       chain.from_iterable(gaps(mesh, probes).T for _, mesh in grid.slabs()))
+        if not all(gap <= 1e-13 * top for gap, top in blocks):
+            raise GridH1Error("operator family", grid, "a(t) is not h2(t) a(0)")
+    except ex.EvalError:
+        raise GridH1Error("operator family", grid, "a is undefined at a sampled time") from None
+    if grid.kind == "radial":
+        root = np.sqrt(grid.volumes)
+        lam, Q = np.linalg.eigh(_chain(base.weights[0]) / np.outer(root, root))
+        return replace(base, vecs=(Q,), lam=lam, root_vol=root), h2
+    lines = [_axis_line(w, ax) for ax, w in enumerate(base.weights)]
+    if base.cross is not None or any(line is None for line in lines):
+        return base, h2
+    # S0 is the Kronecker sum of the 1-D chains: eigenvalues add across axes
+    eig = [np.linalg.eigh(_chain(line)) for line in lines]
+    lam = reduce(np.add.outer, [lam_k for lam_k, _ in eig]).ravel()
+    return replace(base, vecs=tuple(Q for _, Q in eig), lam=lam / grid.volumes[0]), h2
+
 
 def _by_axis(grid, b):
     """The drift b at some times, shaped (times, cells, d), as the stepper uses
@@ -282,15 +345,15 @@ def _drift_on(p, grid, ts):
 def drift_basis(p, grid):
     """(g, fields) with the drift by axis at time t equal to g(t) @ fields,
     fields shaped (r, axes, cells) and g mapping a 1-D array of times to one
-    row of r coefficients each; None where b is evaluated per time.  Built
-    once and kept on the metric.
+    row of r coefficients each.  Built once and kept on the metric;
+    GridH1Error where the guard fails or b is undefined at a sampled time.
     """
     cache, key = p.metric._fns, ("drift", grid)
     if key not in cache:
         try:
             cache[key] = _build_drift(p, grid)
-        except ex.EvalError:   # b is undefined at a sampled time
-            cache[key] = None
+        except ex.EvalError:
+            raise GridH1Error("drift basis", grid, "b is undefined at a sampled time") from None
     return cache[key]
 
 
@@ -303,11 +366,9 @@ def _build_drift(p, grid):
     pivots = b(t) at the pivots, for an array of times at once.  They are
     kept only if they reconstruct b to 1e-13 at every lattice time and on
     every grid cell at the probe times, each against that time's max |b|;
-    r = 0 when b is identically zero.  None without an operator
-    family, with more than d + 2 fields, or when the guard fails.
+    r = 0 when b is identically zero.  GridH1Error with more than d + 2
+    fields or when the guard fails.
     """
-    if operator_family(p, grid) is None:
-        return None
     m, d = p.metric, p.dim
     ts = time_grid()
     lattice = m.eval_b(ts, interior_points(p.domain, d)).reshape(len(ts), -1)
@@ -318,7 +379,7 @@ def _build_drift(p, grid):
     floor = 1e-24 * sq.max()
     while sq.max() > floor:
         if len(rows) == d + 2:
-            return None
+            raise GridH1Error("drift basis", grid, f"b(t) spans more than d + 2 = {d + 2} fields")
         i = int(np.argmax(sq))
         rows.append(i)
         q = res[i] / np.sqrt(sq[i])
@@ -347,7 +408,7 @@ def _build_drift(p, grid):
 
     for g, b in zip(coefficients(ts), lattice):
         if not np.abs(g @ lattice[rows] - b).max() <= 1e-13 * np.abs(b).max():
-            return None
+            raise GridH1Error("drift basis", grid, "b(t) leaves its fields on the H1 lattice")
     probes = np.array([-1.5, 0.5])   # times off the H1 lattice
     g, err, top = coefficients(probes), np.zeros(2), np.zeros(2)
     for c, b in _drift_on(p, grid, probes):   # each time's fit, as a time alone
@@ -355,7 +416,7 @@ def _build_drift(p, grid):
         np.maximum(err, np.abs(fit - b).max(axis=(1, 2)), out=err)
         np.maximum(top, np.abs(b).max(axis=(1, 2)), out=top)
     if not (err <= 1e-13 * top).all():
-        return None
+        raise GridH1Error("drift basis", grid, "b(t) leaves its fields on the grid cells")
     return coefficients, fields
 
 
@@ -390,32 +451,27 @@ def _forcing(p, grid, times, A0=None):
     at each t of times.
 
     The drift is (g, fields), its field by grid axis being g @ fields: the
-    drift basis and its coefficients at t, or eval_b at t with g = (1,)
-    where there is no basis.  It is None when b is identically zero.  An f
-    of t alone is one value at t, added to the source; the source is None
-    when there is neither.  With A0, a one-axis family's operator, and a
-    drift basis, modes is True and both are in A0's eigenbasis: the fields
-    are `_drift_modes`' M, and the source is transformed, an f of t alone
-    being f(t) times the transformed 1.  The coefficients and an f of t
-    alone are tabulated over times, the rest is evaluated at t when fn is
-    called.
+    drift basis and its coefficients at t.  It is None when b is
+    identically zero.  An f of t alone is one value at t, added to the
+    source; the source is None when there is neither.  With A0, a one-axis
+    family's operator, modes is True and both are in A0's eigenbasis: the
+    fields are `_drift_modes`' M, and the source is transformed, an f of t
+    alone being f(t) times the transformed 1.  The coefficients and an f of
+    t alone are tabulated over times, a source is evaluated over the grid
+    at t when fn is called.
     """
-    basis = drift_basis(p, grid)
-    modes = A0 is not None and basis is not None
-    fields, one = None if basis is None else basis[1], 1.0
+    coefficients, fields = drift_basis(p, grid)
+    g = _tabulate(coefficients, times) if len(fields) else None
+    modes, one = A0 is not None, 1.0
     if modes:
         fields, one = _drift_modes(p, grid)
-    g = _tabulate(basis[0], times) if basis is not None and len(basis[1]) else None
     f_t = None
     if p.f is not None and not p.f_uses_u:
         f = p._fn("f", p.f, ("t", "u"))
         f_t = _tabulate(lambda ts: np.broadcast_to(f({"t": ts}), ts.shape), times)
 
     def at(t):
-        if basis is None:
-            drift = np.ones(1), np.concatenate([b for _, b in _drift_on(p, grid, [t])], -1)
-        else:
-            drift = None if g is None else (g[t], fields)
+        drift = None if g is None else (g[t], fields)
         source = on_cells(grid, p.source_values, t) if p.source is not None else None
         if modes and source is not None:
             source = _eigen(A0, source)
@@ -472,8 +528,8 @@ def _advance(p, grid, cfg, t, v, dt, implicit, forcing):
     family), takes the state into the eigenbasis once, y = Q^T W v, forms F
     there from y and comes back once, with the corrector's F at the mode
     midpoint (y + y*) / 2 (and f(t, u) at the grid midpoint).  Other steps
-    (CG operators, boxes of more axes, maps without a drift basis) form F on
-    the grid, and a mode step among them transforms it.
+    (CG operators, boxes of more axes) form F on the grid, and a mode step
+    among them transforms it.
     """
     lhs, N, cross_op = implicit
     cn, tol = cfg.scheme == "crank-nicolson", cfg.cg_tol
@@ -514,20 +570,15 @@ def _same(x):
     return x
 
 
-def _operator_steps(cfg, steps, ops, get_op):
-    """The implicit part of each step (see _advance) from the operators at its
-    times: get_op makes each once into ops, which keeps only the current
-    step's; the one at t_n is the last step's."""
+def _operator_steps(A0, beta, cfg, steps, h2):
+    """The implicit part of each step (see _advance) for a family without
+    eigenpairs, solved by CG: A0 scaled by h2, tabulated at the step times,
+    beta the problem's; the cross block lags at the crank-nicolson midpoint."""
     cn = cfg.scheme == "crank-nicolson"
     for t, dt, _ in steps:
-        A0 = get_op(t)
-        ops.clear()
-        ops[t] = A0
-        if not cn:
-            yield get_op(t + dt).shifted(dt), None, A0
-            continue
-        c = 0.5 * dt
-        yield get_op(t + dt).shifted(c), A0, get_op(t + c) if A0.cross is not None else A0
+        A, c = _scaled(A0, beta, h2[t]), 0.5 * dt if cn else dt
+        lags = _scaled(A0, beta, h2[t + c]) if cn and A0.cross is not None else A
+        yield _scaled(A0, beta, h2[t + dt]).shifted(c), A if cn else None, lags
 
 
 _TABLE = 2 ** 15   # values in one table of mode rows; blocks of fewer steps on larger grids
@@ -600,31 +651,19 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False,
                 f"{cfg.dt * lip:.3g} > 0.5; shrink dt below {0.5 / lip:.3g}")
 
     cn = cfg.scheme == "crank-nicolson"
-    family = operator_family(p, grid)
-    A0 = None if family is None else family[0]
-    modes = A0 is not None and A0.lam is not None   # no cross block then
-    one_axis = A0 if modes and len(A0.vecs) == 1 else None   # F in modes, with a drift basis
-    h2 = None if family is None else _tabulate(family[1], [tau])
-    ops = {}
-
-    def get_op(t):
-        # made once per time value from the chunk's h2; _operator_steps drops earlier ones
-        op = ops.get(t)
-        if op is None:
-            op = ops[t] = operator_at(p, grid, t, h2)
-        return op
-
+    A0, h2_of = operator_family(p, grid)
+    modes = A0.lam is not None   # no cross block then
+    one_axis = A0 if modes and len(A0.vecs) == 1 else None   # F in modes
+    h2 = _tabulate(h2_of, [tau])
     times, snapshots, metrics = [], [], []
 
     def keep(n, t, v, iters):
-        op = get_op(t) if family is None else A0
-        scale = op.scale if family is None else float(h2[t])
-        metrics.append(StepMetrics(n, t, *_metrics(grid, v, scale, op.a), iters))
+        metrics.append(StepMetrics(n, t, *_metrics(grid, v, float(h2[t]), A0.a), iters))
         if n == 0 or t == T or (cfg.snapshot_every and n % cfg.snapshot_every == 0):
             times.append(t)
             snapshots.append(v)
 
-    guard = homogeneous and cfg.scheme == "backward-euler"
+    guard = homogeneous and cfg.scheme == "backward-euler" and A0.cross is None
     l2 = math.sqrt(_sq(grid, v)) if guard else None
     if record:
         keep(0, tau, v, 0)
@@ -637,14 +676,11 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False,
         # h2 at the chunk's first t_n is kept from the last chunk
         mids = [t + 0.5 * dt for t, dt, _ in steps]
         ends = [s for t, dt, t_next in steps for s in (t + dt, t_next)]
-        if family is not None:
-            t0 = steps[0][0]
-            h2 = {t0: h2[t0], **_tabulate(
-                family[1], ends + (mids if cn and A0.cross is not None else []))}
+        t0 = steps[0][0]
+        h2 = {t0: h2[t0], **_tabulate(h2_of, ends + (mids if cn and A0.cross is not None else []))}
         forcing = None if homogeneous else _forcing(
             p, grid, mids if cn else [t for t, _, _ in steps], one_axis)
-        parts = (_mode_steps(A0, p.beta, cfg, steps, h2) if modes
-                 else _operator_steps(cfg, steps, ops, get_op))
+        parts = (_mode_steps if modes else _operator_steps)(A0, p.beta, cfg, steps, h2)
         for t, dt_step, t_next in steps:
             # the step's rows live only through its call
             v, iters = _advance(p, grid, cfg, t, v, dt_step, next(parts), forcing)
@@ -653,8 +689,7 @@ def run(p, grid, cfg: StepperConfig, tau, T, v0=None, homogeneous=False,
                                   "the explicit terms likely outran dt")
             if guard:
                 prev, l2 = l2, math.sqrt(_sq(grid, v))
-                if (get_op(t_next) if family is None else A0).cross is None and \
-                        l2 > prev * (1.0 + 10 * cfg.cg_tol) + 1e-300:
+                if l2 > prev * (1.0 + 10 * cfg.cg_tol) + 1e-300:
                     raise SolverError(f"homogeneous backward-Euler norm grew at t = {t_next}: "
                                       f"{prev} -> {l2}")
             n += 1
@@ -738,6 +773,17 @@ def _check_conormal(p, exact, times):
     return worst
 
 
+def mms_plan(n_grids, dts, tau=0.0, T=0.25, dt_spatial=5e-4):
+    """(steps, snapped dts) of mms_convergence with these arguments: each dt
+    snapped to divide T - tau into k >= 1 steps (a leftover partial step
+    would skew the observed order), and the steps of the spatial rungs, the
+    reference run at the smallest snapped dt / 20 and each temporal rung,
+    a float (inf for a dt too small for the float range)."""
+    span = T - tau
+    ks = [max(1.0, float(np.rint(span / dt))) for dt in dts]
+    return n_grids * span / dt_spatial + 20 * max(ks) + sum(ks), [span / k for k in ks]
+
+
 def mms_convergence(p, exact, grids, dts, scheme="backward-euler", tau=0.0,
                     T=0.25, dt_spatial=5e-4, cg_tol=1e-12) -> MmsReport:
     """Observed convergence orders against a manufactured exact solution.
@@ -746,7 +792,9 @@ def mms_convergence(p, exact, grids, dts, scheme="backward-euler", tau=0.0,
     error stays far below the spatial signal), error vs the exact profile
     at T.  Temporal ladder: the last grid in `grids`, errors vs a fine-dt
     crank-nicolson reference on that same grid, which isolates the time
-    discretization from the spatial floor.
+    discretization from the spatial floor.  Every grid's operator family
+    and drift basis are built before the first run: GridH1Error on a grid
+    where either guard fails, before any march.
     """
     if isinstance(exact, str):
         exact = ex.parse(exact)
@@ -758,6 +806,9 @@ def mms_convergence(p, exact, grids, dts, scheme="backward-euler", tau=0.0,
     pm = TransformedProblem(p.metric, p.beta, p.f,
                             source=manufactured_source(p, exact), initial=None)
     at = _exact_fn(exact, p.dim)
+    for g in grids:
+        operator_family(pm, g)
+        drift_basis(pm, g)
 
     spatial = []
     for g in grids:
@@ -771,10 +822,7 @@ def mms_convergence(p, exact, grids, dts, scheme="backward-euler", tau=0.0,
 
     tg = grids[-1]
     v0 = on_cells(tg, at, tau)
-    span = T - tau
-    # Snap each dt so it divides the horizon evenly: a leftover partial
-    # step shrinks the final-step error and skews the observed order.
-    eff = [span / max(1, round(span / dt)) for dt in dts]
+    eff = mms_plan(len(grids), dts, tau, T, dt_spatial)[1]
     ref_cfg = StepperConfig(dt=min(eff) / 20.0, scheme="crank-nicolson",
                             cg_tol=cg_tol)
     ref = run(pm, tg, ref_cfg, tau, T, v0, record=False).final

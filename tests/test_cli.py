@@ -468,6 +468,61 @@ def test_mms_needs_exact_solution(tmp_path):
                     "--out", tmp_path]) == 2
 
 
+@pytest.mark.parametrize("config, code, message", [
+    ("dts = 1e-7\n", 4, "the mms ladder plans 52501000 steps, above max_total_steps = 5000000"),
+    ("[experiment]\nmax_total_steps = 1542\n", 4,
+     "the mms ladder plans 1543 steps, above max_total_steps = 1542"),
+    ("[experiment]\nmax_total_steps = 0\n", 2,
+     "config error: max_total_steps must be at least 1, got 0"),
+], ids=["default_cap", "set_cap", "cap_zero"])
+def test_mms_over_the_step_cap_stops_before_any_check(tmp_path, capsys, monkeypatch, config,
+                                                      code, message):
+    # the ladder counts 2 spatial rungs of 0.25 / 5e-4 steps, the reference
+    # run at the smallest snapped dt / 20 and each temporal rung: dts = 1e-7
+    # plans a 5e7-step reference run, the default dts 1,543 steps in all
+    monkeypatch.setattr(cli, "_hypothesis_rows", hypothesis_checks_must_not_run)
+    p = tmp_path / "long.cfg"
+    p.write_text('[problem]\ndim = 1\nextents = 1.0\nforward = "y1"\ninverse = "x1"\n'
+                 'beta = 1.0\nexact = "exp(0 - t) * cos(3.141592653589793 * y1)"\n'
+                 '[numerics]\ngrid_ladder = 32, 64\n' + config)
+    out = tmp_path / "out"
+    assert run_cli(["mms", "--config", p, "--out", out]) == code
+    assert capsys.readouterr().err.strip().splitlines() == [f"movingdom: {message}"]
+    assert list(out.iterdir()) == []
+
+
+def shear_stretch_config(tmp_path, term=""):
+    """The shear-stretch map of tests/test_solver.py on an 8 x 8 grid, with
+    term added to its first forward component, as a config every marching
+    command reads (exp(-t) is flat in y, so mms reaches the grid guards)."""
+    s = "(exp(0 - t^2) + 1)"
+    cfg = tmp_path / "shear_stretch.cfg"
+    cfg.write_text(
+        f'[problem]\ndim = 2\nextents = 1.0, 1.0\n'
+        f'forward = "(y1 + 0.25 * y1^2) / {s}{term}", "(y2 - 0.2 * (y1 + 0.25 * y1^2)) / {s}"\n'
+        f'inverse = "2 * (sqrt(1 + x1 * {s}) - 1)", "{s} * x2 + 0.2 * {s} * x1"\n'
+        'beta = 1.0\nf = "sin(t)"\ninitial = "1 + y1"\nexact = "exp(0 - t)"\n'
+        '[numerics]\ngrid = 8, 8\ngrid_ladder = 8, 16\n')
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["solve", "pullback", "mms"])
+def test_a_map_off_h1_on_its_grid_exits_1_without_files(tmp_path, capsys, monkeypatch, command):
+    # 1e-10 t y1^2 moves a(t) off h2(t) a(0) by about 1e-10: `check` passes
+    # it (H1 to 1e-6 on its samples), and each marching command refuses it
+    # at the operator family guard, with one line on stderr and no files
+    monkeypatch.setenv("MOVINGDOM_LOG", "error")
+    cfg = shear_stretch_config(tmp_path, " + 1e-10 * t * y1^2")
+    assert run_cli(["check", "--config", cfg, "--out", tmp_path / "check"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "movingdom: H1 does not hold to 1e-13 on the box grid 8x8: the operator family guard "
+        "fails, a(t) is not h2(t) a(0)"]
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # pullback
 
@@ -670,6 +725,25 @@ def test_config_errors_come_before_failing_hypotheses(tmp_path, capsys, command,
     assert run_cli([command, "--config", cfg, "--out", tmp_path / "out"]) == code
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and message in lines[0], lines
+
+
+def test_pullback_on_a_cross_block_exits_2_before_marching(tmp_path, capsys, monkeypatch):
+    # the drift norms need diagonal diffusion and no march: they come first,
+    # so a map with a cross block is refused before the decay fit marches
+    from movingdom import pullback, solver
+
+    def must_not_march(*a, **k):
+        raise AssertionError("a march ran before the drift norms")
+
+    monkeypatch.setattr(solver, "run", must_not_march)
+    monkeypatch.setattr(pullback, "run", must_not_march)
+    monkeypatch.setenv("MOVINGDOM_LOG", "error")
+    out = tmp_path / "out"
+    assert run_cli(["pullback", "--config", shear_stretch_config(tmp_path), "--out", out]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "movingdom: config error: drift_norm requires diagonal diffusion "
+        "(no explicit cross-derivative block)"]
+    assert list(out.iterdir()) == []
 
 
 def test_non_finite_pullback_entry_exits_4_without_a_report(tmp_path, capsys, monkeypatch):

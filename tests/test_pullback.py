@@ -8,13 +8,13 @@ from movingdom import expr as ex
 from movingdom import pullback
 from movingdom.cli import _grid, _spec, fixture_path, load_config
 from movingdom.diffeo import BallDomain, BoxDomain, DiffeoSpec, build_metric, check_H1
-from movingdom.grid import (BoxGrid, RadialGrid, assemble_A, inner, norm_L2,
-                            operator_family)
+from movingdom.grid import BoxGrid, RadialGrid, assemble_A, inner, norm_L2
 from movingdom.problem import assemble
 from movingdom.pullback import (GapReport, PullbackError, absorbing_radius,
                                 cocycle_check, decay_fit, drift_norm,
                                 factorization_probe, pullback_converge)
-from movingdom.solver import StepperConfig, _cg, operator_at, run_homogeneous
+from movingdom.solver import (GridH1Error, StepperConfig, _cg, operator_at, operator_family,
+                              run_homogeneous)
 
 
 def identity_problem(dim=1, beta=1.0, f=None):
@@ -238,32 +238,32 @@ def test_drift_norm_matches_dense_spectral_norm():
 
 def test_drift_norm_matches_the_power_iteration_oracle():
     sin_t = assemble(_spec(load_config(fixture_path("sin_t"))), beta=1.0)
-    # diagonal maps without an operator family: a(t) leaves h2(t) a(0) by
-    # 1e-9 while H1 passes, or a(t) is undefined at the family's time t = 0
-    near = stretch_problem(eps=1e-9)
-    singular = DiffeoSpec(dim=1, domain=BoxDomain((1.0,)),
-                          forward=(ex.parse("y1 * t"),), inverse=(ex.parse("x1 / t"),))
     # (the stretch box, whose sign-pattern start misses modes, is in
     # test_drift_norm_start_reaches_every_mode_on_a_box)
     cases = [(sin_t, RadialGrid(3, 64), (0.0, -1.0, 5.0)),
              (sin_t, RadialGrid(3, 64), (0.0, -4.0, 5.0)),
-             (coupled_moving_problem(), BoxGrid((1.0, 1.0), (8, 8)), (0.0, 0.8, 2.0)),
-             (near, BoxGrid((1.0, 1.0, 1.0), (6, 5, 4)), (0.0, 0.8, 2.0)),
-             (assemble(singular, beta=1.0), BoxGrid((1.0,), (8,)), (1.5, 1.0, 2.0))]
-    assert check_H1(near.metric).passed
-    assert [operator_family(p, g) is None for p, g, _ in cases] == [False] * 3 + [True] * 2
+             (coupled_moving_problem(), BoxGrid((1.0, 1.0), (8, 8)), (0.0, 0.8, 2.0))]
     for p, g, times in cases:
         est = drift_norm(p, g, times)
         oracle = power_drift_norm(p, g, times)
         assert est > 0.0
         assert abs(est - oracle) <= 1e-7 * oracle
-        fam = operator_family(p, g)
-        if fam is not None and fam[0].lam is not None:
+        A0, h2_of = operator_family(p, g)
+        if A0.lam is not None:
             # a Rayleigh quotient: at most |h2(t) - h2(tau)| lmax / (h2(r) lmax + beta)
-            A0, h2_of = fam
             h2 = h2_of(np.array(times))
             lmax = float(A0.lam.max())
             assert est <= abs(h2[0] - h2[1]) * lmax / (h2[2] * lmax + p.beta) * (1 + 1e-12)
+    # diagonal maps without an operator family, refused: a(t) leaves h2(t)
+    # a(0) by 1e-9 while H1 passes, or a(t) is undefined at the family's t = 0
+    near = stretch_problem(eps=1e-9)
+    singular = DiffeoSpec(dim=1, domain=BoxDomain((1.0,)),
+                          forward=(ex.parse("y1 * t"),), inverse=(ex.parse("x1 / t"),))
+    assert check_H1(near.metric).passed
+    for p, g, times in [(near, BoxGrid((1.0, 1.0, 1.0), (6, 5, 4)), (0.0, 0.8, 2.0)),
+                        (assemble(singular, beta=1.0), BoxGrid((1.0,), (8,)), (1.5, 1.0, 2.0))]:
+        with pytest.raises(GridH1Error, match="the operator family guard fails"):
+            drift_norm(p, g, times)
 
 
 def operator_loop(p, grid, times):

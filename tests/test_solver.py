@@ -8,15 +8,14 @@ import pytest
 from movingdom import expr as ex
 from movingdom.diffeo import BallDomain, BoxDomain, DiffeoSpec
 from movingdom.grid import (BoxGrid, RadialGrid, SparseOperator, _boundary_flux, _gradients,
-                            assemble_A, mass, norm_L2, operator_family, read_snapshot,
-                            write_snapshot)
+                            assemble_A, mass, norm_L2, read_snapshot, write_snapshot)
 from movingdom import pullback
 from movingdom.cli import _grid, _spec, fixture_path, load_config
 from movingdom.diffeo import build_metric
 from movingdom.problem import assemble
-from movingdom.solver import (SCHEMES, CgError, SolverError,
+from movingdom.solver import (SCHEMES, CgError, GridH1Error, SolverError,
                               StepperConfig, _along, _cg, _eigen, _solve, drift_basis,
-                              mms_convergence, operator_at, run,
+                              mms_convergence, operator_at, operator_family, run,
                               run_homogeneous)
 
 
@@ -556,39 +555,65 @@ def test_explicit_rhs_takes_one_gradient(monkeypatch):
         assert np.array_equal(out, want)
 
 
-def test_non_separable_metrics_assemble_every_step(monkeypatch):
+def test_non_separable_metrics_are_refused(monkeypatch):
+    # eps = 1e-9 moves a(t) off h2(t) a(0) by about 1e-9: check_H1 passes it
+    # at 1e-6, the family guard refuses it at 1e-13, and so does every run.
+    # The separable map (eps = 0) marches on its family with no assembly
     from movingdom import solver
     from movingdom.diffeo import check_H1
-    from movingdom.solver import _explicit_rhs
     g = BoxGrid((1.0, 1.0), (8, 8))
     p0, p = shear_stretch_problem(), shear_stretch_problem(eps=1e-9)
-    assert check_H1(p.metric).passed and operator_family(p, g) is None
-    assert operator_family(p0, g) is not None
-    calls = []
-    monkeypatch.setattr(solver, "assemble_A", lambda *a: calls.append(a) or assemble_A(*a))
+    assert check_H1(p.metric).passed
     cfg = StepperConfig(dt=0.01)
     v0 = np.cos(np.pi * g.centers[:, 0]) + g.centers[:, 1]
-    traj = run_homogeneous(p, g, cfg, -0.5, -0.4, v0)
-    assert len(calls) >= 10
-    # the per-step march as it ran before the operator family: the
-    # operators at t and t + dt assembled, the shift scaling the face weights
-    v, t = v0, -0.5
-    for _ in range(10):
-        A0, A1 = assemble_A(p, g, t), assemble_A(p, g, t + cfg.dt)
-        rhs = v + cfg.dt * _explicit_rhs(p, g, t, v, A0, None)
-        left = SparseOperator(g, A1.weights, 1.0 + cfg.dt * A1.beta, scale=cfg.dt)
-        v, _ = _cg(left, rhs, cfg.cg_tol, x0=v)
-        t += cfg.dt
-    assert np.array_equal(traj.final, v)
-    calls.clear()
+    refusal = (r"^H1 does not hold to 1e-13 on the box grid 8x8: the operator family guard "
+               r"fails, a\(t\) is not h2\(t\) a\(0\)$")
+    for attempt in (lambda: operator_family(p, g),
+                    lambda: run_homogeneous(p, g, cfg, -0.5, -0.4, v0),
+                    lambda: run(p, g, cfg, -0.5, -0.4, v0, record=False)):
+        with pytest.raises(GridH1Error, match=refusal):
+            attempt()
+    assert operator_family(p0, g)[0].cross is not None
+    calls = []
+    monkeypatch.setattr(solver, "assemble_A", lambda *a: calls.append(a) or assemble_A(*a))
     run_homogeneous(p0, g, cfg, -0.5, -0.4, v0)
     assert calls == []
     cn = StepperConfig(dt=0.01, scheme="crank-nicolson")
-    for q in (p0, p):
-        assert pullback.cocycle_check(q, g, cn, -0.2, -0.1, 0.0, v0) == 0.0
+    assert pullback.cocycle_check(p0, g, cn, -0.2, -0.1, 0.0, v0) == 0.0
 
 
-def test_a_map_off_separable_only_between_the_h1_samples_gets_no_family():
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("homogeneous", [False, True])
+def test_runs_assemble_no_operator_and_evaluate_no_drift(monkeypatch, scheme, homogeneous):
+    # H1 on the grid is the march's one operator path: with the family and
+    # the drift basis built, a run calls neither assemble_A nor eval_b, on
+    # every bundled fixture that passes `check`, the shear-stretch CG family
+    # and the 3-D stretch Kronecker box
+    from movingdom import solver
+    from movingdom.diffeo import MetricBundle
+    cases = []
+    for name in ("identity", "dilation", "ball_shrink", "sin_t", "sin_u"):
+        rc = load_config(fixture_path(name))
+        cases.append((assemble(_spec(rc), beta=rc.beta, f=rc.f), _grid(rc), rc.dt))
+    cases += [(shear_stretch_problem(), BoxGrid((1.0, 1.0), (8, 8)), 0.01),
+              (stretch_problem(), BoxGrid((1.0, 1.0, 1.0), (6, 5, 4)), 0.01)]
+    for p, g, _ in cases:
+        operator_family(p, g)
+        drift_basis(p, g)
+    calls = []
+    assembly, eval_b = solver.assemble_A, MetricBundle.eval_b
+    monkeypatch.setattr(solver, "assemble_A", lambda *a: calls.append("assemble_A") or assembly(*a))
+    monkeypatch.setattr(MetricBundle, "eval_b",
+                        lambda self, *a: calls.append("eval_b") or eval_b(self, *a))
+    for p, g, dt in cases:
+        v0 = np.cos(np.pi * g.centers[:, 0])
+        traj = run(p, g, StepperConfig(dt=dt, scheme=scheme), -0.3, -0.3 + 6 * dt, v0,
+                   homogeneous=homogeneous)
+        assert len(traj.metrics) == 7 and np.isfinite(traj.final).all()
+    assert calls == []
+
+
+def test_a_map_off_separable_only_between_the_h1_samples_gets_no_family(monkeypatch):
     # x1 = y1 m(t, y2), m = (1 + (y2 - c)^2 / 4)(1 + 1e-9 t sin(22 pi y2)^2),
     # c = 1/22.  The sine vanishes at the H1 lattice's y2 = (2k + 1) / 22 and
     # at c, where a0_11 peaks, so h2 = 1, H1 passes and so do the lattice
@@ -599,7 +624,7 @@ def test_a_map_off_separable_only_between_the_h1_samples_gets_no_family():
     spec = DiffeoSpec(dim=2, domain=BoxDomain((1.0, 1.0)),
                       forward=(ex.parse(f"y1 * {m.format('y')}"), ex.parse("y2")),
                       inverse=(ex.parse(f"x1 / {m.format('x')}"), ex.parse("x2")))
-    p = assemble(spec, beta=1.0)
+    p, cfg = assemble(spec, beta=1.0), StepperConfig(dt=0.01)
     from movingdom.diffeo import check_H1
     h1 = check_H1(p.metric)
     assert h1.passed and h1.residual <= 1e-6
@@ -612,7 +637,18 @@ def test_a_map_off_separable_only_between_the_h1_samples_gets_no_family():
         A0 = assemble_A(p, g, 0.0)
         ref = int(np.argmax(np.abs(A0.a[:, 0, 0])))
         assert abs(g.centers[ref, 1] - 1 / 22) <= 1e-15
-        assert operator_family(p, g) is None and drift_basis(p, g) is None
+        for attempt in (operator_family, lambda p, g: run_homogeneous(p, g, cfg, 0.0, 0.1, 1.0)):
+            with pytest.raises(GridH1Error, match="the operator family guard fails"):
+                attempt(p, g)
+        with pytest.raises(GridH1Error, match="the drift basis guard fails"):
+            drift_basis(p, g)
+    # mms builds every rung's family before its first march: the 8 x 11 rung
+    # passes, and the 8 x 33 rung is refused without a step
+    from movingdom import solver
+    monkeypatch.setattr(solver, "_advance", lambda *a: pytest.fail("a step was taken"))
+    grids = [BoxGrid((1.0, 1.0), counts) for counts in ((8, 11), (8, 33))]
+    with pytest.raises(GridH1Error, match="on the box grid 8x33: the operator family guard"):
+        mms_convergence(p, "exp(0 - t)", grids, dts=(0.02,))
 
 
 def test_family_and_drift_basis_build_on_32_cubed_stays_below_the_chunked_peak():
@@ -631,15 +667,19 @@ def test_family_and_drift_basis_build_on_32_cubed_stays_below_the_chunked_peak()
     assert kept <= 5.79 * 2**20, kept / 2**20
 
 
-def test_coefficients_undefined_at_time_zero_are_assembled_per_step():
-    # the family is built at t = 0; a map singular there still runs elsewhere
+def test_coefficients_undefined_at_time_zero_are_refused():
+    # the family is built at t = 0; a map singular there gets none, and no
+    # run, even one that would stay away from t = 0
     spec = DiffeoSpec(dim=1, domain=BoxDomain((1.0,)),
                       forward=(ex.parse("y1 * t"),), inverse=(ex.parse("x1 / t"),))
     p = assemble(spec, beta=1.0)
     g = BoxGrid((1.0,), (8,))
-    assert operator_family(p, g) is None
-    traj = run(p, g, StepperConfig(dt=0.05), 1.0, 1.2, 1.0)
-    assert np.allclose(traj.final, 1.05 ** -4, rtol=1e-12)
+    refusal = ("^H1 does not hold to 1e-13 on the box grid 8: the operator family guard "
+               "fails, a is undefined at a sampled time$")
+    for attempt in (lambda: operator_family(p, g),
+                    lambda: run(p, g, StepperConfig(dt=0.05), 1.0, 1.2, 1.0)):
+        with pytest.raises(GridH1Error, match=refusal):
+            attempt()
 
 
 @pytest.mark.parametrize("name", ["identity", "dilation", "ball_shrink", "sin_t", "sin_u",
@@ -659,39 +699,37 @@ def test_drift_basis_reconstructs_b(name):
         assert np.abs(got - b).max() <= 1e-13 * np.abs(b).max()
 
 
-def test_drift_without_basis_is_evaluated_per_step():
+def test_a_drift_without_basis_is_refused():
     # the identity map with b = sin(t y1) put in by hand: its rank in time is
     # far above the d + 2 fields H1 allows, so there is no drift basis
     metric = dataclasses.replace(identity_problem(1).metric, b=[ex.parse("sin(t * y1)")], _fns={})
     p, g = assemble(metric, beta=1.0), BoxGrid((1.0,), (16,))
-    assert operator_family(p, g) is not None and drift_basis(p, g) is None
-    assert_drift_per_step(p, g)
+    assert operator_family(p, g)[0].lam is not None
+    with pytest.raises(GridH1Error, match=r"drift basis guard fails, b\(t\) spans more than "
+                                          r"d \+ 2 = 3 fields$"):
+        drift_basis(p, g)
+    assert_only_homogeneous_runs(p, g)
 
 
-def assert_drift_per_step(p, g):
-    """run on the 1-D box g equals backward Euler as it ran before the drift
-    basis, with eval_b at every step."""
+def assert_only_homogeneous_runs(p, g):
+    """A forced run on the 1-D box g is refused at the drift basis guard; a
+    homogeneous run, which takes no drift, marches on the family."""
     cfg = StepperConfig(dt=0.01)
     v0 = np.cos(np.pi * g.centers[:, 0])
-    traj = run(p, g, cfg, 0.0, 0.1, v0)
-    v, t = v0, 0.0
-    for _ in range(10):
-        F = np.zeros(g.m)
-        F -= p.metric.eval_b(t, g.embed())[:, 0] * _gradients(g, v)[0]
-        v, _ = _solve(operator_at(p, g, t + cfg.dt).shifted(cfg.dt), v + cfg.dt * F,
-                      cfg.cg_tol, v)
-        t += cfg.dt
-    assert np.array_equal(traj.final, v)
+    with pytest.raises(GridH1Error, match="^H1 does not hold to 1e-13 on the box grid 16: "
+                                          "the drift basis guard fails"):
+        run(p, g, cfg, 0.0, 0.1, v0)
+    assert np.isfinite(run_homogeneous(p, g, cfg, 0.0, 0.1, v0).final).all()
 
 
-@pytest.mark.parametrize("b, perturb", [("y1 + 3e-13 * sin(t * y1)", False),
-                                        ("y1 * sin(t)", True)],
-                         ids=["lattice_fit", "grid_probes"])
-def test_drift_basis_guards_fall_back_to_per_step_drift(monkeypatch, b, perturb):
+@pytest.mark.parametrize("b, perturb, why", [
+    ("y1 + 3e-13 * sin(t * y1)", False, "on the H1 lattice"),
+    ("y1 * sin(t)", True, "on the grid cells")], ids=["lattice_fit", "grid_probes"])
+def test_drift_basis_guards_refuse(monkeypatch, b, perturb, why):
     # b passes the 1e-12 rank test with one field in both cases.  The first
-    # misses the 1e-13 fit on the H1 lattice, so the guard returns before the
-    # grid probes; the second fits there, and its grid values are moved by
-    # 1e-10 at the probe times, which the probe guard refuses
+    # misses the 1e-13 fit on the H1 lattice, so the guard refuses it before
+    # the grid probes; the second fits there, and its grid values are moved
+    # by 1e-10 at the probe times, which the probe guard refuses
     from movingdom import solver
     metric = dataclasses.replace(identity_problem(1).metric, b=[ex.parse(b)], _fns={})
     p, g = assemble(metric, beta=1.0), BoxGrid((1.0,), (16,))
@@ -705,9 +743,10 @@ def test_drift_basis_guards_fall_back_to_per_step_drift(monkeypatch, b, perturb)
 
     with monkeypatch.context() as m:
         m.setattr(solver, "_drift_on", perturbed)
-        assert drift_basis(p, g) is None
-    assert len(calls[0]) == 1 and (probes in calls) == perturb
-    assert_drift_per_step(p, g)
+        with pytest.raises(GridH1Error, match=rf"b\(t\) leaves its fields {why}$"):
+            drift_basis(p, g)
+        assert len(calls[0]) == 1 and (probes in calls) == perturb
+        assert_only_homogeneous_runs(p, g)
 
 
 @pytest.mark.parametrize("f, per_step", [("sin(t)", 0), ("sin(u)", 2)])
@@ -1061,6 +1100,20 @@ def test_mms_constant_exact_is_reproduced():
     rep = mms_convergence(p, "3", grids, dts=(0.02, 0.01))
     assert all(e <= 1e-8 for _, e in rep.spatial)
     assert all(e <= 1e-8 for _, e in rep.temporal)
+
+
+def test_mms_plan_counts_the_steps_mms_convergence_takes(monkeypatch):
+    # 2 spatial rungs of 500 steps, the reference at 0.01 / 20 (500 steps) and
+    # temporal rungs of 6, 8 and 25 steps: dt = 0.03 is snapped to 0.25 / 8
+    from movingdom import solver
+    steps = []
+    advance = solver._advance
+    monkeypatch.setattr(solver, "_advance", lambda *a: steps.append(a[3]) or advance(*a))
+    grids, dts = [BoxGrid((1.0,), (n,)) for n in (16, 32)], (0.04, 0.03, 0.01)
+    rep = mms_convergence(identity_problem(1), "exp(-t) * cos(pi * y1)", grids, dts)
+    planned, snapped = solver.mms_plan(len(grids), dts)
+    assert len(steps) == 1539 and planned == pytest.approx(1539, rel=1e-12)
+    assert snapped == [0.25 / 6, 0.25 / 8, 0.25 / 25] == [dt for dt, _ in rep.temporal]
 
 
 def test_mms_rejects_incompatible_profile():
